@@ -5,13 +5,14 @@ a proper subgroup of GL_2(F_p) with full determinant lies in a Borel, the
 normalizer of a split or nonsplit Cartan, or has exceptional projective
 image A4/S4/A5; each class is ruled out by an explicit witness prime.  The
 certificate is sound: SurjectiveCertified is only emitted with witnesses
-against all four classes plus determinant surjectivity.
+against all four classes plus determinant surjectivity.  CM curves are
+decided from j alone, before any scan.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import legendre
+from .arith import legendre, primes_up_to
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
@@ -19,6 +20,7 @@ from .curve import (
     b_invariants,
     brute_force_point_count,
     compute_invariants,
+    detect_cm,
     minimal_model,
     trace_of_frobenius,
 )
@@ -33,6 +35,9 @@ SPLIT_CARTAN_NORMALIZER = "SplitCartanNormalizer"
 NONSPLIT_CARTAN_NORMALIZER = "NonsplitCartanNormalizer"
 EXCEPTIONAL = "Exceptional"
 ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEPTIONAL)
+# At p = 3, a != 0 (mod 3) makes a^2 - 4d = 1 - 4d either 0 or a non-square
+# mod 3, so traces can rule out every class except the nonsplit Cartan.
+P3_TRACE_CLASSES = frozenset((BOREL, SPLIT_CARTAN_NORMALIZER, EXCEPTIONAL))
 
 VACUOUS = "Vacuous"
 CM_CASE = "CMCase"
@@ -51,9 +56,6 @@ class ImageCertificate:
     witnesses: tuple
     ruled_out: frozenset
     first_unruled: str | None = None
-
-    def is_surjective(self):
-        return self.status == SURJECTIVE_CERTIFIED
 
 
 @dataclass(frozen=True)
@@ -108,22 +110,27 @@ def _mult_closure(values, p):
 def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     """One-sided surjectivity certificate for the mod-p representation.
 
-    Scans good primes ell <= sample_bound (ell not dividing p*disc) in
-    increasing order, stopping as soon as every maximal-subgroup class is
-    ruled out and the determinant witnesses generate (Z/p)^x.
+    A CM curve is SmallImageCertified from its j-invariant alone: its image
+    lies in the normalizer of a Cartan subgroup (Serre 1972), so no witness
+    is scanned for.  Otherwise scans good primes ell <= sample_bound (ell not
+    dividing p*disc) in increasing order, stopping as soon as every
+    maximal-subgroup class is ruled out and the determinant witnesses
+    generate (Z/p)^x; at p = 3 it stops once the determinant and the
+    classes of P3_TRACE_CLASSES are done, as no later ell can add a witness.
     """
-    from .arith import primes_up_to
-
     if sample_bound < 10:
         raise InvalidInput("sample_bound must be at least 10")
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:
         raise BadReductionAtP(f"bad reduction at {p}")
+    if detect_cm(inv.j) is not None:
+        return ImageCertificate(p, SMALL_IMAGE_CERTIFIED, (), frozenset(), BOREL)
 
     ruled_out = set()
     witnesses = []
     det_values = set()
+    det_group = {1}
     det_full = False
     bad_u = _exceptional_trace_set(p)
 
@@ -134,12 +141,12 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
         a_mod, d_mod = a % p, ell % p
         useful = False
 
-        if not det_full:
-            if d_mod not in _mult_closure(det_values, p):
-                det_values.add(d_mod)
-                useful = True
-            det_full = len(_mult_closure(det_values, p)) == p - 1
-            if det_full and p == 3 and EXCEPTIONAL not in ruled_out:
+        if not det_full and d_mod not in det_group:
+            det_values.add(d_mod)
+            det_group = _mult_closure(det_values, p)
+            useful = True
+            det_full = len(det_group) == p - 1
+            if det_full and p == 3:
                 # projective image A4 = PSL_2(F_3) forces determinant 1,
                 # so full determinant already excludes the exceptional class
                 ruled_out.add(EXCEPTIONAL)
@@ -163,6 +170,8 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
+        if p == 3 and det_full and ruled_out == P3_TRACE_CLASSES:
+            break
 
     if p == 3 and det_full and _mod3_projective_full(m):
         # At p = 3 trace data cannot separate the nonsplit Cartan normalizer
@@ -176,11 +185,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
         )
 
     status = INCONCLUSIVE
-    from .curve import detect_cm
-
-    if detect_cm(inv.j) is not None:
-        status = SMALL_IMAGE_CERTIFIED
-    elif p <= 13 and not _division_poly_irreducible(m, p):
+    if p <= 13 and not _division_poly_irreducible(m, p):
         # full image acts transitively on the (p^2-1)/2 x-coordinates of
         # p-torsion, so a reducible division polynomial certifies a proper image
         status = SMALL_IMAGE_CERTIFIED

@@ -10,8 +10,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -182,6 +180,11 @@ def _load_local(label, config):
 
 
 def _remote_get(label, config):
+    # imported here: urllib.request pulls in http.client and ssl, which
+    # offline runs never use
+    import urllib.error
+    import urllib.request
+
     url = f"{config.base_url.rstrip('/')}/{label}"
     last_err = None
     for attempt in range(2):

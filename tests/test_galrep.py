@@ -1,5 +1,10 @@
+import json
+from fractions import Fraction
+
 import pytest
 
+from conftest import DATA_DIR
+from shaclass.arith import legendre, primes_up_to
 from shaclass.curve import (
     GoodPrimeProfile,
     CurveModel,
@@ -28,6 +33,32 @@ from shaclass.galrep import (
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
+
+# j-invariants of the thirteen imaginary quadratic orders of class number one
+CM_J = frozenset(
+    (0, 1728, -3375, 8000, -32768, 54000, 287496, -884736, -12288000, 16581375,
+     -884736000, -147197952000, -262537412640768000)
+)
+
+
+def _j_and_disc(ainvs):
+    """j = c4^3 / disc from the a-invariants, written out independently."""
+    a1, a2, a3, a4, a6 = ainvs
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    c4 = b2 * b2 - 24 * b4
+    return Fraction(c4**3, disc), disc
+
+
+@pytest.fixture(scope="module")
+def corpus_models(tate_corpus, image_corpus):
+    """{label: ainvs} over both corpora, which agree on shared labels."""
+    return {
+        label: tuple(entry["ainvs"])
+        for corpus in (tate_corpus, image_corpus)
+        for label, entry in corpus.items()
+    }
 
 
 class TestCertifyImage:
@@ -74,6 +105,48 @@ class TestCertifyImage:
     def test_cm_curve_small_image(self):
         cert = certify_image(CurveModel(0, 0, 1, 0, -7), 5, 1000)  # 27a1
         assert cert.status == SMALL_IMAGE_CERTIFIED
+
+    def test_cm_decided_from_j_without_scan(self, corpus_models, monkeypatch):
+        def no_scan(model, ell):
+            raise AssertionError(f"a_ell({ell}) called for a CM curve")
+
+        monkeypatch.setattr("shaclass.galrep.a_ell", no_scan)
+        cm_curves = 0
+        for label, ainvs in corpus_models.items():
+            j, disc = _j_and_disc(ainvs)
+            if j not in CM_J:
+                continue
+            cm_curves += 1
+            for p in primes_up_to(97)[1:]:
+                if disc % p == 0:
+                    continue
+                cert = certify_image(CurveModel(*ainvs), p, 1000)
+                assert cert.status == SMALL_IMAGE_CERTIFIED, (label, p)
+                assert cert.witnesses == (), (label, p)
+        assert cm_curves >= 10
+
+    def test_p3_traces_never_rule_out_nonsplit_cartan(self):
+        # the lemma behind stopping the p = 3 scan early: for a, d != 0 mod 3,
+        # a^2 - 4d is never a nonzero square mod 3
+        for a in (1, 2):
+            for d in (1, 2):
+                assert legendre(a * a - 4 * d, 3) != 1
+
+    def test_golden_image_witnesses(self, corpus_models):
+        """Status and witnesses at p in {3, 5, 7} match the committed table."""
+        golden = json.loads((DATA_DIR / "golden" / "image_witnesses.json").read_text())
+        assert sorted(golden) == sorted(corpus_models)
+        for label, ainvs in corpus_models.items():
+            _, disc = _j_and_disc(ainvs)
+            rows = {}
+            for p in (3, 5, 7):
+                if disc % p:
+                    cert = certify_image(CurveModel(*ainvs), p)
+                    rows[str(p)] = {
+                        "image_status": cert.status,
+                        "image_witnesses": [list(w) for w in cert.witnesses],
+                    }
+            assert rows == golden[label], label
 
     def test_preconditions(self):
         with pytest.raises(InvalidInput):
