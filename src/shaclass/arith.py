@@ -8,6 +8,7 @@ instead of stalling.
 """
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import FactorizationTooHard
 
@@ -20,7 +21,7 @@ _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
-def _sieve(limit):
+def primes_up_to(limit):
     """Primes up to limit (inclusive), as a tuple."""
     if limit < 2:
         return ()
@@ -30,10 +31,6 @@ def _sieve(limit):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return tuple(i for i in range(limit + 1) if flags[i])
-
-
-def primes_up_to(limit):
-    return _sieve(limit)
 
 
 def _miller_rabin(n, base):
@@ -70,8 +67,6 @@ def is_prime(n):
 
 def _pollard_rho(n, seed=1):
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
-    from math import gcd
-
     while True:
         y, c, m = seed % n, seed % n + 1, 128
         g, r, q = 1, 1, 1
@@ -109,7 +104,7 @@ def factor(n):
         raise ValueError("cannot factor 0")
     n = abs(n)
     out = {}
-    for p in _sieve(TRIAL_DIVISION_BOUND):
+    for p in primes_up_to(TRIAL_DIVISION_BOUND):
         if p * p > n:
             break
         while n % p == 0:
@@ -153,35 +148,6 @@ def legendre(a, p):
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def sqrt_mod(a, p):
-    """A square root of a mod odd prime p, or None if a is a nonresidue."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) == -1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +237,6 @@ def _peval(f, x, p):
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
-
-
-def poly_eval_mod(f, x, p):
-    return _peval([c % p for c in f], x, p)
 
 
 def quadratic_roots_count(b, c, p):

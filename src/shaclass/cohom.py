@@ -213,8 +213,9 @@ def central_scalar_shortcut(group):
 
     When present, all H^i vanish without solving any linear system.
     """
+    elements = set(group.elements)
     for lam in range(2, group.p):
-        if (lam, 0, 0, lam) in set(group.elements):
+        if (lam, 0, 0, lam) in elements:
             return lam
     return None
 

@@ -10,9 +10,9 @@ with integer coefficients.  All arithmetic is exact.
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
-from .arith import factor, legendre, valuation
+from .arith import factor, is_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 ORDINARY = "ordinary"
@@ -119,21 +119,31 @@ def compute_invariants(model):
     return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
+def translate(ai, r, s, t):
+    """Coefficients after the u = 1 change x = x' + r, y = y' + s x' + t.
+
+    Computed in whatever ring the inputs lie in: ints stay ints.
+    """
+    a1, a2, a3, a4, a6 = ai
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
+
+
 def transform_quintuple(ainvs, u, r, s, t):
     """Coefficients after the coordinate change x = u^2 x' + r, y = u^3 y' + u^2 s x' + t.
 
     Works over the rationals; returns a 5-tuple of Fractions.
     """
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in ainvs)
+    ai = tuple(Fraction(a) for a in ainvs)
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
     if u == 0:
         raise InvalidInput("u must be nonzero")
-    na1 = (a1 + 2 * s) / u
-    na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-    na3 = (a3 + r * a1 + 2 * t) / u**3
-    na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-    na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-    return (na1, na2, na3, na4, na6)
+    return tuple(a / u**k for a, k in zip(translate(ai, r, s, t), (1, 2, 3, 4, 6)))
 
 
 def transform_model(model, u, r, s, t):
@@ -247,8 +257,6 @@ def trace_of_frobenius(model, p):
 
 
 def _is_odd_prime(p):
-    from .arith import is_prime
-
     return p % 2 == 1 and is_prime(p)
 
 
@@ -271,7 +279,8 @@ def classify_good_prime(model, p):
 def brute_force_point_count(model, p):
     """#E(F_p) by the full double loop over F_p x F_p, plus infinity.
 
-    Independent oracle for trace_of_frobenius; O(p^2), test use only.
+    Independent oracle for trace_of_frobenius, and the point count behind
+    galrep.a_ell at p = 2; O(p^2).
     """
     a1, a2, a3, a4, a6 = (a % p for a in model.ainvs())
     count = 1

@@ -13,10 +13,13 @@ field.  Everything lands in a deterministic, schema-versioned certificate.
 import json
 from dataclasses import dataclass
 
-from .curve import SUPERSINGULAR, compute_invariants, minimal_model
-from .errors import InconsistentInputs, LedgerNotApplicable
+from .curve import classify_good_prime, minimal_model
+from .errors import InconsistentInputs, InsufficientData, LedgerNotApplicable
 from .galrep import ASSUMED_BY_USER, CM_CASE, SURJECTIVE_CERTIFIED, UNKNOWN, VACUOUS
+from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
 from .localred import bad_primes
+from .localred import compute_t_set, local_data, tamagawa_unit_check
+from .selmerdata import selmer_rank_scenarios
 
 SCHEMA_VERSION = "shaclass-certificate/1"
 
@@ -32,7 +35,6 @@ UNKNOWN_STATUS = "Unknown"
 ASSUMED = "Assumed"
 
 YES = "Yes"
-NO = "No"
 UNKNOWN_ANSWER = "Unknown"
 
 # Condition (b) is printed with a_p = 1 mod p in the direct theorem but with
@@ -55,6 +57,22 @@ _B_TEXT_CONVERSE = (
     "(b) [as printed for this statement] if reduction at p is ordinary with "
     "a_p != 1 mod p, then E[p] is wildly ramified at p"
 )
+_COROLLARY_NOTE = "conclusion clause (Sha[p] rank / Mordell-Weil rank) evaluated separately"
+
+# (id, printed statement) of each condition, and the four ledgers built from
+# them as (theorem, conditions, notes): the Corollary has Main's conditions,
+# and the finiteness lemma is the converse theorem without (d).
+_A = ("a", "(a) good reduction at p")
+_C = ("c", "(c) every Tamagawa number c_v, v != p, is prime to p")
+_D = ("d", "(d) E[p] is an irreducible Galois module")
+_MAIN_CONDITIONS = (_A, ("b", _B_TEXT_MAIN), _C, _D)
+_CONVERSE_CONDITIONS = (_A, ("b", _B_TEXT_CONVERSE), _C, _D)
+_LEDGER_TABLE = (
+    (MAIN, _MAIN_CONDITIONS, ()),
+    (COROLLARY, _MAIN_CONDITIONS, (_COROLLARY_NOTE,)),
+    (LEMMA_FIN, _CONVERSE_CONDITIONS[:3], (B_DISCREPANCY_NOTE,)),
+    (MAIN_CONV, _CONVERSE_CONDITIONS, (B_DISCREPANCY_NOTE,)),
+)
 
 
 @dataclass(frozen=True)
@@ -74,9 +92,6 @@ class HypothesisLedger:
     @property
     def applicable(self):
         return all(c.status in (HOLDS, ASSUMED) for c in self.conditions)
-
-    def assumed_conditions(self):
-        return tuple(c for c in self.conditions if c.status == ASSUMED)
 
 
 @dataclass(frozen=True)
@@ -114,11 +129,12 @@ def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map
             f"certificates disagree on p: {image_cert.p}, {profile.p}, {p}"
         )
 
+    found = {}
     bad = bad_primes(model)
     if p in bad:
-        cond_a = Condition("a", "(a) good reduction at p", FAILS, f"p divides the minimal discriminant (bad primes {list(bad)})")
+        found["a"] = (FAILS, f"p divides the minimal discriminant (bad primes {list(bad)})")
     else:
-        cond_a = Condition("a", "(a) good reduction at p", HOLDS, f"p not among bad primes {list(bad)}")
+        found["a"] = (HOLDS, f"p not among bad primes {list(bad)}")
 
     status_map = {
         VACUOUS: (HOLDS, "vacuous: supersingular or a_p != 1 mod p"),
@@ -126,37 +142,28 @@ def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map
         ASSUMED_BY_USER: (ASSUMED, "asserted via galrep.assume_wild_ramification"),
         UNKNOWN: (UNKNOWN_STATUS, "a_p = 1 mod p, no CM, and no certificate for wild ramification"),
     }
-    b_status, b_evidence = status_map[wild_status.status]
-
-    def cond_b(statement):
-        return Condition("b", statement, b_status, b_evidence)
+    found["b"] = status_map[wild_status.status]
 
     if all(tamagawa_map.values()):
         detail = ", ".join(f"c_{q} prime to {p}" for q in sorted(tamagawa_map))
-        cond_c = Condition("c", "(c) every Tamagawa number c_v, v != p, is prime to p", HOLDS, detail or "no bad primes besides p")
+        found["c"] = (HOLDS, detail or "no bad primes besides p")
     else:
         offenders = sorted(q for q, ok in tamagawa_map.items() if not ok)
-        cond_c = Condition("c", "(c) every Tamagawa number c_v, v != p, is prime to p", FAILS, f"p divides c_v for v in {offenders}")
+        found["c"] = (FAILS, f"p divides c_v for v in {offenders}")
 
     if image_cert.status == SURJECTIVE_CERTIFIED:
-        cond_d = Condition("d", "(d) E[p] is an irreducible Galois module", HOLDS, "mod-p image certified surjective; the standard module is irreducible")
+        found["d"] = (HOLDS, "mod-p image certified surjective; the standard module is irreducible")
     else:
-        cond_d = Condition("d", "(d) E[p] is an irreducible Galois module", UNKNOWN_STATUS, f"image certificate status: {image_cert.status}")
+        found["d"] = (UNKNOWN_STATUS, f"image certificate status: {image_cert.status}")
 
-    main = HypothesisLedger(MAIN, (cond_a, cond_b(_B_TEXT_MAIN), cond_c, cond_d))
-    corollary = HypothesisLedger(
-        COROLLARY,
-        (cond_a, cond_b(_B_TEXT_MAIN), cond_c, cond_d),
-        notes=("conclusion clause (Sha[p] rank / Mordell-Weil rank) evaluated separately",),
-    )
-    conv_note = (B_DISCREPANCY_NOTE,)
-    lemma_fin = HypothesisLedger(
-        LEMMA_FIN, (cond_a, cond_b(_B_TEXT_CONVERSE), cond_c), notes=conv_note
-    )
-    main_conv = HypothesisLedger(
-        MAIN_CONV, (cond_a, cond_b(_B_TEXT_CONVERSE), cond_c, cond_d), notes=conv_note
-    )
-    return {MAIN: main, COROLLARY: corollary, LEMMA_FIN: lemma_fin, MAIN_CONV: main_conv}
+    return {
+        theorem: HypothesisLedger(
+            theorem,
+            tuple(Condition(cid, statement, *found[cid]) for cid, statement in conditions),
+            notes,
+        )
+        for theorem, conditions, notes in _LEDGER_TABLE
+    }
 
 
 def apply_lower_bound(main_ledger, scenario):
@@ -293,16 +300,12 @@ def analyze(
     label=None,
 ):
     """Full pipeline for one curve and prime; record may be None (degraded)."""
-    from .curve import classify_good_prime, detect_cm
-    from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
-    from .localred import compute_t_set, local_data, tamagawa_unit_check
-    from .selmerdata import selmer_rank_scenarios
-
     bound = sample_bound or DEFAULT_SAMPLE_BOUND
     profile = classify_good_prime(model, p)
     image_cert = certify_image(model, p, bound)
-    cm = detect_cm(compute_invariants(model).j)
-    wild = wild_ramification_status(model, profile, cm, assume_wild_ramification)
+    wild = wild_ramification_status(
+        model, profile, profile.cm_discriminant, assume_wild_ramification
+    )
     local = local_data(model)
     tmap = tamagawa_unit_check(model, p)
     t_set = compute_t_set(model, p)
@@ -310,8 +313,6 @@ def analyze(
 
     scenario = None
     if record is not None:
-        from .errors import InsufficientData
-
         try:
             scenario = selmer_rank_scenarios(
                 record, p, image_cert.status == SURJECTIVE_CERTIFIED, assume_sha_finite

@@ -16,7 +16,6 @@ from .arith import legendre, primes_up_to
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
-    CurveModel,
     b_invariants,
     brute_force_point_count,
     compute_invariants,

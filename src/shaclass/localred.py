@@ -11,8 +11,10 @@ from functools import lru_cache
 from fractions import Fraction
 
 from .arith import (
+    _pgcd,
     count_roots_mod,
     factor,
+    is_prime,
     legendre,
     quadratic_roots_count,
     valuation,
@@ -23,8 +25,10 @@ from .curve import (
     compute_invariants,
     discriminant_from_b,
     minimal_model,
+    translate,
 )
 from .errors import InvalidInput
+from .galrep import division_polynomial
 
 GOOD = "good"
 SPLIT_MULTIPLICATIVE = "split multiplicative"
@@ -44,7 +48,6 @@ class LocalReductionData:
     val_delta_min: int
     val_j_denominator: int
     conductor_exponent: int
-    n_components: int
 
     def is_multiplicative(self):
         return self.reduction_class in MULTIPLICATIVE_CLASSES
@@ -90,8 +93,6 @@ def _singular_point(ai, p):
         raise AssertionError(f"no singular point found mod {p}")
     b2, b4, b6, _ = b_invariants(*ai)
     # x0 is the multiple root mod p of g = 4x^3 + b2 x^2 + 2 b4 x + b6
-    from .arith import _pgcd
-
     g = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
     dg = [(2 * b4) % p, (2 * b2) % p, 12 % p]
     h = _pgcd(g, dg, p)
@@ -102,18 +103,6 @@ def _singular_point(ai, p):
         x0 = (-h[1] * pow(2, -1, p)) % p
     y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
     return x0, y0
-
-
-def _translate(ai, r, s, t):
-    """Coordinate change with u = 1 on a coefficient 5-tuple."""
-    a1, a2, a3, a4, a6 = ai
-    return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * t,
-        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
-        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-    )
 
 
 def _normalize_step6(ai, p):
@@ -130,15 +119,15 @@ def _normalize_step6(ai, p):
 
     if p >= 5:
         s = (-ai[0] * pow(2, -1, p)) % p
-        b = _translate(ai, 0, s, 0)
+        b = translate(ai, 0, s, 0)
         t = (-b[2] * pow(2, -1, p * p)) % (p * p)
-        b = _translate(b, 0, 0, t)
+        b = translate(b, 0, 0, t)
         assert ok(b)
         return b
     for r in range(0, p**3, p):
         for s in range(p):
             for t in range(p**3):
-                b = _translate(ai, r, s, t)
+                b = translate(ai, r, s, t)
                 if ok(b):
                     return b
     raise AssertionError(f"step-6 normalization not found at p={p}")
@@ -198,8 +187,6 @@ def _general_quad_roots(A, B, C, p):
 @lru_cache(maxsize=None)
 def tate_algorithm(model, v):
     """Kodaira type, Tamagawa number and local data of the curve at prime v."""
-    from .arith import is_prime
-
     if not is_prime(v):
         raise InvalidInput(f"v must be prime, got {v}")
     p = v
@@ -210,7 +197,7 @@ def tate_algorithm(model, v):
         c4, _c6 = c_invariants(b2, b4, b6)
         disc = discriminant_from_b(b2, b4, b6, b8)
         if disc % p != 0:
-            return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0, 1)
+            return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0)
         n = valuation(disc, p)
         if c4 == 0:
             val_j_den = 0  # j = 0 is integral
@@ -220,7 +207,7 @@ def tate_algorithm(model, v):
             val_j_den = n  # multiplicative: v(j) = -n
 
         x0, y0 = _singular_point(tuple(a % p for a in ai), p)
-        ai2 = _translate(ai, x0, 0, y0)
+        ai2 = translate(ai, x0, 0, y0)
         assert all(a % p == 0 for a in ai2[2:])
         b2_2, b4_2, b6_2, b8_2 = b_invariants(*ai2)
 
@@ -236,7 +223,7 @@ def tate_algorithm(model, v):
                 cls, c = SPLIT_MULTIPLICATIVE, n
             else:
                 cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
-            return LocalReductionData(p, f"I{n}", cls, c, n, n, 1, n)
+            return LocalReductionData(p, f"I{n}", cls, c, n, n, 1)
 
         add_class = (
             ADDITIVE_POT_MULTIPLICATIVE if val_j_den > 0 else ADDITIVE_POT_GOOD
@@ -244,7 +231,7 @@ def tate_algorithm(model, v):
 
         def done(kod, c, ncomp):
             return LocalReductionData(
-                p, kod, add_class, c, n, val_j_den, n - ncomp + 1, ncomp
+                p, kod, add_class, c, n, val_j_den, n - ncomp + 1
             )
 
         if not _val_at_least(ai2[4], p, 2):
@@ -267,7 +254,7 @@ def tate_algorithm(model, v):
             return done("I0*", 1 + info, 5)
 
         if kind == "double":
-            a = _translate(ai3, p * info, 0, 0)
+            a = translate(ai3, p * info, 0, 0)
             assert a[1] != 0 and valuation(a[1], p) == 1
             assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
             nstar, k = 1, 2
@@ -278,7 +265,7 @@ def tate_algorithm(model, v):
                 if _quad_separable(b, c, p):
                     cv = 2 + quadratic_roots_count(b, c, p)
                     return done(f"I{nstar}*", cv, nstar + 5)
-                a = _translate(a, 0, 0, p**k * _quad_double_root(b, c, p))
+                a = translate(a, 0, 0, p**k * _quad_double_root(b, c, p))
                 nstar += 1
                 Aq = _exact_div(a[1], p)
                 Bq = _exact_div(a[3], p ** (k + 1))
@@ -291,12 +278,12 @@ def tate_algorithm(model, v):
                     x1 = Cq % 2  # Aq is a unit, and sqrt is the identity on F_2
                 else:
                     x1 = (-Bq * pow(2 * Aq, -1, p)) % p
-                a = _translate(a, p**k * x1, 0, 0)
+                a = translate(a, p**k * x1, 0, 0)
                 nstar += 1
                 k += 1
 
         # triple root of P: move it to T = 0
-        a = _translate(ai3, p * info, 0, 0)
+        a = translate(ai3, p * info, 0, 0)
         assert _val_at_least(a[1], p, 2)
         assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
         b = _exact_div(a[2], p * p)
@@ -304,7 +291,7 @@ def tate_algorithm(model, v):
         if _quad_separable(b, c, p):
             nr = quadratic_roots_count(b, c, p)
             return done("IV*", 3 if nr == 2 else 1, 7)
-        a = _translate(a, 0, 0, p * p * _quad_double_root(b, c, p))
+        a = translate(a, 0, 0, p * p * _quad_double_root(b, c, p))
         assert _val_at_least(a[2], p, 3) and _val_at_least(a[4], p, 5)
         if not _val_at_least(a[3], p, 4):
             return done("III*", 2, 8)
@@ -343,12 +330,6 @@ def tamagawa_unit_check(model, p):
     return out
 
 
-def split_multiplicative_sign(model, v):
-    """The classical -c6 square test at an odd multiplicative prime."""
-    inv = compute_invariants(minimal_model(model))
-    return legendre(-inv.c6, v)
-
-
 def _three_torsion_unramified_certificate(model, v):
     """Certify E(Q_v^ur)[3] != 0 from a rational root of the 3-division
     polynomial, or return None when inconclusive.
@@ -357,13 +338,9 @@ def _three_torsion_unramified_certificate(model, v):
     y-coordinate lies in Q_v^ur iff g(x0) = 4x0^3 + b2 x0^2 + 2 b4 x0 + b6
     is a square there: even valuation, plus (v = 2 only) odd part 1 mod 4.
     """
-    import sympy
-
     m = minimal_model(model)
-    b2, b4, b6, b8 = b_invariants(*m.ainvs())
-    x = sympy.symbols("x")
-    psi3 = sympy.Poly(3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8, x)
-    for poly, _mult in psi3.factor_list()[1]:
+    b2, b4, b6, _ = b_invariants(*m.ainvs())
+    for poly, _mult in division_polynomial(m, 3).factor_list()[1]:
         if poly.degree() != 1:
             continue
         c1, c0 = poly.all_coeffs()

@@ -172,7 +172,7 @@ def parse_record_text(text, provenance, retrieved_at=""):
 
 
 def _load_local(label, config):
-    for base, _src in ((config.fixtures_dir, "fixture"), (config.cache_dir, "cache")):
+    for base in (config.fixtures_dir, config.cache_dir):
         path = Path(base) / f"{label}.txt"
         if path.is_file():
             return parse_record_text(path.read_text(), LOCAL_FIXTURE)

@@ -8,7 +8,6 @@ from shaclass.arith import (
     legendre,
     primes_up_to,
     quadratic_roots_count,
-    sqrt_mod,
     valuation,
 )
 from shaclass.errors import FactorizationTooHard
@@ -65,16 +64,6 @@ def test_legendre_matches_squares(a):
         assert sym == 1
     else:
         assert sym == -1
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_sqrt_mod_consistent(a):
-    for p in (3, 5, 13, 97, 10007):
-        r = sqrt_mod(a, p)
-        if r is None:
-            assert legendre(a, p) == -1
-        else:
-            assert r * r % p == a % p
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101, 10007])

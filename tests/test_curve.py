@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from shaclass.arith import factor
 from shaclass.curve import (
@@ -20,6 +21,7 @@ from shaclass.curve import (
     trace_of_frobenius,
     transform_model,
     transform_quintuple,
+    translate,
 )
 from shaclass.errors import BadReductionAtP, InvalidInput, SingularModel
 
@@ -78,6 +80,17 @@ class TestTransforms:
             t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             moved = transform_quintuple(m.ainvs(), u, r, s, t)
             assert j_of_quintuple(moved) == compute_invariants(m).j
+
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=5, max_size=5),
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+    )
+    def test_translate_on_ints_is_transform_at_u_1(self, ai, r, s, t):
+        moved = translate(tuple(ai), r, s, t)
+        assert all(type(a) is int for a in moved)
+        assert moved == transform_quintuple(ai, 1, r, s, t)
 
     def test_scaling_changes_disc_by_u12(self):
         big = transform_model(CURVE_1058D1, Fraction(1, 2), 0, 0, 0)

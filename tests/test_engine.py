@@ -1,6 +1,18 @@
-import pytest
+import importlib.util
+import json
+from fractions import Fraction
 
-from shaclass.curve import CurveModel, classify_good_prime
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import DATA_DIR
+from shaclass.curve import (
+    CurveModel,
+    classify_good_prime,
+    compute_invariants,
+    minimal_model,
+    transform_model,
+)
 from shaclass.engine import (
     ASSUMED,
     COROLLARY,
@@ -34,6 +46,12 @@ CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_1058C1 = CurveModel(1, 0, 1, 0, 2)
 CURVE_423801 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
+
+CORPUS = {
+    label: entry["ainvs"]
+    for name in ("tate_corpus.json", "image_corpus.json")
+    for label, entry in json.loads((DATA_DIR / name).read_text()).items()
+}
 
 
 def record_for(label, tmp_path):
@@ -248,3 +266,50 @@ class TestCertificates:
         assert cert.lower_bound_hom is None
         assert cert.upper_bound_hom is None
         assert cert.unramified_extension_exists == "Unknown"
+
+    def test_golden_certificates(self):
+        """JSON and text certificates hash to the digests of the committed table."""
+        tool = DATA_DIR.parents[1] / "tools" / "gen_golden.py"
+        spec = importlib.util.spec_from_file_location("gen_golden", tool)
+        gen_golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_golden)
+
+        def flat(table):
+            return {
+                (section, label, p, fmt): digest
+                for section, rows in table.items()
+                for label, by_p in rows.items()
+                for p, digests in by_p.items()
+                for fmt, digest in digests.items()
+            }
+
+        golden = flat(json.loads((DATA_DIR / "golden" / "certificates.json").read_text()))
+        current = flat(gen_golden.certificate_table())
+        assert len(golden) >= 280
+        differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
+        assert not differ, f"certificates differ at (section, label, p, format): {differ}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(CORPUS)),
+        st.integers(1, 6),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+        st.integers(-20, 20),
+    )
+    def test_integral_change_of_coordinates_keeps_certificate(self, label, n, r, s, t):
+        """u = 1/n with integral r, s, t gives another integral model of the
+        same curve: the minimal model and every certificate field except the
+        input ainvs stay the same."""
+        model = CurveModel(*CORPUS[label])
+        moved = transform_model(model, Fraction(1, n), r, s, t)
+        assert minimal_model(moved) == minimal_model(model)
+        disc = compute_invariants(minimal_model(model)).disc
+        for p in (3, 5, 7):
+            if disc % p == 0:
+                continue
+            want = certificate_to_dict(analyze(model, p))
+            got = certificate_to_dict(analyze(moved, p))
+            assert got.pop("ainvs") == list(moved.ainvs())
+            want.pop("ainvs")
+            assert got == want, (label, n, r, s, t, p)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from shaclass.arith import legendre, valuation
@@ -212,6 +214,23 @@ class TestTSet:
         # with a certified unramified 3-torsion point, else provisional
         t = compute_t_set(CurveModel(0, 0, 0, 0, 1), 3)
         assert 2 in t.members | t.provisional_members
+
+    def test_p3_additive_at_2_certified_by_psi3_root(self):
+        # 20a1 has good reduction at 3 and is additive, potentially good, at 2.
+        # Independent oracle: P = (0, 2) lies on the curve, and the tangent
+        # there gives x(2P) = 0 = x(P), so 2P = -P and P has order 3.  A
+        # rational point lies in E(Q_2^ur)[3], so 2 belongs to T for p = 3.
+        model = CurveModel(0, 1, 0, 4, 4)
+        a1, a2, a3, a4, a6 = model.ainvs()
+        x0, y0 = 0, 2
+        assert y0 * y0 + a1 * x0 * y0 + a3 * y0 == x0**3 + a2 * x0 * x0 + a4 * x0 + a6
+        slope = Fraction(3 * x0 * x0 + 2 * a2 * x0 + a4 - a1 * y0, 2 * y0 + a1 * x0 + a3)
+        assert slope * slope + a1 * slope - a2 - 2 * x0 == x0
+        assert compute_invariants(model).disc % 3 != 0
+        assert tate_algorithm(model, 2).reduction_class == ADDITIVE_POT_GOOD
+        t = compute_t_set(model, 3)
+        assert 2 in t.members
+        assert not t.provisional_members
 
     def test_p5_additive_never_in_t(self, tate_corpus):
         for entry in tate_corpus.values():
