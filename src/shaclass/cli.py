@@ -3,13 +3,13 @@
 Exit codes separate operational failure from mathematical inconclusiveness:
 a certificate full of Unknowns still exits 0; only bad input (2), network
 failure in RemoteFirst mode (3), or a missing fixture in OfflineOnly mode
-(4) are nonzero.
+(4) are nonzero.  A batch runs its labels in file order, one at a time, and
+exits with the code of its first failing label, or 0 if none failed.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .arith import is_prime
 from .cohom import central_scalar_shortcut, close_group, cohomology
@@ -74,7 +74,8 @@ def _build_parser():
         "--sha-structure", help="user-supplied Sha invariant factors, e.g. 5,5"
     )
     an.add_argument("--batch", help="file with one label per line")
-    an.add_argument("--workers", type=int, default=4)
+    # still parsed so that callers passing it keep working; threads only slowed batches
+    an.add_argument("--workers", type=int, help="has no effect; batch labels run in file order")
 
     iv = sub.add_parser("invariants", help="b/c invariants, discriminant, j")
     add_curve_args(iv)
@@ -94,28 +95,22 @@ def _build_parser():
     return parser
 
 
-def _store_config(args):
-    return default_config(
-        cache_dir=getattr(args, "cache_dir", None),
-        fixtures_dir=getattr(args, "fixtures", None),
-        base_url=getattr(args, "base_url", None),
-    )
-
-
-def _resolve_curve(args, config):
+def _resolve_curve(args, label=None):
     """Returns (model, record, label). record is None without a label."""
-    if bool(args.label) == bool(args.curve):
+    label = label or args.label
+    if bool(label) == bool(args.curve):
         raise InvalidInput("exactly one of --label / --curve is required")
     mode = OFFLINE_ONLY if args.offline else REMOTE_FIRST
     if args.curve:
         return parse_curve_spec(args.curve), None, None
-    record = fetch_curve_record(args.label, mode, config)
+    config = default_config(args.cache_dir, args.fixtures, args.base_url)
+    record = fetch_curve_record(label, mode, config)
     if record.ainvs is None:
-        raise InvalidInput(f"record for {args.label} carries no coefficients")
-    return CurveModel(*record.ainvs), record, args.label
+        raise InvalidInput(f"record for {label} carries no coefficients")
+    return CurveModel(*record.ainvs), record, label
 
 
-def _user_overrides(args, model, record, label):
+def _user_overrides(args, model, record):
     structure = None
     if args.sha_structure:
         structure = tuple(int(s) for s in args.sha_structure.split(","))
@@ -128,7 +123,7 @@ def _user_overrides(args, model, record, label):
         )
     if args.mw_rank is not None or args.sha_order is not None or structure is not None:
         return user_record(
-            label or "user-curve",
+            "user-curve",
             model.ainvs(),
             args.mw_rank or 0,
             sha_order=args.sha_order,
@@ -137,13 +132,9 @@ def _user_overrides(args, model, record, label):
     return None
 
 
-def _analyze_one(args, config, label=None):
-    if label is not None:
-        ns = argparse.Namespace(**vars(args))
-        ns.label, ns.curve = label, None
-        args = ns
-    model, record, lbl = _resolve_curve(args, config)
-    record = _user_overrides(args, model, record, lbl)
+def _analyze_one(args, label=None):
+    model, record, label = _resolve_curve(args, label)
+    record = _user_overrides(args, model, record)
     cert = analyze(
         model,
         args.p,
@@ -151,7 +142,7 @@ def _analyze_one(args, config, label=None):
         sample_bound=args.sample_bound,
         assume_wild_ramification=args.assume_wild_ramification,
         assume_sha_finite=args.assume_sha_finite,
-        label=lbl,
+        label=label,
     )
     if args.format == "json":
         return certificate_to_json(cert)
@@ -161,22 +152,27 @@ def _analyze_one(args, config, label=None):
 def cmd_analyze(args):
     if not is_prime(args.p) or args.p == 2:
         raise InvalidInput(f"p must be an odd prime, got {args.p}")
-    config = _store_config(args)
-    if args.batch:
+    if not args.batch:
+        sys.stdout.write(_analyze_one(args))
+        return EXIT_OK
+    try:
         with open(args.batch) as fh:
             labels = [line.strip() for line in fh if line.strip()]
-        with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-            outputs = list(pool.map(lambda l: _analyze_one(args, config, l), labels))
-        for out in outputs:
-            sys.stdout.write(out)
-        return EXIT_OK
-    sys.stdout.write(_analyze_one(args, config))
-    return EXIT_OK
+    except (OSError, UnicodeDecodeError) as err:
+        raise InvalidInput(f"cannot read batch file {args.batch}: {err}") from err
+    code = EXIT_OK
+    for label in labels:
+        try:
+            sys.stdout.write(_analyze_one(args, label))
+        except ShaclassError as err:
+            print(f"error: {label}: {err}", file=sys.stderr)
+            code = code or _exit_code(err, args)
+        sys.stdout.flush()
+    return code
 
 
 def cmd_invariants(args):
-    config = _store_config(args)
-    model, _record, label = _resolve_curve(args, config)
+    model, _record, label = _resolve_curve(args)
     inv = compute_invariants(model)
     mm = minimal_model(model)
     print(f"curve {label or model}")
@@ -189,8 +185,7 @@ def cmd_invariants(args):
 
 
 def cmd_tate(args):
-    config = _store_config(args)
-    model, _record, label = _resolve_curve(args, config)
+    model, _record, label = _resolve_curve(args)
     print(f"curve {label or model}")
     if args.v is not None:
         data = {args.v: local_data(model, args.v)}
@@ -225,6 +220,16 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
+def _exit_code(err, args):
+    """Exit code of a run, or of one batch label, that failed with err."""
+    if isinstance(err, NotFound):
+        offline = getattr(args, "offline", False) or os.environ.get("SHACLASS_OFFLINE") == "1"
+        return EXIT_FIXTURE_MISSING if offline else EXIT_INVALID_INPUT
+    if isinstance(err, NetworkError):
+        return EXIT_NETWORK
+    return EXIT_INVALID_INPUT
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -239,16 +244,9 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except NotFound as err:
+    except ShaclassError as err:
         print(f"error: {err}", file=sys.stderr)
-        offline = getattr(args, "offline", False) or os.environ.get("SHACLASS_OFFLINE") == "1"
-        return EXIT_FIXTURE_MISSING if offline else EXIT_INVALID_INPUT
-    except NetworkError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NETWORK
-    except (InvalidInput, ShaclassError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return _exit_code(err, args)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ deterministic and byte-stable.
 """
 
 import json
+import math
 import os
 import re
 import time
@@ -57,16 +58,13 @@ class ExternalCurveRecord:
         if self.sha_order is not None and self.sha_order <= 0:
             raise InvalidInput("sha_order must be positive")
         if self.sha_structure is not None and self.sha_order is not None:
-            prod = 1
-            for t in self.sha_structure:
-                prod *= t
-            if prod != self.sha_order:
+            if math.prod(self.sha_structure) != self.sha_order:
                 raise InvalidInput(
                     f"sha_structure {self.sha_structure} does not match order {self.sha_order}"
                 )
         for p, r in self.sha_p_ranks:
-            if r < 0:
-                raise InvalidInput("sha_p_rank must be nonnegative")
+            if p < 2 or r < 0:
+                raise InvalidInput(f"sha_rank_{p} = {r} needs p >= 2 and a nonnegative rank")
             if self.sha_order is not None and valuation(self.sha_order, p) < r:
                 raise InvalidInput(
                     f"p^{r} does not divide recorded sha_order {self.sha_order}"
@@ -98,7 +96,6 @@ class StoreConfig:
     fixtures_dir: Path
     cache_dir: Path
     base_url: str = DEFAULT_BASE_URL
-    timeout: float = DEFAULT_TIMEOUT
 
 
 def packaged_fixtures_dir():
@@ -153,22 +150,27 @@ def parse_record_text(text, provenance, retrieved_at=""):
 
     if "label" not in fields or "mw_rank" not in fields:
         raise SchemaDrift(f"record missing label/mw_rank: {sorted(fields)}")
-    ranks = []
-    for key, value in fields.items():
-        m = re.match(r"^sha_rank_(\d+)$", key)
-        if m:
-            ranks.append((int(m.group(1)), int(value)))
-    return ExternalCurveRecord(
-        label=fields["label"],
-        ainvs=int_list("ainvs") or None,
-        mw_rank=int(fields["mw_rank"]),
-        torsion_structure=int_list("torsion_structure"),
-        sha_order=int(fields["sha_order"]) if "sha_order" in fields else None,
-        sha_structure=int_list("sha_structure") if "sha_structure" in fields else None,
-        sha_p_ranks=tuple(sorted(ranks)),
-        provenance=provenance,
-        retrieved_at=retrieved_at,
-    )
+    try:
+        if len(int_list("ainvs")) not in (0, 5):
+            raise SchemaDrift(f"record for {fields['label']} needs 5 ainvs: {fields['ainvs']}")
+        ranks = []
+        for key, value in fields.items():
+            m = re.match(r"^sha_rank_(\d+)$", key)
+            if m:
+                ranks.append((int(m.group(1)), int(value)))
+        return ExternalCurveRecord(
+            label=fields["label"],
+            ainvs=int_list("ainvs") or None,
+            mw_rank=int(fields["mw_rank"]),
+            torsion_structure=int_list("torsion_structure"),
+            sha_order=int(fields["sha_order"]) if "sha_order" in fields else None,
+            sha_structure=int_list("sha_structure") if "sha_structure" in fields else None,
+            sha_p_ranks=tuple(sorted(ranks)),
+            provenance=provenance,
+            retrieved_at=retrieved_at,
+        )
+    except ValueError as err:
+        raise SchemaDrift(f"record for {fields['label']} has a non-integer value: {err}") from err
 
 
 def _load_local(label, config):
@@ -191,33 +193,35 @@ def _remote_get(label, config):
         if attempt:
             time.sleep(1.0 * 2 ** (attempt - 1))
         try:
-            with urllib.request.urlopen(url, timeout=config.timeout) as resp:
+            with urllib.request.urlopen(url, timeout=DEFAULT_TIMEOUT) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
             break
         except urllib.error.HTTPError as err:
             if err.code == 404:
                 raise NotFound(f"no remote record for {label}") from err
             last_err = err
-        except (urllib.error.URLError, TimeoutError, OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:  # unreachable, or not JSON in UTF-8
             last_err = err
     else:
         raise NetworkError(f"remote fetch failed for {label}: {last_err}")
 
+    if not isinstance(payload, dict):
+        raise SchemaDrift(f"remote record for {label} is not a JSON object")
     missing = [k for k in _REQUIRED_REMOTE_FIELDS if k not in payload]
     if missing:
         raise SchemaDrift(f"remote record for {label} missing fields {missing}")
-    return ExternalCurveRecord(
-        label=payload["label"],
-        ainvs=tuple(payload["ainvs"]) if payload.get("ainvs") else None,
-        mw_rank=int(payload["rank"]),
-        torsion_structure=tuple(payload.get("torsion_structure") or ()),
-        sha_order=payload.get("sha_order"),
-        sha_structure=tuple(payload["sha_structure"])
-        if payload.get("sha_structure")
-        else None,
-        provenance=REMOTE_DATABASE,
-        retrieved_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+    # the flat form of fixture and cache files, so that one parser reads all three
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, list):
+            value = ",".join(str(x) for x in value)
+        if value is not None:
+            lines.append(f"{'mw_rank' if key == 'rank' else key} = {value}\n")
+    retrieved_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    record = parse_record_text("".join(lines), REMOTE_DATABASE, retrieved_at)
+    if record.label != label:
+        raise SchemaDrift(f"remote record for {label} is labelled {record.label!r}")
+    return record
 
 
 def write_cache(record, config):
@@ -225,7 +229,7 @@ def write_cache(record, config):
     path = config.cache_dir / f"{record.label}.txt"
     tmp = path.with_suffix(".txt.tmp")
     tmp.write_text(render_record_text(record))
-    os.replace(tmp, path)  # atomic: concurrent readers never see a torn file
+    os.replace(tmp, path)  # atomic: a reader in another process never sees a torn file
     return path
 
 
@@ -254,7 +258,7 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
 
     try:
         record = _remote_get(label, config)
-    except NetworkError:
+    except (NetworkError, NotFound):
         local = _load_local(label, config)
         if local is not None:
             return local
@@ -280,19 +284,16 @@ def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=Non
         changes["sha_structure"] = tuple(sha_structure)
         changes["sha_p_ranks"] = ()
         if sha_order is None:
-            prod = 1
-            for t in sha_structure:
-                prod *= t
-            changes["sha_order"] = prod
+            changes["sha_order"] = math.prod(sha_structure)
     return replace(record, **changes)
 
 
-def user_record(label, ainvs, mw_rank, sha_order=None, sha_structure=None, torsion=()):
+def user_record(label, ainvs, mw_rank, sha_order=None, sha_structure=None):
     return ExternalCurveRecord(
         label=label,
         ainvs=tuple(ainvs) if ainvs else None,
         mw_rank=mw_rank,
-        torsion_structure=tuple(torsion),
+        torsion_structure=(),
         sha_order=sha_order,
         sha_structure=tuple(sha_structure) if sha_structure is not None else None,
         provenance=USER_SUPPLIED,

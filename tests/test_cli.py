@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shaclass
 from shaclass.cli import (
     EXIT_FIXTURE_MISSING,
     EXIT_INVALID_INPUT,
@@ -119,6 +124,54 @@ class TestAnalyze:
         )
         assert code == EXIT_OK
         assert out.count("curve 1058") == 2
+
+    def test_batch_label_fails_on_its_own(self, capsys, tmp_path):
+        batch = tmp_path / "labels.txt"
+        batch.write_text("1058d1\n12345a1\n1058c1\n")
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(batch), "-p", "5", "--offline",
+            "--format", "json",
+        )
+        # the exit code the failing label gives on its own
+        assert code == EXIT_FIXTURE_MISSING
+        assert run(capsys, "analyze", "--label", "12345a1", "-p", "5", "--offline")[0] == code
+        decoder = json.JSONDecoder()
+        first, end = decoder.raw_decode(out)
+        second, _ = decoder.raw_decode(out, end + 1)
+        assert [first["label"], second["label"]] == ["1058d1", "1058c1"]
+        assert "error: 12345a1:" in err
+
+    def test_missing_batch_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(tmp_path / "nope.txt"), "-p", "5", "--offline",
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_batch_output_does_not_depend_on_workers(self, capsys, tmp_path):
+        labels = ["1058d1", "11a1", "389a1"]
+        batch = tmp_path / "labels.txt"
+        batch.write_text("".join(f"{label}\n" for label in labels))
+        common = ("analyze", "--batch", str(batch), "-p", "5", "--offline")
+        outputs = [
+            run(capsys, *common, *workers)[1]
+            for workers in ((), ("--workers", "1"), ("--workers", "4"))
+        ]
+        singles = "".join(
+            run(capsys, "analyze", "--label", label, "-p", "5", "--offline")[1]
+            for label in labels
+        )
+        assert outputs == [singles] * 3
+
+    def test_import_starts_no_thread_pool(self):
+        code = "import sys, shaclass.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestSubcommands:

@@ -143,7 +143,59 @@ class TestRemote:
         record = fetch_curve_record("37a1", REMOTE_FIRST, config)
         assert record.provenance == "RemoteDatabase"
         assert record.retrieved_at
-        assert (config.cache_dir / "37a1.txt").is_file()
+        assert record.sha_structure == ()  # an empty list reads as in a fixture file
+        cached = (config.cache_dir / "37a1.txt").read_text()
+        assert parse_record_text(cached, "RemoteDatabase", record.retrieved_at) == record
+
+    def test_remote_sha_rank_is_kept(self, tmp_path, monkeypatch):
+        payload = dict(self.PAYLOAD, sha_order=25, sha_structure=None, sha_rank_5=2)
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: _FakeResponse(payload)
+        )
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
+        record = fetch_curve_record("37a1", REMOTE_FIRST, config)
+        assert record.sha_p_ranks == ((5, 2),)
+        assert record.sha_p_rank(5) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            dict(PAYLOAD, rank="one"),
+            dict(PAYLOAD, rank=1.5),
+            dict(PAYLOAD, label="../../escaped"),
+            dict(PAYLOAD, label="11a1"),
+            dict(PAYLOAD, ainvs=[0, 0, 1]),
+            ["37a1", [0, 0, 1, -1, 0], 1],
+            "label ainvs rank torsion_structure",
+        ],
+        ids=["rank-word", "rank-float", "label-escapes", "label-differs", "ainvs-3",
+             "list", "string"],
+    )
+    def test_bad_payload_is_schema_drift(self, tmp_path, monkeypatch, payload):
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: _FakeResponse(payload)
+        )
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "a" / "b" / "c")
+        with pytest.raises(SchemaDrift):
+            fetch_curve_record("37a1", REMOTE_FIRST, config)
+        assert list(tmp_path.rglob("*")) == []  # nothing cached, inside cache_dir or out
+
+    def test_fixture_value_not_an_integer(self, tmp_path):
+        (tmp_path / "37a1.txt").write_text("label = 37a1\nmw_rank = x\n")
+        config = StoreConfig(fixtures_dir=tmp_path, cache_dir=tmp_path / "c")
+        with pytest.raises(SchemaDrift):
+            fetch_curve_record("37a1", OFFLINE_ONLY, config)
+
+    def test_body_not_utf8_is_network_error(self, tmp_path, monkeypatch):
+        class Garbled(_FakeResponse):
+            def read(self):
+                return b"\xff\xfe{"
+
+        monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout: Garbled(None))
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
+        with pytest.raises(NetworkError):
+            fetch_curve_record("37a1", REMOTE_FIRST, config)
 
     def test_schema_drift(self, tmp_path, monkeypatch):
         bad = {"label": "37a1", "rank": 1}
@@ -182,6 +234,15 @@ class TestRemote:
         with pytest.raises(NotFound):
             fetch_curve_record("99999zz9", REMOTE_FIRST, config)
 
+    def test_remote_404_falls_back_to_fixture(self, tmp_path, monkeypatch):
+        def gone(url, timeout):
+            raise urllib.error.HTTPError(url, 404, "not found", {}, None)
+
+        monkeypatch.setattr("urllib.request.urlopen", gone)
+        record = fetch_curve_record("1058d1", REMOTE_FIRST, offline_config(tmp_path))
+        assert record == fetch_curve_record("1058d1", OFFLINE_ONLY, offline_config(tmp_path))
+        assert record.provenance == LOCAL_FIXTURE
+
 
 class TestRecordValidation:
     def test_structure_order_consistency(self):
@@ -193,6 +254,13 @@ class TestRecordValidation:
             ExternalCurveRecord(
                 "x1a1", None, 0, (), 5, None, ((5, 2),), LOCAL_FIXTURE
             )
+
+    def test_sha_rank_needs_p_at_least_2(self):
+        # valuation(n, 1) never ends and valuation(n, 0) divides by zero
+        for p in (0, 1):
+            text = f"label = x1a1\nmw_rank = 0\nsha_order = 5\nsha_rank_{p} = 1\n"
+            with pytest.raises(InvalidInput):
+                parse_record_text(text, LOCAL_FIXTURE)
 
     def test_sha_p_rank_resolution_order(self):
         rec = ExternalCurveRecord(
