@@ -46,8 +46,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_curve_args(sp):
-        sp.add_argument("--label", help="Cremona or LMFDB label")
-        sp.add_argument(
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--label", help="Cremona or LMFDB label")
+        source.add_argument(
             "--curve",
             help="coefficients a1,a2,a3,a4,a6 or short form [A,B]",
         )
@@ -55,9 +56,11 @@ def _build_parser():
         sp.add_argument("--fixtures", help="directory of fixture records")
         sp.add_argument("--cache-dir", help="cache directory (SHACLASS_CACHE_DIR)")
         sp.add_argument("--base-url", help="remote database endpoint")
+        return source
 
     an = sub.add_parser("analyze", help="full pipeline: certificate on stdout")
-    add_curve_args(an)
+    an.set_defaults(run=cmd_analyze)
+    source = add_curve_args(an)
     an.add_argument("-p", type=int, required=True, help="odd prime p")
     an.add_argument("--sample-bound", type=int, default=1000)
     an.add_argument("--assume-wild-ramification", action="store_true")
@@ -73,18 +76,21 @@ def _build_parser():
     an.add_argument(
         "--sha-structure", help="user-supplied Sha invariant factors, e.g. 5,5"
     )
-    an.add_argument("--batch", help="file with one label per line")
-    # still parsed so that callers passing it keep working; threads only slowed batches
+    source.add_argument("--batch", help="file with one label per line")
+    # parsed so callers passing it keep working; README says what a one-at-a-time batch costs
     an.add_argument("--workers", type=int, help="has no effect; batch labels run in file order")
 
     iv = sub.add_parser("invariants", help="b/c invariants, discriminant, j")
+    iv.set_defaults(run=cmd_invariants)
     add_curve_args(iv)
 
     ta = sub.add_parser("tate", help="local reduction data at bad primes")
+    ta.set_defaults(run=cmd_tate)
     add_curve_args(ta)
     ta.add_argument("-v", type=int, help="single prime (default: all bad primes)")
 
     co = sub.add_parser("cohomology", help="H^0/H^1 of a matrix group on F_p^2")
+    co.set_defaults(run=cmd_cohomology)
     co.add_argument("--p", type=int, required=True)
     co.add_argument(
         "--generators",
@@ -97,12 +103,10 @@ def _build_parser():
 
 def _resolve_curve(args, label=None):
     """Returns (model, record, label). record is None without a label."""
-    label = label or args.label
-    if bool(label) == bool(args.curve):
-        raise InvalidInput("exactly one of --label / --curve is required")
-    mode = OFFLINE_ONLY if args.offline else REMOTE_FIRST
-    if args.curve:
+    if args.curve is not None:  # argparse lets through only one of --label, --curve, --batch
         return parse_curve_spec(args.curve), None, None
+    label = label or args.label
+    mode = OFFLINE_ONLY if args.offline else REMOTE_FIRST
     config = default_config(args.cache_dir, args.fixtures, args.base_url)
     record = fetch_curve_record(label, mode, config)
     if record.ainvs is None:
@@ -152,7 +156,7 @@ def _analyze_one(args, label=None):
 def cmd_analyze(args):
     if not is_prime(args.p) or args.p == 2:
         raise InvalidInput(f"p must be an odd prime, got {args.p}")
-    if not args.batch:
+    if args.batch is None:
         sys.stdout.write(_analyze_one(args))
         return EXIT_OK
     try:
@@ -236,14 +240,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code else EXIT_OK
-    handlers = {
-        "analyze": cmd_analyze,
-        "invariants": cmd_invariants,
-        "tate": cmd_tate,
-        "cohomology": cmd_cohomology,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except ShaclassError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err, args)

@@ -143,7 +143,10 @@ def parse_record_text(text, provenance, retrieved_at=""):
             raise SchemaDrift(f"malformed record line: {raw!r}")
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    return _record_from_fields(fields, provenance, retrieved_at)
 
+
+def _record_from_fields(fields, provenance, retrieved_at):
     def int_list(key):
         v = fields.get(key, "")
         return tuple(int(s) for s in v.split(",") if s.strip()) if v else ()
@@ -200,8 +203,10 @@ def _remote_get(label, config):
             if err.code == 404:
                 raise NotFound(f"no remote record for {label}") from err
             last_err = err
-        except (OSError, ValueError) as err:  # unreachable, or not JSON in UTF-8
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:  # down, or not JSON
             last_err = err
+        except ValueError as err:  # urlopen's "unknown url type"
+            raise InvalidInput(f"bad base URL {config.base_url!r}: {err}") from err
     else:
         raise NetworkError(f"remote fetch failed for {label}: {last_err}")
 
@@ -210,15 +215,15 @@ def _remote_get(label, config):
     missing = [k for k in _REQUIRED_REMOTE_FIELDS if k not in payload]
     if missing:
         raise SchemaDrift(f"remote record for {label} missing fields {missing}")
-    # the flat form of fixture and cache files, so that one parser reads all three
-    lines = []
+    # the string fields of fixture and cache files, so that one builder reads all three
+    fields = {}
     for key, value in payload.items():
         if isinstance(value, list):
             value = ",".join(str(x) for x in value)
         if value is not None:
-            lines.append(f"{'mw_rank' if key == 'rank' else key} = {value}\n")
+            fields["mw_rank" if key == "rank" else key] = str(value)
     retrieved_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    record = parse_record_text("".join(lines), REMOTE_DATABASE, retrieved_at)
+    record = _record_from_fields(fields, REMOTE_DATABASE, retrieved_at)
     if record.label != label:
         raise SchemaDrift(f"remote record for {label} is labelled {record.label!r}")
     return record

@@ -149,6 +149,23 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("extra", [("--curve", "[0,1]"), ("--label", "1058d1")])
+    def test_batch_with_one_curve_is_one_usage_error(self, capsys, tmp_path, extra):
+        batch = tmp_path / "labels.txt"
+        batch.write_text("1058d1\n1058c1\n")
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(batch), *extra, "-p", "5", "--offline",
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.count("not allowed with") == 1
+        assert "1058c1" not in err
+
+    def test_no_curve_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "-p", "5", "--offline")
+        assert code == EXIT_INVALID_INPUT
+        assert "one of the arguments --label --curve --batch is required" in err
+
     def test_batch_output_does_not_depend_on_workers(self, capsys, tmp_path):
         labels = ["1058d1", "11a1", "389a1"]
         batch = tmp_path / "labels.txt"

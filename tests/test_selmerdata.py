@@ -165,11 +165,13 @@ class TestRemote:
             dict(PAYLOAD, label="../../escaped"),
             dict(PAYLOAD, label="11a1"),
             dict(PAYLOAD, ainvs=[0, 0, 1]),
+            dict(PAYLOAD, rank=True),
+            dict(PAYLOAD, torsion_structure="\nmw_rank = 0"),
             ["37a1", [0, 0, 1, -1, 0], 1],
             "label ainvs rank torsion_structure",
         ],
         ids=["rank-word", "rank-float", "label-escapes", "label-differs", "ainvs-3",
-             "list", "string"],
+             "rank-bool", "newline-in-value", "list", "string"],
     )
     def test_bad_payload_is_schema_drift(self, tmp_path, monkeypatch, payload):
         monkeypatch.setattr(
@@ -196,6 +198,16 @@ class TestRemote:
         config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
         with pytest.raises(NetworkError):
             fetch_curve_record("37a1", REMOTE_FIRST, config)
+
+    def test_bad_base_url_is_invalid_input(self, tmp_path, monkeypatch):
+        def no_retry(seconds):
+            raise AssertionError("a bad base URL was retried")
+
+        monkeypatch.setattr("time.sleep", no_retry)
+        config = StoreConfig(packaged_fixtures_dir(), tmp_path, base_url="no-scheme")
+        # not retried, not reported as a network fault, not covered up by the fixture
+        with pytest.raises(InvalidInput, match="base URL"):
+            fetch_curve_record("1058d1", REMOTE_FIRST, config)
 
     def test_schema_drift(self, tmp_path, monkeypatch):
         bad = {"label": "37a1", "rank": 1}
