@@ -10,6 +10,7 @@ Run:  python3 demos/03_mod_p_images.py
 """
 
 from shaclass import CurveModel, certify_image, division_polynomial
+from shaclass.arith import rational_factors
 from shaclass.curve import classify_good_prime
 from shaclass.galrep import ordinary_shape, wild_ramification_status
 
@@ -25,15 +26,17 @@ E11 = CurveModel(0, -1, 1, -10, -20)
 cert11 = certify_image(E11, 5, sample_bound=1000)
 print("\n11a1, p = 5:", cert11.status, "- first unruled class:", cert11.first_unruled)
 psi5 = division_polynomial(E11, 5)
-print("  psi_5 factors into degrees", sorted(f.degree() for f, _ in psi5.factor_list()[1]))
+print("  psi_5 factors into degrees", sorted(len(f) - 1 for f, _ in rational_factors(psi5)))
 
 # CM curves always have proper image for odd p.
 print("\n27a1 (j = 0), p = 5:", certify_image(CurveModel(0, 0, 1, 0, -7), 5).status)
 
 # At p = 3 trace statistics cannot separate the nonsplit Cartan normalizer
-# from the full group; certification goes through the 3-division quartic
-# (Galois group S4 plus full determinant).
-print("\n389a1, p = 3:", certify_image(CurveModel(0, 1, 1, -2, 0), 3).status)
+# from the full group.  The last witness is a prime ell at which psi_3 has
+# exactly one root mod ell: Frob_ell is then a 3-cycle on the four
+# x-coordinates of E[3], which the normalizer's projective image D4 lacks.
+cert389 = certify_image(CurveModel(0, 1, 1, -2, 0), 3)
+print("\n389a1, p = 3:", cert389.status, "- 3-cycle witness ell =", cert389.witnesses[-1][0])
 
 # The ordinary local shape at p and the wild-ramification ledger entry.
 profile = classify_good_prime(E, 5)

@@ -8,6 +8,7 @@ instead of stalling.
 """
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import FactorizationTooHard
@@ -30,7 +31,7 @@ def primes_up_to(limit):
     for i in range(2, int(limit**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(compress(range(limit + 1), flags))
 
 
 def _miller_rabin(n, base):
@@ -63,6 +64,18 @@ def is_prime(n):
     import sympy
 
     return sympy.isprime(n)
+
+
+def rational_factors(coeffs):
+    """Irreducible factors over Q of an integer polynomial.
+
+    coeffs are the integer coefficients, lowest degree first; returns
+    (factor coefficients, multiplicity) pairs, each factor primitive in Z[x].
+    """
+    import sympy
+
+    poly = sympy.Poly(coeffs[::-1], sympy.symbols("x"))
+    return [([int(c) for c in f.all_coeffs()[::-1]], e) for f, e in poly.factor_list()[1]]
 
 
 def _pollard_rho(n, seed=1):

@@ -117,7 +117,10 @@ def _resolve_curve(args, label=None):
 def _user_overrides(args, model, record):
     structure = None
     if args.sha_structure:
-        structure = tuple(int(s) for s in args.sha_structure.split(","))
+        try:
+            structure = tuple(int(s) for s in args.sha_structure.split(","))
+        except ValueError as err:
+            raise InvalidInput(f"bad --sha-structure {args.sha_structure!r}") from err
     if record is not None:
         return apply_user_overrides(
             record,

@@ -6,13 +6,14 @@ normalizer of a split or nonsplit Cartan, or has exceptional projective
 image A4/S4/A5; each class is ruled out by an explicit witness prime.  The
 certificate is sound: SurjectiveCertified is only emitted with witnesses
 against all four classes plus determinant surjectivity.  CM curves are
-decided from j alone, before any scan.
+decided from j alone, before any scan.  Division polynomials are integer
+coefficient lists, lowest degree first.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import legendre, primes_up_to
+from .arith import count_roots_mod, legendre, primes_up_to, rational_factors
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
@@ -34,9 +35,6 @@ SPLIT_CARTAN_NORMALIZER = "SplitCartanNormalizer"
 NONSPLIT_CARTAN_NORMALIZER = "NonsplitCartanNormalizer"
 EXCEPTIONAL = "Exceptional"
 ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEPTIONAL)
-# At p = 3, a != 0 (mod 3) makes a^2 - 4d = 1 - 4d either 0 or a non-square
-# mod 3, so traces can rule out every class except the nonsplit Cartan.
-P3_TRACE_CLASSES = frozenset((BOREL, SPLIT_CARTAN_NORMALIZER, EXCEPTIONAL))
 
 VACUOUS = "Vacuous"
 CM_CASE = "CMCase"
@@ -114,8 +112,8 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     is scanned for.  Otherwise scans good primes ell <= sample_bound (ell not
     dividing p*disc) in increasing order, stopping as soon as every
     maximal-subgroup class is ruled out and the determinant witnesses
-    generate (Z/p)^x; at p = 3 it stops once the determinant and the
-    classes of P3_TRACE_CLASSES are done, as no later ell can add a witness.
+    generate (Z/p)^x.  At p = 3, where traces never rule out the nonsplit
+    Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
     """
     if sample_bound < 10:
         raise InvalidInput("sample_bound must be at least 10")
@@ -163,25 +161,23 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
                 ruled_out.add(EXCEPTIONAL)
                 useful = True
 
+        if p == 3 and BOREL in ruled_out and NONSPLIT_CARTAN_NORMALIZER not in ruled_out:
+            # psi_3 has four distinct roots mod ell (good reduction, ell != 3),
+            # so exactly one root in F_ell makes Frob_ell a 3-cycle on them.
+            # The nonsplit Cartan normalizer has projective image D4, with no
+            # 3-cycle; full determinant and the chi = -1 witness then leave
+            # projective image S4, and with full determinant only the whole
+            # of GL_2(F_3) has that image (its involution is unique).
+            if count_roots_mod(_division_polynomial(m, 3), ell) == 1:
+                ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
+                useful = True
+
         if useful:
             witnesses.append((ell, a_mod, d_mod))
         if det_full and len(ruled_out) == 4:
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
-        if p == 3 and det_full and ruled_out == P3_TRACE_CLASSES:
-            break
-
-    if p == 3 and det_full and _mod3_projective_full(m):
-        # At p = 3 trace data cannot separate the nonsplit Cartan normalizer
-        # from the full group, so certify via the 3-division quartic instead:
-        # its Galois group is the projective image inside PGL_2(F_3) = S4,
-        # and a quartic with group S4 plus full determinant forces the whole
-        # group (the unique-involution property of GL_2(F_3) leaves no proper
-        # subgroup with projective image S4).
-        return ImageCertificate(
-            p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ALL_CLASSES)
-        )
 
     status = INCONCLUSIVE
     if p <= 13 and not _division_poly_irreducible(m, p):
@@ -194,111 +190,68 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
 
 
 def _division_poly_irreducible(model, p):
-    psi = division_polynomial(model, p)
-    factors = psi.factor_list()[1]
+    factors = rational_factors(division_polynomial(model, p))
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def _mod3_projective_full(model):
-    """Is the Galois group of the 3-division quartic all of S4?
-
-    Classical quartic criterion: irreducible, irreducible resolvent cubic,
-    and non-square discriminant.
-    """
-    import sympy
-    from math import isqrt
-
-    psi = division_polynomial(model, 3)
-    if not _division_poly_irreducible(model, 3):
-        return False
-    monic = psi.monic()
-    _, a, b, c, d = monic.all_coeffs()
-    y = sympy.symbols("y")
-    resolvent = sympy.Poly(
-        y**3 - b * y**2 + (a * c - 4 * d) * y - (a * a * d - 4 * b * d + c * c), y
-    )
-    res_factors = resolvent.factor_list()[1]
-    if len(res_factors) != 1 or res_factors[0][0].degree() != 3:
-        return False
-    disc = sympy.discriminant(psi.as_expr())
-    disc_int = int(disc)
-    if disc_int <= 0:
-        return True  # negative discriminant is never a rational square
-    return isqrt(disc_int) ** 2 != disc_int
-
-
 def division_polynomial(model, m):
-    """The m-th division polynomial in x (m odd), monic up to the leading m."""
-    if m % 2 == 0:
-        raise InvalidInput("only odd division polynomials are univariate in x")
-    return _division_pair(model, m)[0]
+    """The m-th division polynomial psi_m (m odd) as integer coefficients,
+    lowest degree first; the leading coefficient is m."""
+    if m % 2 == 0 or m < 1:
+        raise InvalidInput("only odd positive division polynomials are univariate in x")
+    return list(_division_polynomial(model, m))
+
+
+def _zmul(*polys):
+    """Product of integer polynomials (coefficient lists, lowest degree first)."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _zsub(f, g):
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
 
 
 @lru_cache(maxsize=None)
-def _division_pair(model, m):
-    """psi_m as (poly, e) with psi_m = poly * psi2^e, psi2^2 eliminated."""
-    import sympy
+def _division_polynomial(model, m):
+    """f_m as a tuple: psi_m for odd m, psi_m / psi_2 for even m.
 
-    x = sympy.symbols("x")
+    The doubling recurrence on psi_m, rewritten on f_k so that only
+    S = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 appears.
+    """
     b2, b4, b6, b8 = b_invariants(*model.ainvs())
-    S = sympy.Poly(4 * x**3 + b2 * x**2 + 2 * b4 * x + b6, x)
-    one = sympy.Poly(1, x)
-
-    def mul(a, b):
-        poly, e = a[0] * b[0], a[1] + b[1]
-        return (poly * S ** (e // 2), e % 2)
-
-    def power(a, k):
-        out = (one, 0)
-        for _ in range(k):
-            out = mul(out, a)
-        return out
-
-    base = {
-        0: (sympy.Poly(0, x), 0),
-        1: (one, 0),
-        2: (one, 1),
-        3: (
-            sympy.Poly(3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8, x),
-            0,
-        ),
-        4: (
-            sympy.Poly(
-                2 * x**6
-                + b2 * x**5
-                + 5 * b4 * x**4
-                + 10 * b6 * x**3
-                + 10 * b8 * x**2
-                + (b2 * b8 - b4 * b6) * x
-                + (b4 * b8 - b6 * b6),
-                x,
-            ),
-            1,
-        ),
+    S = [b6, 2 * b4, b2, 4]
+    f = {
+        1: [1],
+        2: [1],
+        3: [b8, 3 * b6, 3 * b4, b2, 3],
+        4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2],
     }
 
-    def get(k):
-        if k in base:
-            return base[k]
-        if k % 2 == 1:
-            j = (k - 1) // 2
-            lhs = mul(get(j + 2), power(get(j), 3))
-            rhs = mul(get(j - 1), power(get(j + 1), 3))
-        else:
-            j = k // 2
-            inner_l = mul(get(j + 2), power(get(j - 1), 2))
-            inner_r = mul(get(j - 2), power(get(j + 1), 2))
-            assert inner_l[1] == inner_r[1]
-            prod = mul(get(j), (inner_l[0] - inner_r[0], inner_l[1]))
-            poly, e = prod
-            assert e == 0
-            base[k] = (sympy.exquo(poly, S), 1)
-            return base[k]
-        assert lhs[1] == rhs[1]
-        base[k] = (lhs[0] - rhs[0], lhs[1])
-        return base[k]
+    def get(n):
+        if n not in f:
+            k = n // 2
+            if n % 2:  # f_{2k+1} = f_{k+2} f_k^3 - f_{k-1} f_{k+1}^3, S^2 on the even-index term
+                lhs = [get(k + 2)] + [get(k)] * 3
+                rhs = [get(k - 1)] + [get(k + 1)] * 3
+                (rhs if k % 2 else lhs).extend((S, S))
+                f[n] = _zsub(_zmul(*lhs), _zmul(*rhs))
+            else:  # f_2k = f_k (f_{k+2} f_{k-1}^2 - f_{k-2} f_{k+1}^2)
+                inner = _zsub(
+                    _zmul(get(k + 2), get(k - 1), get(k - 1)),
+                    _zmul(get(k - 2), get(k + 1), get(k + 1)),
+                )
+                f[n] = _zmul(get(k), inner)
+        return f[n]
 
-    return get(m)
+    return tuple(get(m))
 
 
 def ordinary_shape(profile, star_nonzero=UNKNOWN):

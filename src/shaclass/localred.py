@@ -17,6 +17,7 @@ from .arith import (
     is_prime,
     legendre,
     quadratic_roots_count,
+    rational_factors,
     valuation,
 )
 from .curve import (
@@ -340,10 +341,10 @@ def _three_torsion_unramified_certificate(model, v):
     """
     m = minimal_model(model)
     b2, b4, b6, _ = b_invariants(*m.ainvs())
-    for poly, _mult in division_polynomial(m, 3).factor_list()[1]:
-        if poly.degree() != 1:
+    for poly, _mult in rational_factors(division_polynomial(m, 3)):
+        if len(poly) != 2:
             continue
-        c1, c0 = poly.all_coeffs()
+        c0, c1 = poly
         x0 = Fraction(-c0, c1)
         if x0.denominator % v == 0:
             continue  # not v-integral: no 3-torsion in the formal group (v != 3)

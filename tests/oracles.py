@@ -151,6 +151,26 @@ def torsion_multiple_bound(model, primes):
     return g
 
 
+def duplication_fixed_x_count(model, ell):
+    """#{x in F_ell : x(2P) = x(P)}, from the duplication formula alone.
+
+    x(2P) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4x^3 + b2 x^2 + 2 b4 x + b6);
+    x with a zero denominator (2-torsion) are skipped.  Away from 2-torsion,
+    x(2P) = x(P) means 2P = -P, so this counts the x-coordinates of 3-torsion
+    points that lie in F_ell.
+    """
+    a1, a2, a3, a4, a6 = minimal_model(model).ainvs()
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    count = 0
+    for x in range(ell):
+        den = (4 * x**3 + b2 * x * x + 2 * b4 * x + b6) % ell
+        num = (x**4 - b4 * x * x - 2 * b6 * x - b8) % ell
+        if den and num == x * den % ell:
+            count += 1
+    return count
+
+
 def _rank(rows, p):
     rows = [[x % p for x in row] for row in rows if any(x % p for x in row)]
     if not rows:

@@ -100,3 +100,6 @@ def test_quadratic_roots_count():
 def test_primes_up_to():
     assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert len(primes_up_to(1000)) == 168
+    assert primes_up_to(0) == primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+    assert len(primes_up_to(10**6)) == 78498

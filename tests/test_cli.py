@@ -190,6 +190,31 @@ class TestAnalyze:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_p3_surjective_run_imports_no_sympy(self):
+        code = (
+            "import sys; from shaclass.cli import main; "
+            "code = main(['analyze', '--label', '37a1', '-p', '3', '--offline']); "
+            "print(code, 'sympy' in sys.modules)"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert "SurjectiveCertified" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+    @pytest.mark.parametrize("structure", ["x", "5,,5"])
+    def test_bad_sha_structure_is_invalid_input(self, capsys, structure):
+        code, out, err = run(
+            capsys,
+            "analyze", "--curve", "[0,1]", "-p", "7", "--offline",
+            "--sha-structure", structure,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSubcommands:
     def test_tate_table(self, capsys):

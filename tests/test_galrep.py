@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA_DIR
-from shaclass.arith import legendre, primes_up_to
+from oracles import duplication_fixed_x_count
+from shaclass.arith import legendre, primes_up_to, rational_factors
 from shaclass.curve import (
     GoodPrimeProfile,
     CurveModel,
@@ -24,6 +25,7 @@ from shaclass.galrep import (
     SURJECTIVE_CERTIFIED,
     UNKNOWN,
     VACUOUS,
+    NONSPLIT_CARTAN_NORMALIZER,
     a_ell,
     certify_image,
     division_polynomial,
@@ -33,6 +35,7 @@ from shaclass.galrep import (
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
+CURVE_43A1 = CurveModel(0, 1, 1, 0, 0)
 
 # j-invariants of the thirteen imaginary quadratic orders of class number one
 CM_J = frozenset(
@@ -49,6 +52,19 @@ def _j_and_disc(ainvs):
     disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     c4 = b2 * b2 - 24 * b4
     return Fraction(c4**3, disc), disc
+
+
+def _has_three_cycle_witness(model, witnesses):
+    """Some witness ell has exactly one x in F_ell with x(2P) = x(P): Frob_ell
+    is then a 3-cycle on the four x-coordinates of E[3]."""
+    return any(duplication_fixed_x_count(model, ell) == 1 for ell, _, _ in witnesses)
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +142,7 @@ class TestCertifyImage:
         assert cm_curves >= 10
 
     def test_p3_traces_never_rule_out_nonsplit_cartan(self):
-        # the lemma behind stopping the p = 3 scan early: for a, d != 0 mod 3,
+        # why p = 3 needs the 3-cycle witness: for a, d != 0 mod 3,
         # a^2 - 4d is never a nonzero square mod 3
         for a in (1, 2):
             for d in (1, 2):
@@ -148,6 +164,35 @@ class TestCertifyImage:
                     }
             assert rows == golden[label], label
 
+    def test_p3_golden_certificates_have_three_cycle_witness(self, corpus_models):
+        golden = json.loads((DATA_DIR / "golden" / "image_witnesses.json").read_text())
+        certified = 0
+        for label, rows in golden.items():
+            row = rows.get("3")
+            if row is None or row["image_status"] != SURJECTIVE_CERTIFIED:
+                continue
+            model = CurveModel(*corpus_models[label])
+            witnesses = row["image_witnesses"]
+            assert _has_three_cycle_witness(model, witnesses), label
+            # the check is not vacuous: swap the 3-cycle prime for a good
+            # prime with 0 or 2 such x and it must fail
+            disc = _j_and_disc(corpus_models[label])[1]
+            index = next(i for i, w in enumerate(witnesses)
+                         if duplication_fixed_x_count(model, w[0]) == 1)
+            swap = next(q for q in primes_up_to(100)
+                        if q != 3 and disc % q and duplication_fixed_x_count(model, q) in (0, 2))
+            mutated = witnesses[:index] + [[swap, *witnesses[index][1:]]] + witnesses[index + 1:]
+            assert not _has_three_cycle_witness(model, mutated), label
+            certified += 1
+        assert certified == 27
+
+    def test_p3_sample_bound_covers_the_three_cycle_prime(self):
+        # 43a1's first 3-cycle prime is 13 > 10
+        small = certify_image(CURVE_43A1, 3, sample_bound=10)
+        assert small.status == INCONCLUSIVE
+        assert small.first_unruled == NONSPLIT_CARTAN_NORMALIZER
+        assert certify_image(CURVE_43A1, 3).status == SURJECTIVE_CERTIFIED
+
     def test_preconditions(self):
         with pytest.raises(InvalidInput):
             certify_image(CURVE_1058D1, 5, 5)
@@ -165,41 +210,39 @@ class TestDivisionPolynomials:
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_degree(self, p):
         psi = division_polynomial(CURVE_1058D1, p)
-        assert psi.degree() == (p * p - 1) // 2
+        assert all(type(c) is int for c in psi)
+        assert len(psi) - 1 == (p * p - 1) // 2
 
     def test_psi3_closed_form(self):
-        import sympy
-
         from shaclass.curve import b_invariants
 
-        x = sympy.symbols("x")
         b2, b4, b6, b8 = b_invariants(*CURVE_11A1.ainvs())
-        expected = sympy.Poly(
-            3 * x**4 + b2 * x**3 + 3 * b4 * x**2 + 3 * b6 * x + b8, x
-        )
+        expected = [b8, 3 * b6, 3 * b4, b2, 3]
         assert division_polynomial(CURVE_11A1, 3) == expected
 
     def test_11a1_psi5_has_quadratic_factor(self):
         # the rational 5-isogeny forces a degree <= 2 factor over Q
-        factors = division_polynomial(CURVE_11A1, 5).factor_list()[1]
-        degrees = sorted(f.degree() for f, _ in factors)
+        factors = rational_factors(division_polynomial(CURVE_11A1, 5))
+        degrees = sorted(len(f) - 1 for f, _ in factors)
         assert 2 in degrees
         assert len(factors) > 1
 
     def test_full_image_psi5_irreducible(self):
-        factors = division_polynomial(CURVE_1058D1, 5).factor_list()[1]
-        assert len(factors) == 1 and factors[0][0].degree() == 12
+        factors = rational_factors(division_polynomial(CURVE_1058D1, 5))
+        assert len(factors) == 1 and len(factors[0][0]) - 1 == 12
 
     def test_even_m_rejected(self):
         with pytest.raises(InvalidInput):
             division_polynomial(CURVE_11A1, 4)
+        with pytest.raises(InvalidInput):
+            division_polynomial(CURVE_11A1, -1)
 
     def test_roots_are_torsion_x_coordinates(self):
         # every rational root of psi_5 of 11a1 is the x-coordinate of an
         # actual 5-torsion point: check x = 5 (the famous (5, 5) point)
         psi = division_polynomial(CURVE_11A1, 5)
-        assert psi.eval(5) == 0
-        assert psi.eval(16) == 0  # x(2P) for P = (5,5)
+        assert _horner(psi, 5) == 0
+        assert _horner(psi, 16) == 0  # x(2P) for P = (5,5)
 
 
 class TestOrdinaryShape:
