@@ -164,9 +164,27 @@ def legendre(a, p):
 
 
 # ---------------------------------------------------------------------------
-# Small polynomial arithmetic over F_p.  Polynomials are lists of coefficients
-# in ascending degree order; only low degrees (<= 4) ever occur here.
+# Polynomial arithmetic.  Polynomials are lists of coefficients in ascending
+# degree order.  _zmul and _zsub work over Z, on division polynomials of
+# degree up to (p^2-1)/2 among others; the rest reduce over F_p.
 # ---------------------------------------------------------------------------
+
+
+def _zmul(*polys):
+    """Product of integer polynomials (coefficient lists, lowest degree first)."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _zsub(f, g):
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
 
 
 def _ptrim(f, p):
@@ -174,15 +192,6 @@ def _ptrim(f, p):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def _pmulmod(f, g, mod, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _prem(out, mod, p)
 
 
 def _prem(f, g, p):
@@ -212,51 +221,31 @@ def _pgcd(f, g, p):
 
 
 def count_roots_mod(f, p):
-    """Number of distinct roots of f in F_p."""
+    """Number of distinct roots of f in F_p: the degree of gcd(f, x^p - x)."""
     f = _ptrim(f, p)
     if not f:
         raise ValueError("zero polynomial")
-    if len(f) == 1:
-        return 0
-    if p <= 100:
-        return sum(1 for x in range(p) if _peval(f, x, p) == 0)
-    # gcd with x^p - x: compute x^p mod f by square-and-multiply
-    xp = _ppowx(p, f, p)
-    xp_minus_x = [(a - b) % p for a, b in _zipl(xp, [0, 1])]
-    return len(_pgcd(f, xp_minus_x, p)) - 1 if _ptrim(xp_minus_x, p) else len(f) - 1
-
-
-def _zipl(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)
-
-
-def _ppowx(e, mod, p):
-    """x^e mod (mod, p)."""
-    result = [1]
-    base = _prem([0, 1], mod, p)
+    # x^p mod f by square-and-multiply
+    xp, base, e = [1], [0, 1], p
     while e:
         if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
+            xp = _prem(_zmul(xp, base), f, p)
+        base = _prem(_zmul(base, base), f, p)
         e >>= 1
-    return result
+    return len(_pgcd(f, _zsub(xp, [0, 1]), p)) - 1
 
 
-def _peval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def quadratic_roots(A, B, C, p):
+    """Roots in F_p of A X^2 + B X + C, for A a unit mod p (p any prime).
 
-
-def quadratic_roots_count(b, c, p):
-    """Distinct roots in F_p of T^2 + bT + c (p any prime)."""
-    if p == 2:
-        return sum(1 for t in (0, 1) if (t * t + b * t + c) % 2 == 0)
-    disc = (b * b - 4 * c) % p
+    Returns (number of distinct roots in F_p, double root or None); the
+    double root is None exactly when the roots are distinct over the closure.
+    """
+    if p == 2:  # A = 1 mod 2
+        if B % 2 == 0:
+            return 1, C % 2  # X^2 + C = (X + C)^2
+        return (2 if C % 2 == 0 else 0), None
+    disc = (B * B - 4 * A * C) % p
     if disc == 0:
-        return 1
-    return 2 if legendre(disc, p) == 1 else 0
+        return 1, -B * pow(2 * A, -1, p) % p
+    return (2 if legendre(disc, p) == 1 else 0), None

@@ -212,7 +212,10 @@ def cmd_cohomology(args):
         raise InvalidInput(f"p must be an odd prime, got {p}")
     gens = []
     for part in args.generators.split(";"):
-        entries = [int(s) for s in part.split(",")]
+        try:
+            entries = [int(s) for s in part.split(",")]
+        except ValueError as err:
+            raise InvalidInput(f"matrix entries must be integers: {part!r}") from err
         if len(entries) != 4:
             raise InvalidInput(f"matrix needs 4 entries: {part!r}")
         gens.append(tuple(entries))

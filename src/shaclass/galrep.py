@@ -13,7 +13,7 @@ coefficient lists, lowest degree first.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import count_roots_mod, legendre, primes_up_to, rational_factors
+from .arith import _zmul, _zsub, count_roots_mod, legendre, primes_up_to, rational_factors
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
@@ -200,23 +200,6 @@ def division_polynomial(model, m):
     if m % 2 == 0 or m < 1:
         raise InvalidInput("only odd positive division polynomials are univariate in x")
     return list(_division_polynomial(model, m))
-
-
-def _zmul(*polys):
-    """Product of integer polynomials (coefficient lists, lowest degree first)."""
-    out = [1]
-    for g in polys:
-        prod = [0] * (len(out) + len(g) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-        out = prod
-    return out
-
-
-def _zsub(f, g):
-    n = max(len(f), len(g))
-    return [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
 
 
 @lru_cache(maxsize=None)

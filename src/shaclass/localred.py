@@ -11,12 +11,11 @@ from functools import lru_cache
 from fractions import Fraction
 
 from .arith import (
-    _pgcd,
     count_roots_mod,
     factor,
     is_prime,
     legendre,
-    quadratic_roots_count,
+    quadratic_roots,
     rational_factors,
     valuation,
 )
@@ -93,15 +92,10 @@ def _singular_point(ai, p):
                     return x, y
         raise AssertionError(f"no singular point found mod {p}")
     b2, b4, b6, _ = b_invariants(*ai)
-    # x0 is the multiple root mod p of g = 4x^3 + b2 x^2 + 2 b4 x + b6
-    g = [b6 % p, (2 * b4) % p, b2 % p, 4 % p]
-    dg = [(2 * b4) % p, (2 * b2) % p, 12 % p]
-    h = _pgcd(g, dg, p)
-    assert len(h) in (2, 3), "expected a multiple root"
-    if len(h) == 2:  # monic linear: x + h[0]
-        x0 = (-h[0]) % p
-    else:  # (x - x0)^2
-        x0 = (-h[1] * pow(2, -1, p)) % p
+    # x0 is the multiple root mod p of g/4, g = 4x^3 + b2 x^2 + 2 b4 x + b6
+    inv4 = pow(4, -1, p)
+    kind, x0 = _cubic_structure(b2 * inv4, 2 * b4 * inv4, b6 * inv4, p)
+    assert kind != "distinct", "expected a multiple root"
     y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
     return x0, y0
 
@@ -163,28 +157,6 @@ def _cubic_structure(A, B, C, p):
     return ("double", r_dbl)
 
 
-def _quad_separable(b, c, p):
-    """Is Y^2 + bY + c separable over F_p (distinct roots in the closure)?"""
-    if p == 2:
-        return b % 2 == 1
-    return (b * b - 4 * c) % p != 0
-
-
-def _quad_double_root(b, c, p):
-    if p == 2:
-        assert b % 2 == 0
-        return c % 2
-    return (-b * pow(2, -1, p)) % p
-
-
-def _general_quad_roots(A, B, C, p):
-    """Distinct roots in F_p of A X^2 + B X + C with A a unit mod p."""
-    if p == 2:
-        return sum(1 for x in (0, 1) if (A * x * x + B * x + C) % 2 == 0)
-    inv = pow(A, -1, p)
-    return quadratic_roots_count(B * inv % p, C * inv % p, p)
-
-
 @lru_cache(maxsize=None)
 def tate_algorithm(model, v):
     """Kodaira type, Tamagawa number and local data of the curve at prime v."""
@@ -216,7 +188,7 @@ def tate_algorithm(model, v):
             # split iff -c6 is a square mod p (odd p); at p = 2 test the
             # tangent quadratic T^2 + a1 T - a2 at the translated node
             if p == 2:
-                split = _general_quad_roots(1, ai2[0], -ai2[1], p) == 2
+                split = quadratic_roots(1, ai2[0], -ai2[1], p)[0] == 2
             else:
                 _, c6_2 = c_invariants(b2_2, b4_2, b6_2)
                 split = legendre(-c6_2, p) == 1
@@ -242,7 +214,7 @@ def tate_algorithm(model, v):
         if not _val_at_least(b6_2, p, 3):
             b = _exact_div(ai2[2], p)
             c = -_exact_div(ai2[4], p * p)
-            nr = quadratic_roots_count(b, c, p)
+            nr, _ = quadratic_roots(1, b, c, p)
             return done("IV", 3 if nr == 2 else 1, 3)
 
         ai3 = _normalize_step6(ai2, p)
@@ -263,23 +235,18 @@ def tate_algorithm(model, v):
                 assert nstar <= n, "runaway In* loop"
                 b = _exact_div(a[2], p**k)
                 c = -_exact_div(a[4], p ** (2 * k))
-                if _quad_separable(b, c, p):
-                    cv = 2 + quadratic_roots_count(b, c, p)
-                    return done(f"I{nstar}*", cv, nstar + 5)
-                a = translate(a, 0, 0, p**k * _quad_double_root(b, c, p))
+                nr, root = quadratic_roots(1, b, c, p)
+                if root is None:
+                    return done(f"I{nstar}*", 2 + nr, nstar + 5)
+                a = translate(a, 0, 0, p**k * root)
                 nstar += 1
                 Aq = _exact_div(a[1], p)
                 Bq = _exact_div(a[3], p ** (k + 1))
                 Cq = _exact_div(a[4], p ** (2 * k + 1))
-                sep = Bq % 2 == 1 if p == 2 else (Bq * Bq - 4 * Aq * Cq) % p != 0
-                if sep:
-                    cv = 2 + _general_quad_roots(Aq, Bq, Cq, p)
-                    return done(f"I{nstar}*", cv, nstar + 5)
-                if p == 2:
-                    x1 = Cq % 2  # Aq is a unit, and sqrt is the identity on F_2
-                else:
-                    x1 = (-Bq * pow(2 * Aq, -1, p)) % p
-                a = translate(a, p**k * x1, 0, 0)
+                nr, root = quadratic_roots(Aq, Bq, Cq, p)
+                if root is None:
+                    return done(f"I{nstar}*", 2 + nr, nstar + 5)
+                a = translate(a, p**k * root, 0, 0)
                 nstar += 1
                 k += 1
 
@@ -289,10 +256,10 @@ def tate_algorithm(model, v):
         assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
         b = _exact_div(a[2], p * p)
         c = -_exact_div(a[4], p**4)
-        if _quad_separable(b, c, p):
-            nr = quadratic_roots_count(b, c, p)
+        nr, root = quadratic_roots(1, b, c, p)
+        if root is None:
             return done("IV*", 3 if nr == 2 else 1, 7)
-        a = translate(a, 0, 0, p * p * _quad_double_root(b, c, p))
+        a = translate(a, 0, 0, p * p * root)
         assert _val_at_least(a[2], p, 3) and _val_at_least(a[4], p, 5)
         if not _val_at_least(a[3], p, 4):
             return done("III*", 2, 8)

@@ -57,6 +57,8 @@ class ExternalCurveRecord:
             raise InvalidInput("mw_rank must be nonnegative")
         if self.sha_order is not None and self.sha_order <= 0:
             raise InvalidInput("sha_order must be positive")
+        if self.sha_structure is not None and min(self.sha_structure, default=1) < 1:
+            raise InvalidInput(f"sha_structure {self.sha_structure} has a factor below 1")
         if self.sha_structure is not None and self.sha_order is not None:
             if math.prod(self.sha_structure) != self.sha_order:
                 raise InvalidInput(

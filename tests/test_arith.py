@@ -7,7 +7,7 @@ from shaclass.arith import (
     is_prime,
     legendre,
     primes_up_to,
-    quadratic_roots_count,
+    quadratic_roots,
     valuation,
 )
 from shaclass.errors import FactorizationTooHard
@@ -80,21 +80,33 @@ def test_count_roots_matches_enumeration(p):
             for x in range(p)
             if (f[0] + f[1] * x + f[2] * x * x + f[3] * x**3) % p == 0
         )
-        if p > 100:
-            # enumeration is the oracle only for small p; for large p spot
-            # check with polynomials of known splitting
-            break
         assert count_roots_mod(f, p) == expected
     # x^2 - 1 has two roots everywhere; x^2 - n for a nonresidue has none
     assert count_roots_mod([-1, 0, 1], p) == 2
 
 
 def test_quadratic_roots_count():
-    assert quadratic_roots_count(0, -1, 5) == 2  # T^2 - 1
-    assert quadratic_roots_count(0, 2, 5) == 0  # T^2 + 2 irreducible mod 5
-    assert quadratic_roots_count(3, 0, 5) == 2
-    assert quadratic_roots_count(1, 1, 2) == 0
-    assert quadratic_roots_count(1, 0, 2) == 2
+    assert quadratic_roots(1, 0, -1, 5) == (2, None)  # T^2 - 1
+    assert quadratic_roots(1, 0, 2, 5) == (0, None)  # T^2 + 2 irreducible mod 5
+    assert quadratic_roots(1, 3, 0, 5) == (2, None)
+    assert quadratic_roots(1, 1, 1, 2) == (0, None)
+    assert quadratic_roots(1, 1, 0, 2) == (2, None)
+    assert quadratic_roots(3, 4, 3, 5) == (1, 1)  # 3 (T - 1)^2 mod 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quadratic_roots_exhaustive(p):
+    for A in range(1, p):
+        for B in range(p):
+            for C in range(p):
+                roots = [x for x in range(p) if (A * x * x + B * x + C) % p == 0]
+                count, double = quadratic_roots(A, B, C, p)
+                assert count == len(roots), (A, B, C, p)
+                distinct = B % 2 == 1 if p == 2 else (B * B - 4 * A * C) % p != 0
+                if distinct:
+                    assert double is None, (A, B, C, p)
+                else:
+                    assert double in roots and (2 * A * double + B) % p == 0, (A, B, C, p)
 
 
 def test_primes_up_to():

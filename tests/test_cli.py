@@ -204,7 +204,7 @@ class TestAnalyze:
         assert "SurjectiveCertified" in proc.stdout
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
-    @pytest.mark.parametrize("structure", ["x", "5,,5"])
+    @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5"])
     def test_bad_sha_structure_is_invalid_input(self, capsys, structure):
         code, out, err = run(
             capsys,
@@ -251,9 +251,11 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "h0 = 1" in out and "h1 = 1" in out
 
-    def test_cohomology_bad_matrix(self, capsys):
-        code, _, err = run(capsys, "cohomology", "--p", "5", "--generators", "1,1,0")
+    @pytest.mark.parametrize("generators", ["1,1,0", "1,x,0,1"])
+    def test_cohomology_bad_matrix(self, capsys, generators):
+        code, _, err = run(capsys, "cohomology", "--p", "5", "--generators", generators)
         assert code == EXIT_INVALID_INPUT
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_curve_spec(self, capsys):
         code, _, err = run(capsys, "invariants", "--curve", "1,2")

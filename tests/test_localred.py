@@ -9,6 +9,7 @@ from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
     GOOD,
+    _singular_point,
     bad_primes,
     compute_t_set,
     local_data,
@@ -99,6 +100,23 @@ def test_tame_table_oracle_agreement(tate_corpus):
                 assert data.c_v == c
             else:
                 assert data.c_v in (2, 4)
+
+
+def test_singular_point_is_singular(tate_corpus):
+    """At each bad p >= 5 the curve and both partials vanish at the point."""
+    checked = 0
+    for entry in tate_corpus.values():
+        model = CurveModel(*entry["ainvs"])
+        a1, a2, a3, a4, a6 = minimal_model(model).ainvs()
+        for p in bad_primes(model):
+            if p < 5:
+                continue
+            x, y = _singular_point(tuple(a % p for a in (a1, a2, a3, a4, a6)), p)
+            assert (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+            assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+            assert (2 * y + a1 * x + a3) % p == 0
+            checked += 1
+    assert checked >= 20
 
 
 def test_multiplicative_j_valuation(tate_corpus):
