@@ -45,5 +45,5 @@ print("\nordinary shape of 1058d1 at 5:")
 print("  Frobenius eigenvalue on the unramified quotient:", shape.psi_frobenius_eigenvalue)
 print("  kernel character:", shape.kernel_character_note)
 print("  off-diagonal class nonzero:", shape.star_nonzero)
-wild = wild_ramification_status(E, profile)
+wild = wild_ramification_status(profile)
 print("  wild ramification hypothesis:", wild.status, "(a_5 = 2 != 1 mod 5)")

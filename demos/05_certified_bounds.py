@@ -37,5 +37,5 @@ print(certificate_to_text(cert))
 # Degradation is graceful: without an arithmetic record the ledgers are
 # still evaluated, but no Selmer scenarios or bounds are emitted.
 cert = analyze(CurveModel(1, -1, 0, -332311, -73733731), 5, record=None)
-print("without a record: bounds emitted?", cert.lower_bound_hom is not None)
-print("ledger for the direct theorem still applicable?", cert.ledgers["Main"].applicable)
+print("without a record: bounds emitted?", cert["bounds"] is not None)
+print("ledger for the direct theorem still applicable?", cert["ledgers"]["Main"]["applicable"])

@@ -54,7 +54,6 @@ from .selmerdata import (
     selmer_rank_scenarios,
 )
 from .engine import (
-    ConclusionCertificate,
     HypothesisLedger,
     analyze,
     certificate_to_json,
@@ -98,7 +97,6 @@ __all__ = [
     "SelmerScenario",
     "fetch_curve_record",
     "selmer_rank_scenarios",
-    "ConclusionCertificate",
     "HypothesisLedger",
     "analyze",
     "certificate_to_json",

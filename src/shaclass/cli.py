@@ -21,6 +21,7 @@ from .errors import (
     NotFound,
     ShaclassError,
 )
+from .galrep import DEFAULT_SAMPLE_BOUND
 from .localred import local_data
 from .selmerdata import (
     OFFLINE_ONLY,
@@ -62,7 +63,7 @@ def _build_parser():
     an.set_defaults(run=cmd_analyze)
     source = add_curve_args(an)
     an.add_argument("-p", type=int, required=True, help="odd prime p")
-    an.add_argument("--sample-bound", type=int, default=1000)
+    an.add_argument("--sample-bound", type=int, default=DEFAULT_SAMPLE_BOUND)
     an.add_argument("--assume-wild-ramification", action="store_true")
     an.add_argument(
         "--no-assume-sha-finite",

@@ -94,34 +94,6 @@ class HypothesisLedger:
         return all(c.status in (HOLDS, ASSUMED) for c in self.conditions)
 
 
-@dataclass(frozen=True)
-class ConclusionCertificate:
-    label: str | None
-    ainvs: tuple
-    minimal_ainvs: tuple
-    p: int
-    a_p: int
-    reduction_kind: str
-    alpha_p_mod_p: int | None
-    image_status: str
-    image_witnesses: tuple
-    wild_ramification: str
-    local_data: dict
-    tamagawa_unit_check: dict
-    t_set_members: tuple
-    t_set_provisional: tuple
-    selmer_dims: tuple | None
-    selmer_reasoning: tuple | None
-    selmer_provenance: str | None
-    ledgers: dict
-    lower_bound_hom: dict | None
-    upper_bound_hom: dict | None
-    unramified_extension_exists: str
-    equality_note: bool
-    assumptions: tuple
-    notes: tuple
-
-
 def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map):
     """Map each theorem's printed conditions to Holds/Fails/Unknown/Assumed."""
     if image_cert.p != p or profile.p != p:
@@ -220,10 +192,9 @@ def emit_certificate(
     record=None,
     assume_sha_finite=True,
     label=None,
-    extra_assumptions=(),
 ):
-    """Assemble the deterministic conclusion certificate."""
-    assumptions = list(extra_assumptions)
+    """Assemble the deterministic conclusion certificate as its JSON document."""
+    assumptions = []
     notes = [B_DISCREPANCY_NOTE]
     if wild_status.status == ASSUMED_BY_USER:
         assumptions.append("wild ramification at p assumed by user flag")
@@ -252,20 +223,20 @@ def emit_certificate(
         for d in lower:
             assert lower[d] <= upper[d]
 
-    mmodel = minimal_model(model)
-    return ConclusionCertificate(
-        label=label,
-        ainvs=model.ainvs(),
-        minimal_ainvs=mmodel.ainvs(),
-        p=p,
-        a_p=profile.a_p,
-        reduction_kind=profile.reduction_kind,
-        alpha_p_mod_p=profile.alpha_p_mod_p,
-        image_status=image_cert.status,
-        image_witnesses=image_cert.witnesses,
-        wild_ramification=wild_status.status,
-        local_data={
-            q: {
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "label": label,
+        "ainvs": list(model.ainvs()),
+        "minimal_ainvs": list(minimal_model(model).ainvs()),
+        "p": p,
+        "a_p": profile.a_p,
+        "reduction_kind": profile.reduction_kind,
+        "alpha_p_mod_p": profile.alpha_p_mod_p,
+        "image_status": image_cert.status,
+        "image_witnesses": [list(w) for w in image_cert.witnesses],
+        "wild_ramification": wild_status.status,
+        "local_data": {
+            str(q): {
                 "kodaira": d.kodaira,
                 "reduction_class": d.reduction_class,
                 "c_v": d.c_v,
@@ -274,38 +245,66 @@ def emit_certificate(
             }
             for q, d in sorted(local.items())
         },
-        tamagawa_unit_check=dict(sorted(tamagawa_map.items())),
-        t_set_members=tuple(sorted(t_set.members)),
-        t_set_provisional=tuple(sorted(t_set.provisional_members)),
-        selmer_dims=scenario.possible_dims if scenario else None,
-        selmer_reasoning=scenario.reasoning if scenario else None,
-        selmer_provenance=record.provenance if record else None,
-        ledgers=ledgers,
-        lower_bound_hom=lower,
-        upper_bound_hom=upper,
-        unramified_extension_exists=corollary_answer,
-        equality_note=equality,
-        assumptions=tuple(assumptions),
-        notes=tuple(notes),
-    )
+        "tamagawa_unit_check": {str(q): v for q, v in sorted(tamagawa_map.items())},
+        "t_set": {
+            "members": sorted(t_set.members),
+            "provisional_members": sorted(t_set.provisional_members),
+        },
+        "selmer": None
+        if scenario is None
+        else {
+            "possible_dims": list(scenario.possible_dims),
+            "reasoning": list(scenario.reasoning),
+            "provenance": record.provenance,
+        },
+        "ledgers": {
+            tid: {
+                "applicable": ledgers[tid].applicable,
+                "conditions": [
+                    {
+                        "id": c.id,
+                        "statement": c.statement,
+                        "status": c.status,
+                        "evidence": c.evidence,
+                    }
+                    for c in ledgers[tid].conditions
+                ],
+                "notes": list(ledgers[tid].notes),
+            }
+            for tid in ALL_THEOREMS
+        },
+        "bounds": None
+        if lower is None and upper is None
+        else {
+            str(d): {
+                "lower": None if lower is None else lower.get(d),
+                "upper": None if upper is None else upper.get(d),
+            }
+            for d in scenario.possible_dims
+        },
+        "unramified_extension_exists": corollary_answer,
+        "equality_note": equality,
+        "assumptions": assumptions,
+        "notes": notes,
+    }
 
 
 def analyze(
     model,
     p,
     record=None,
-    sample_bound=None,
+    sample_bound=DEFAULT_SAMPLE_BOUND,
     assume_wild_ramification=False,
     assume_sha_finite=True,
     label=None,
 ):
-    """Full pipeline for one curve and prime; record may be None (degraded)."""
-    bound = sample_bound or DEFAULT_SAMPLE_BOUND
+    """Full pipeline for one curve and prime; record may be None (degraded).
+
+    Returns the certificate as its JSON document: a dict of JSON-native values.
+    """
     profile = classify_good_prime(model, p)
-    image_cert = certify_image(model, p, bound)
-    wild = wild_ramification_status(
-        model, profile, profile.cm_discriminant, assume_wild_ramification
-    )
+    image_cert = certify_image(model, p, sample_bound)
+    wild = wild_ramification_status(profile, assume_wild_ramification)
     local = local_data(model)
     tmap = tamagawa_unit_check(model, p)
     t_set = compute_t_set(model, p)
@@ -339,71 +338,11 @@ def analyze(
 # --- serialization -------------------------------------------------------
 
 
-def certificate_to_dict(cert):
-    ledgers = {}
-    for tid in ALL_THEOREMS:
-        led = cert.ledgers[tid]
-        ledgers[tid] = {
-            "applicable": led.applicable,
-            "conditions": [
-                {
-                    "id": c.id,
-                    "statement": c.statement,
-                    "status": c.status,
-                    "evidence": c.evidence,
-                }
-                for c in led.conditions
-            ],
-            "notes": list(led.notes),
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "label": cert.label,
-        "ainvs": list(cert.ainvs),
-        "minimal_ainvs": list(cert.minimal_ainvs),
-        "p": cert.p,
-        "a_p": cert.a_p,
-        "reduction_kind": cert.reduction_kind,
-        "alpha_p_mod_p": cert.alpha_p_mod_p,
-        "image_status": cert.image_status,
-        "image_witnesses": [list(w) for w in cert.image_witnesses],
-        "wild_ramification": cert.wild_ramification,
-        "local_data": {str(q): d for q, d in cert.local_data.items()},
-        "tamagawa_unit_check": {str(q): v for q, v in cert.tamagawa_unit_check.items()},
-        "t_set": {
-            "members": list(cert.t_set_members),
-            "provisional_members": list(cert.t_set_provisional),
-        },
-        "selmer": None
-        if cert.selmer_dims is None
-        else {
-            "possible_dims": list(cert.selmer_dims),
-            "reasoning": list(cert.selmer_reasoning),
-            "provenance": cert.selmer_provenance,
-        },
-        "ledgers": ledgers,
-        "bounds": None
-        if cert.lower_bound_hom is None and cert.upper_bound_hom is None
-        else {
-            str(d): {
-                "lower": None if cert.lower_bound_hom is None else cert.lower_bound_hom.get(d),
-                "upper": None if cert.upper_bound_hom is None else cert.upper_bound_hom.get(d),
-            }
-            for d in (cert.selmer_dims or ())
-        },
-        "unramified_extension_exists": cert.unramified_extension_exists,
-        "equality_note": cert.equality_note,
-        "assumptions": list(cert.assumptions),
-        "notes": list(cert.notes),
-    }
+def certificate_to_json(doc):
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def certificate_to_json(cert):
-    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=False) + "\n"
-
-
-def certificate_to_text(cert):
-    doc = certificate_to_dict(cert)
+def certificate_to_text(doc):
     lines = []
     add = lines.append
     add(f"curve {doc['label'] or doc['ainvs']}  p = {doc['p']}")

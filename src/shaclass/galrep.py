@@ -249,7 +249,7 @@ def ordinary_shape(profile, star_nonzero=UNKNOWN):
     )
 
 
-def wild_ramification_status(model, profile, cm=None, assume_wild_ramification=False):
+def wild_ramification_status(profile, assume_wild_ramification=False):
     """Status of the wild-ramification hypothesis at p.
 
     Vacuous when supersingular or a_p != 1 mod p; CMCase when the curve has
@@ -259,7 +259,7 @@ def wild_ramification_status(model, profile, cm=None, assume_wild_ramification=F
     p = profile.p
     if profile.reduction_kind == SUPERSINGULAR or profile.a_p % p != 1:
         return WildRamificationStatus(VACUOUS)
-    if cm is not None:
+    if profile.cm_discriminant is not None:
         return WildRamificationStatus(CM_CASE)
     if assume_wild_ramification:
         return WildRamificationStatus(ASSUMED_BY_USER)

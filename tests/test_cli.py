@@ -215,6 +215,17 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("bound", ["0", "5", "-3"])
+    def test_sample_bound_below_ten_is_invalid_input(self, capsys, bound):
+        code, out, err = run(
+            capsys,
+            "analyze", "--label", "11a1", "-p", "5", "--offline",
+            "--sample-bound", bound,
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "sample_bound" in err
+
 
 class TestSubcommands:
     def test_tate_table(self, capsys):

@@ -26,7 +26,6 @@ from shaclass.engine import (
     apply_corollary,
     apply_lower_bound,
     apply_upper_bound,
-    certificate_to_dict,
     certificate_to_json,
     certificate_to_text,
     evaluate_hypotheses,
@@ -62,7 +61,7 @@ def record_for(label, tmp_path):
 def ledgers_for(model, p):
     profile = classify_good_prime(model, p)
     cert = certify_image(model, p, 1000)
-    wild = wild_ramification_status(model, profile)
+    wild = wild_ramification_status(profile)
     tmap = tamagawa_unit_check(model, p)
     return evaluate_hypotheses(model, p, cert, profile, wild, tmap)
 
@@ -108,14 +107,14 @@ class TestLedgers:
         cert = certify_image(model, p, 1000)
         tmap = tamagawa_unit_check(model, p)
         plain = evaluate_hypotheses(
-            model, p, cert, prof, wild_ramification_status(model, prof), tmap
+            model, p, cert, prof, wild_ramification_status(prof), tmap
         )
         flagged = evaluate_hypotheses(
             model,
             p,
             cert,
             prof,
-            wild_ramification_status(model, prof, assume_wild_ramification=True),
+            wild_ramification_status(prof, assume_wild_ramification=True),
             tmap,
         )
         for tid in plain:
@@ -128,7 +127,7 @@ class TestLedgers:
     def test_inconsistent_inputs(self):
         prof5 = classify_good_prime(CURVE_1058D1, 5)
         cert7 = certify_image(CURVE_1058D1, 7, 1000)
-        wild = wild_ramification_status(CURVE_1058D1, prof5)
+        wild = wild_ramification_status(prof5)
         with pytest.raises(InconsistentInputs):
             evaluate_hypotheses(CURVE_1058D1, 5, cert7, prof5, wild, {})
 
@@ -209,29 +208,30 @@ class TestCertificates:
     def test_full_1058d1(self, tmp_path):
         record = record_for("1058d1", tmp_path)
         cert = analyze(CURVE_1058D1, 5, record=record, label="1058d1")
-        assert cert.a_p == 2
-        assert cert.image_status == "SurjectiveCertified"
-        assert cert.selmer_dims == (2,)
-        assert cert.lower_bound_hom == {2: 1}
-        assert cert.upper_bound_hom == {2: 3}
-        assert cert.unramified_extension_exists == "Yes"
-        assert not cert.equality_note
+        assert cert["a_p"] == 2
+        assert cert["image_status"] == "SurjectiveCertified"
+        assert cert["selmer"]["possible_dims"] == [2]
+        assert {d: b["lower"] for d, b in cert["bounds"].items()} == {"2": 1}
+        assert {d: b["upper"] for d, b in cert["bounds"].items()} == {"2": 3}
+        assert cert["unramified_extension_exists"] == "Yes"
+        assert not cert["equality_note"]
 
     def test_full_423801(self, tmp_path):
         record = record_for("423801ci1", tmp_path)
         cert = analyze(CURVE_423801, 5, record=record, label="423801ci1")
-        assert cert.selmer_dims == (2, 4)
-        assert cert.lower_bound_hom == {2: 1, 4: 3}
-        assert cert.upper_bound_hom == {2: 2, 4: 4}
-        assert cert.equality_note
-        assert cert.t_set_members == () and cert.t_set_provisional == ()
+        assert cert["selmer"]["possible_dims"] == [2, 4]
+        assert {d: b["lower"] for d, b in cert["bounds"].items()} == {"2": 1, "4": 3}
+        assert {d: b["upper"] for d, b in cert["bounds"].items()} == {"2": 2, "4": 4}
+        assert cert["equality_note"]
+        assert cert["t_set"]["members"] == [] and cert["t_set"]["provisional_members"] == []
 
     def test_bounds_conditional_order(self, tmp_path):
         record = record_for("423801ci1", tmp_path)
         cert = analyze(CURVE_423801, 5, record=record)
-        for d in cert.selmer_dims:
-            assert max(0, d - 1) == cert.lower_bound_hom[d]
-            assert cert.lower_bound_hom[d] <= cert.upper_bound_hom[d]
+        for d in cert["selmer"]["possible_dims"]:
+            bound = cert["bounds"][str(d)]
+            assert max(0, d - 1) == bound["lower"]
+            assert bound["lower"] <= bound["upper"]
 
     def test_determinism(self, tmp_path):
         record = record_for("1058d1", tmp_path)
@@ -241,17 +241,16 @@ class TestCertificates:
 
     def test_graceful_degradation_without_record(self):
         cert = analyze(CURVE_1058D1, 5, record=None)
-        assert cert.selmer_dims is None
-        assert cert.lower_bound_hom is None and cert.upper_bound_hom is None
-        assert cert.unramified_extension_exists == "Unknown"
-        assert set(cert.ledgers) == {MAIN, COROLLARY, LEMMA_FIN, MAIN_CONV}
-        assert cert.ledgers[MAIN].applicable  # hypotheses still evaluated
+        assert cert["selmer"] is None
+        assert cert["bounds"] is None
+        assert cert["unramified_extension_exists"] == "Unknown"
+        assert set(cert["ledgers"]) == {MAIN, COROLLARY, LEMMA_FIN, MAIN_CONV}
+        assert cert["ledgers"][MAIN]["applicable"]  # hypotheses still evaluated
 
     def test_text_and_json_share_facts(self, tmp_path):
         record = record_for("423801ci1", tmp_path)
-        cert = analyze(CURVE_423801, 5, record=record, label="423801ci1")
-        doc = certificate_to_dict(cert)
-        text = certificate_to_text(cert)
+        doc = analyze(CURVE_423801, 5, record=record, label="423801ci1")
+        text = certificate_to_text(doc)
         assert str(doc["p"]) in text
         assert doc["image_status"] in text
         for dim in doc["selmer"]["possible_dims"]:
@@ -263,9 +262,8 @@ class TestCertificates:
     def test_no_bounds_when_inapplicable(self, tmp_path):
         record = record_for("11a1", tmp_path)
         cert = analyze(CURVE_11A1, 5, record=record, label="11a1")
-        assert cert.lower_bound_hom is None
-        assert cert.upper_bound_hom is None
-        assert cert.unramified_extension_exists == "Unknown"
+        assert cert["bounds"] is None
+        assert cert["unramified_extension_exists"] == "Unknown"
 
     def test_golden_certificates(self):
         """JSON and text certificates hash to the digests of the committed table."""
@@ -308,8 +306,9 @@ class TestCertificates:
         for p in (3, 5, 7):
             if disc % p == 0:
                 continue
-            want = certificate_to_dict(analyze(model, p))
-            got = certificate_to_dict(analyze(moved, p))
+            want = analyze(model, p)
+            got = analyze(moved, p)
+            assert json.loads(certificate_to_json(want)) == want
             assert got.pop("ainvs") == list(moved.ainvs())
             want.pop("ainvs")
             assert got == want, (label, n, r, s, t, p)

@@ -281,3 +281,19 @@ def test_val_delta_min_on_minimal_model(tate_corpus):
         disc = compute_invariants(minimal_model(model)).disc
         for q in bad_primes(model):
             assert tate_algorithm(model, q).val_delta_min == valuation(disc, q)
+
+
+def test_two_isogenous_curves_share_conductor_at_2():
+    """y^2 = x^3 + a x^2 + b x and y^2 = x^3 - 2a x^2 + (a^2 - 4b) x are
+    2-isogenous, so their conductors agree; many pairs reach the p = 2
+    double root of the I_n* and IV* steps of Tate's algorithm."""
+    for a in range(-12, 13):
+        for b in range(-40, 41):
+            if b == 0 or a * a == 4 * b:
+                continue
+            e = CurveModel(0, a, 0, b, 0)
+            e_prime = CurveModel(0, -2 * a, 0, a * a - 4 * b, 0)
+            assert (
+                tate_algorithm(e, 2).conductor_exponent
+                == tate_algorithm(e_prime, 2).conductor_exponent
+            ), (a, b)
