@@ -46,4 +46,4 @@ print("  Frobenius eigenvalue on the unramified quotient:", shape.psi_frobenius_
 print("  kernel character:", shape.kernel_character_note)
 print("  off-diagonal class nonzero:", shape.star_nonzero)
 wild = wild_ramification_status(profile)
-print("  wild ramification hypothesis:", wild.status, "(a_5 = 2 != 1 mod 5)")
+print("  wild ramification hypothesis:", wild, "(a_5 = 2 != 1 mod 5)")

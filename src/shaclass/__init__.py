@@ -31,7 +31,6 @@ from .localred import (
 from .galrep import (
     ImageCertificate,
     OrdinaryShape,
-    WildRamificationStatus,
     certify_image,
     division_polynomial,
     ordinary_shape,
@@ -54,7 +53,6 @@ from .selmerdata import (
     selmer_rank_scenarios,
 )
 from .engine import (
-    HypothesisLedger,
     analyze,
     certificate_to_json,
     certificate_to_text,
@@ -80,7 +78,6 @@ __all__ = [
     "tate_algorithm",
     "ImageCertificate",
     "OrdinaryShape",
-    "WildRamificationStatus",
     "certify_image",
     "division_polynomial",
     "ordinary_shape",
@@ -97,7 +94,6 @@ __all__ = [
     "SelmerScenario",
     "fetch_curve_record",
     "selmer_rank_scenarios",
-    "HypothesisLedger",
     "analyze",
     "certificate_to_json",
     "certificate_to_text",

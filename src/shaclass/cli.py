@@ -26,10 +26,10 @@ from .localred import local_data
 from .selmerdata import (
     OFFLINE_ONLY,
     REMOTE_FIRST,
+    ExternalCurveRecord,
     apply_user_overrides,
     default_config,
     fetch_curve_record,
-    user_record,
 )
 
 EXIT_OK = 0
@@ -122,22 +122,16 @@ def _user_overrides(args, model, record):
             structure = tuple(int(s) for s in args.sha_structure.split(","))
         except ValueError as err:
             raise InvalidInput(f"bad --sha-structure {args.sha_structure!r}") from err
-    if record is not None:
-        return apply_user_overrides(
-            record,
-            mw_rank=args.mw_rank,
-            sha_order=args.sha_order,
-            sha_structure=structure,
-        )
-    if args.mw_rank is not None or args.sha_order is not None or structure is not None:
-        return user_record(
-            "user-curve",
-            model.ainvs(),
-            args.mw_rank or 0,
-            sha_order=args.sha_order,
-            sha_structure=structure,
-        )
-    return None
+    if record is None:
+        if args.mw_rank is None and args.sha_order is None and structure is None:
+            return None
+        record = ExternalCurveRecord("user-curve", model.ainvs(), 0, (), None, None)
+    return apply_user_overrides(
+        record,
+        mw_rank=args.mw_rank,
+        sha_order=args.sha_order,
+        sha_structure=structure,
+    )
 
 
 def _analyze_one(args, label=None):
@@ -194,11 +188,11 @@ def cmd_invariants(args):
 
 def cmd_tate(args):
     model, _record, label = _resolve_curve(args)
-    print(f"curve {label or model}")
     if args.v is not None:
         data = {args.v: local_data(model, args.v)}
     else:
         data = local_data(model)
+    print(f"curve {label or model}")
     for q, d in sorted(data.items()):
         print(
             f"  v = {q}: {d.kodaira} ({d.reduction_class}), c_v = {d.c_v}, "

@@ -11,10 +11,9 @@ field.  Everything lands in a deterministic, schema-versioned certificate.
 """
 
 import json
-from dataclasses import dataclass
 
 from .curve import classify_good_prime, minimal_model
-from .errors import InconsistentInputs, InsufficientData, LedgerNotApplicable
+from .errors import InsufficientData
 from .galrep import ASSUMED_BY_USER, CM_CASE, SURJECTIVE_CERTIFIED, UNKNOWN, VACUOUS
 from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
 from .localred import bad_primes
@@ -75,32 +74,9 @@ _LEDGER_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class Condition:
-    id: str
-    statement: str
-    status: str
-    evidence: str
-
-
-@dataclass(frozen=True)
-class HypothesisLedger:
-    theorem_id: str
-    conditions: tuple
-    notes: tuple = ()
-
-    @property
-    def applicable(self):
-        return all(c.status in (HOLDS, ASSUMED) for c in self.conditions)
-
-
-def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map):
-    """Map each theorem's printed conditions to Holds/Fails/Unknown/Assumed."""
-    if image_cert.p != p or profile.p != p:
-        raise InconsistentInputs(
-            f"certificates disagree on p: {image_cert.p}, {profile.p}, {p}"
-        )
-
+def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
+    """The certificate's ledgers: each theorem's printed conditions as
+    Holds/Fails/Unknown/Assumed, in _LEDGER_TABLE order."""
     found = {}
     bad = bad_primes(model)
     if p in bad:
@@ -114,7 +90,7 @@ def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map
         ASSUMED_BY_USER: (ASSUMED, "asserted via galrep.assume_wild_ramification"),
         UNKNOWN: (UNKNOWN_STATUS, "a_p = 1 mod p, no CM, and no certificate for wild ramification"),
     }
-    found["b"] = status_map[wild_status.status]
+    found["b"] = status_map[wild_status]
 
     if all(tamagawa_map.values()):
         detail = ", ".join(f"c_{q} prime to {p}" for q in sorted(tamagawa_map))
@@ -123,37 +99,35 @@ def evaluate_hypotheses(model, p, image_cert, profile, wild_status, tamagawa_map
         offenders = sorted(q for q, ok in tamagawa_map.items() if not ok)
         found["c"] = (FAILS, f"p divides c_v for v in {offenders}")
 
-    if image_cert.status == SURJECTIVE_CERTIFIED:
+    if image_status == SURJECTIVE_CERTIFIED:
         found["d"] = (HOLDS, "mod-p image certified surjective; the standard module is irreducible")
     else:
-        found["d"] = (UNKNOWN_STATUS, f"image certificate status: {image_cert.status}")
+        found["d"] = (UNKNOWN_STATUS, f"image certificate status: {image_status}")
 
-    return {
-        theorem: HypothesisLedger(
-            theorem,
-            tuple(Condition(cid, statement, *found[cid]) for cid, statement in conditions),
-            notes,
-        )
-        for theorem, conditions, notes in _LEDGER_TABLE
-    }
+    ledgers = {}
+    for theorem, conditions, notes in _LEDGER_TABLE:
+        rows = [
+            {
+                "id": cid,
+                "statement": statement,
+                "status": found[cid][0],
+                "evidence": found[cid][1],
+            }
+            for cid, statement in conditions
+        ]
+        ledgers[theorem] = {
+            "applicable": all(c["status"] in (HOLDS, ASSUMED) for c in rows),
+            "conditions": rows,
+            "notes": list(notes),
+        }
+    return ledgers
 
 
-def apply_lower_bound(main_ledger, scenario):
-    """Per-scenario lower bound max(0, d - 1) for dim Hom_G(Cl_K/pCl_K, E[p])."""
-    if main_ledger.theorem_id != MAIN:
-        raise InconsistentInputs("lower bound needs the Main ledger")
-    if not main_ledger.applicable:
-        raise LedgerNotApplicable("Main ledger has a failed or unknown condition")
-    return {d: max(0, d - 1) for d in scenario.possible_dims}
+def apply_corollary(record, p, assume_sha_finite=True):
+    """Does an unramified abelian extension of K with group E[p] exist?
 
-
-def apply_corollary(main_ledger, record, scenario, assume_sha_finite=True):
-    """Does an unramified abelian extension of K with group E[p] exist?"""
-    if not main_ledger.applicable:
-        raise LedgerNotApplicable("Main ledger has a failed or unknown condition")
-    if record is None:
-        return UNKNOWN_ANSWER
-    p = scenario.p
+    Asked only when the Main ledger applies and a Selmer scenario exists.
+    """
     r = record.sha_p_rank(p)
     if r is not None and r > 1:
         return YES
@@ -164,129 +138,6 @@ def apply_corollary(main_ledger, record, scenario, assume_sha_finite=True):
     if record.mw_rank >= 2:
         return YES
     return UNKNOWN_ANSWER
-
-
-def apply_upper_bound(mainconv_ledger, scenario, t_set):
-    """Per-scenario upper bound d + #T (provisional members counted)."""
-    if mainconv_ledger.theorem_id != MAIN_CONV:
-        raise InconsistentInputs("upper bound needs the MainConv ledger")
-    if not mainconv_ledger.applicable:
-        raise LedgerNotApplicable("MainConv ledger has a failed or unknown condition")
-    size = t_set.size_for_bound()
-    bounds = {d: d + size for d in scenario.possible_dims}
-    equality = not t_set.members and not t_set.provisional_members
-    return bounds, equality
-
-
-def emit_certificate(
-    model,
-    p,
-    profile,
-    image_cert,
-    wild_status,
-    local,
-    tamagawa_map,
-    t_set,
-    ledgers,
-    scenario=None,
-    record=None,
-    assume_sha_finite=True,
-    label=None,
-):
-    """Assemble the deterministic conclusion certificate as its JSON document."""
-    assumptions = []
-    notes = [B_DISCREPANCY_NOTE]
-    if wild_status.status == ASSUMED_BY_USER:
-        assumptions.append("wild ramification at p assumed by user flag")
-    if assume_sha_finite:
-        assumptions.append("Sha[p^infinity] assumed finite (even Sha[p]-rank)")
-    if t_set.provisional_members:
-        notes.append(
-            "provisional T members counted in the upper bound: "
-            f"{sorted(t_set.provisional_members)} (p = 3 additive cases not decided)"
-        )
-    if scenario is not None:
-        notes.extend(scenario.notes)
-
-    lower = upper = None
-    equality = False
-    corollary_answer = UNKNOWN_ANSWER
-    if scenario is not None:
-        if ledgers[MAIN].applicable:
-            lower = apply_lower_bound(ledgers[MAIN], scenario)
-            corollary_answer = apply_corollary(
-                ledgers[MAIN], record, scenario, assume_sha_finite
-            )
-        if ledgers[MAIN_CONV].applicable:
-            upper, equality = apply_upper_bound(ledgers[MAIN_CONV], scenario, t_set)
-    if lower is not None and upper is not None:
-        for d in lower:
-            assert lower[d] <= upper[d]
-
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "label": label,
-        "ainvs": list(model.ainvs()),
-        "minimal_ainvs": list(minimal_model(model).ainvs()),
-        "p": p,
-        "a_p": profile.a_p,
-        "reduction_kind": profile.reduction_kind,
-        "alpha_p_mod_p": profile.alpha_p_mod_p,
-        "image_status": image_cert.status,
-        "image_witnesses": [list(w) for w in image_cert.witnesses],
-        "wild_ramification": wild_status.status,
-        "local_data": {
-            str(q): {
-                "kodaira": d.kodaira,
-                "reduction_class": d.reduction_class,
-                "c_v": d.c_v,
-                "val_delta_min": d.val_delta_min,
-                "conductor_exponent": d.conductor_exponent,
-            }
-            for q, d in sorted(local.items())
-        },
-        "tamagawa_unit_check": {str(q): v for q, v in sorted(tamagawa_map.items())},
-        "t_set": {
-            "members": sorted(t_set.members),
-            "provisional_members": sorted(t_set.provisional_members),
-        },
-        "selmer": None
-        if scenario is None
-        else {
-            "possible_dims": list(scenario.possible_dims),
-            "reasoning": list(scenario.reasoning),
-            "provenance": record.provenance,
-        },
-        "ledgers": {
-            tid: {
-                "applicable": ledgers[tid].applicable,
-                "conditions": [
-                    {
-                        "id": c.id,
-                        "statement": c.statement,
-                        "status": c.status,
-                        "evidence": c.evidence,
-                    }
-                    for c in ledgers[tid].conditions
-                ],
-                "notes": list(ledgers[tid].notes),
-            }
-            for tid in ALL_THEOREMS
-        },
-        "bounds": None
-        if lower is None and upper is None
-        else {
-            str(d): {
-                "lower": None if lower is None else lower.get(d),
-                "upper": None if upper is None else upper.get(d),
-            }
-            for d in scenario.possible_dims
-        },
-        "unramified_extension_exists": corollary_answer,
-        "equality_note": equality,
-        "assumptions": assumptions,
-        "notes": notes,
-    }
 
 
 def analyze(
@@ -308,7 +159,7 @@ def analyze(
     local = local_data(model)
     tmap = tamagawa_unit_check(model, p)
     t_set = compute_t_set(model, p)
-    ledgers = evaluate_hypotheses(model, p, image_cert, profile, wild, tmap)
+    ledgers = evaluate_hypotheses(model, p, image_cert.status, wild, tmap)
 
     scenario = None
     if record is not None:
@@ -318,21 +169,86 @@ def analyze(
             )
         except InsufficientData:
             scenario = None
-    return emit_certificate(
-        model,
-        p,
-        profile,
-        image_cert,
-        wild,
-        local,
-        tmap,
-        t_set,
-        ledgers,
-        scenario=scenario,
-        record=record,
-        assume_sha_finite=assume_sha_finite,
-        label=label,
-    )
+
+    assumptions = []
+    notes = [B_DISCREPANCY_NOTE]
+    if wild == ASSUMED_BY_USER:
+        assumptions.append("wild ramification at p assumed by user flag")
+    if assume_sha_finite:
+        assumptions.append("Sha[p^infinity] assumed finite (even Sha[p]-rank)")
+    if t_set.provisional_members:
+        notes.append(
+            "provisional T members counted in the upper bound: "
+            f"{sorted(t_set.provisional_members)} (p = 3 additive cases not decided)"
+        )
+    if scenario is not None:
+        notes.extend(scenario.notes)
+
+    # Per-scenario bounds max(0, d - 1) <= dim Hom_G(Cl_K/pCl_K, E[p]) <= d + #T,
+    # each side only under its own applicable ledger.
+    lower = upper = None
+    equality = False
+    corollary_answer = UNKNOWN_ANSWER
+    if scenario is not None and ledgers[MAIN]["applicable"]:
+        lower = {d: max(0, d - 1) for d in scenario.possible_dims}
+        corollary_answer = apply_corollary(record, p, assume_sha_finite)
+    if scenario is not None and ledgers[MAIN_CONV]["applicable"]:
+        size = t_set.size_for_bound()  # provisional members counted
+        upper = {d: d + size for d in scenario.possible_dims}
+        equality = not t_set.members and not t_set.provisional_members
+    if lower is not None and upper is not None:
+        for d in lower:
+            assert lower[d] <= upper[d]
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "label": label,
+        "ainvs": list(model.ainvs()),
+        "minimal_ainvs": list(minimal_model(model).ainvs()),
+        "p": p,
+        "a_p": profile.a_p,
+        "reduction_kind": profile.reduction_kind,
+        "alpha_p_mod_p": profile.alpha_p_mod_p,
+        "image_status": image_cert.status,
+        "image_witnesses": [list(w) for w in image_cert.witnesses],
+        "wild_ramification": wild,
+        "local_data": {
+            str(q): {
+                "kodaira": d.kodaira,
+                "reduction_class": d.reduction_class,
+                "c_v": d.c_v,
+                "val_delta_min": d.val_delta_min,
+                "conductor_exponent": d.conductor_exponent,
+            }
+            for q, d in sorted(local.items())
+        },
+        "tamagawa_unit_check": {str(q): v for q, v in sorted(tmap.items())},
+        "t_set": {
+            "members": sorted(t_set.members),
+            "provisional_members": sorted(t_set.provisional_members),
+        },
+        "selmer": None
+        if scenario is None
+        else {
+            "possible_dims": list(scenario.possible_dims),
+            "reasoning": list(scenario.reasoning),
+            "provenance": record.provenance,
+        },
+        "ledgers": ledgers,
+        "bounds": None
+        if lower is None and upper is None
+        else {
+            str(d): {
+                "lower": None if lower is None else lower.get(d),
+                "upper": None if upper is None else upper.get(d),
+            }
+            for d in scenario.possible_dims
+        },
+        "unramified_extension_exists": corollary_answer,
+        "equality_note": equality,
+        "assumptions": assumptions,
+        "notes": notes,
+    }
 
 
 # --- serialization -------------------------------------------------------

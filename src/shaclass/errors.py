@@ -41,13 +41,5 @@ class InsufficientData(ShaclassError):
     """Not enough arithmetic data to build Selmer scenarios."""
 
 
-class LedgerNotApplicable(ShaclassError):
-    """A theorem's hypothesis ledger has a failed or unknown condition."""
-
-
-class InconsistentInputs(ShaclassError):
-    """Certificates passed to the engine refer to different curves."""
-
-
 class InvalidInput(ShaclassError):
     """Malformed user input (labels, coefficient lists, flags)."""

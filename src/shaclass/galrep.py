@@ -63,11 +63,6 @@ class OrdinaryShape:
     star_nonzero: str
 
 
-@dataclass(frozen=True)
-class WildRamificationStatus:
-    status: str
-
-
 @lru_cache(maxsize=None)
 def _exceptional_trace_set(p):
     """u = tr^2/det values of elements of projective order <= 5 (or p)."""
@@ -250,7 +245,7 @@ def ordinary_shape(profile, star_nonzero=UNKNOWN):
 
 
 def wild_ramification_status(profile, assume_wild_ramification=False):
-    """Status of the wild-ramification hypothesis at p.
+    """Status string of the wild-ramification hypothesis at p.
 
     Vacuous when supersingular or a_p != 1 mod p; CMCase when the curve has
     complex multiplication; AssumedByUser only under the explicit flag;
@@ -258,9 +253,9 @@ def wild_ramification_status(profile, assume_wild_ramification=False):
     """
     p = profile.p
     if profile.reduction_kind == SUPERSINGULAR or profile.a_p % p != 1:
-        return WildRamificationStatus(VACUOUS)
+        return VACUOUS
     if profile.cm_discriminant is not None:
-        return WildRamificationStatus(CM_CASE)
+        return CM_CASE
     if assume_wild_ramification:
-        return WildRamificationStatus(ASSUMED_BY_USER)
-    return WildRamificationStatus(UNKNOWN)
+        return ASSUMED_BY_USER
+    return UNKNOWN

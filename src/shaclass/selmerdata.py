@@ -295,18 +295,6 @@ def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=Non
     return replace(record, **changes)
 
 
-def user_record(label, ainvs, mw_rank, sha_order=None, sha_structure=None):
-    return ExternalCurveRecord(
-        label=label,
-        ainvs=tuple(ainvs) if ainvs else None,
-        mw_rank=mw_rank,
-        torsion_structure=(),
-        sha_order=sha_order,
-        sha_structure=tuple(sha_structure) if sha_structure is not None else None,
-        provenance=USER_SUPPLIED,
-    )
-
-
 def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     """Possible values of dim_Fp Sel_p from rank, Sha data and torsion.
 

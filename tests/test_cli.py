@@ -241,6 +241,13 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert "II*" in out
 
+    @pytest.mark.parametrize("v", ["4", "-3"])
+    def test_tate_bad_prime_prints_nothing(self, capsys, v):
+        code, out, err = run(capsys, "tate", "--curve", "[0,1]", "-v", v)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "prime" in err
+
     def test_invariants(self, capsys):
         code, out, _ = run(capsys, "invariants", "--curve", "[0,1]")
         assert code == EXIT_OK

@@ -2,7 +2,6 @@ import importlib.util
 import json
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
@@ -24,25 +23,20 @@ from shaclass.engine import (
     UNKNOWN_STATUS,
     analyze,
     apply_corollary,
-    apply_lower_bound,
-    apply_upper_bound,
     certificate_to_json,
     certificate_to_text,
     evaluate_hypotheses,
 )
-from shaclass.errors import InconsistentInputs, LedgerNotApplicable
 from shaclass.galrep import certify_image, wild_ramification_status
-from shaclass.localred import compute_t_set, tamagawa_unit_check
+from shaclass.localred import tamagawa_unit_check
 from shaclass.selmerdata import (
     OFFLINE_ONLY,
     StoreConfig,
     fetch_curve_record,
     packaged_fixtures_dir,
-    selmer_rank_scenarios,
 )
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
-CURVE_1058C1 = CurveModel(1, 0, 1, 0, 2)
 CURVE_423801 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
 
@@ -63,36 +57,36 @@ def ledgers_for(model, p):
     cert = certify_image(model, p, 1000)
     wild = wild_ramification_status(profile)
     tmap = tamagawa_unit_check(model, p)
-    return evaluate_hypotheses(model, p, cert, profile, wild, tmap)
+    return evaluate_hypotheses(model, p, cert.status, wild, tmap)
 
 
 class TestLedgers:
     def test_1058d1_main_all_holds(self):
         ledgers = ledgers_for(CURVE_1058D1, 5)
         main = ledgers[MAIN]
-        assert main.applicable
-        assert [c.status for c in main.conditions] == [HOLDS] * 4
+        assert main["applicable"]
+        assert [c["status"] for c in main["conditions"]] == [HOLDS] * 4
 
     def test_423801_mainconv_all_holds(self):
         ledgers = ledgers_for(CURVE_423801, 5)
         conv = ledgers[MAIN_CONV]
-        assert conv.applicable
-        assert [c.status for c in conv.conditions] == [HOLDS] * 4
-        assert any("inconsistent printed forms" in n for n in conv.notes)
+        assert conv["applicable"]
+        assert [c["status"] for c in conv["conditions"]] == [HOLDS] * 4
+        assert any("inconsistent printed forms" in n for n in conv["notes"])
 
     def test_tamagawa_failure_blocks(self):
         # 11a1 at p = 5: c_11 = 5, and the 5-isogeny leaves (d) unknown
         ledgers = ledgers_for(CURVE_11A1, 5)
         main = ledgers[MAIN]
-        statuses = {c.id: c.status for c in main.conditions}
+        statuses = {c["id"]: c["status"] for c in main["conditions"]}
         assert statuses["c"] == FAILS
         assert statuses["d"] == UNKNOWN_STATUS
-        assert not main.applicable
+        assert not main["applicable"]
 
     def test_lemma_fin_has_three_conditions(self):
         ledgers = ledgers_for(CURVE_1058D1, 5)
-        assert [c.id for c in ledgers[LEMMA_FIN].conditions] == ["a", "b", "c"]
-        assert [c.id for c in ledgers[MAIN].conditions] == ["a", "b", "c", "d"]
+        assert [c["id"] for c in ledgers[LEMMA_FIN]["conditions"]] == ["a", "b", "c"]
+        assert [c["id"] for c in ledgers[MAIN]["conditions"]] == ["a", "b", "c", "d"]
         assert set(ledgers) == {MAIN, COROLLARY, LEMMA_FIN, MAIN_CONV}
 
     def test_assumption_flag_monotonicity(self):
@@ -107,101 +101,112 @@ class TestLedgers:
         cert = certify_image(model, p, 1000)
         tmap = tamagawa_unit_check(model, p)
         plain = evaluate_hypotheses(
-            model, p, cert, prof, wild_ramification_status(prof), tmap
+            model, p, cert.status, wild_ramification_status(prof), tmap
         )
         flagged = evaluate_hypotheses(
             model,
             p,
-            cert,
-            prof,
+            cert.status,
             wild_ramification_status(prof, assume_wild_ramification=True),
             tmap,
         )
         for tid in plain:
-            for before, after in zip(plain[tid].conditions, flagged[tid].conditions):
-                if before.status == UNKNOWN_STATUS and before.id == "b":
-                    assert after.status == ASSUMED
+            for before, after in zip(plain[tid]["conditions"], flagged[tid]["conditions"]):
+                if before["status"] == UNKNOWN_STATUS and before["id"] == "b":
+                    assert after["status"] == ASSUMED
                 else:
-                    assert after.status == before.status
-
-    def test_inconsistent_inputs(self):
-        prof5 = classify_good_prime(CURVE_1058D1, 5)
-        cert7 = certify_image(CURVE_1058D1, 7, 1000)
-        wild = wild_ramification_status(prof5)
-        with pytest.raises(InconsistentInputs):
-            evaluate_hypotheses(CURVE_1058D1, 5, cert7, prof5, wild, {})
+                    assert after["status"] == before["status"]
 
 
 class TestBounds:
     def test_lower_bound_featured(self, tmp_path):
-        ledgers = ledgers_for(CURVE_1058D1, 5)
         record = record_for("1058d1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        assert apply_lower_bound(ledgers[MAIN], scenario) == {2: 1}
+        cert = analyze(CURVE_1058D1, 5, record=record, label="1058d1")
+        assert cert["bounds"] == {"2": {"lower": 1, "upper": 3}}
 
     def test_lower_bound_all_scenarios_positive(self, tmp_path):
-        ledgers = ledgers_for(CURVE_423801, 5)
         record = record_for("423801ci1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        bounds = apply_lower_bound(ledgers[MAIN], scenario)
-        assert bounds == {2: 1, 4: 3}
-        assert all(v >= 1 for v in bounds.values())
+        cert = analyze(CURVE_423801, 5, record=record, label="423801ci1")
+        lower = {int(d): b["lower"] for d, b in cert["bounds"].items()}
+        assert lower == {2: 1, 4: 3}
+        assert all(v >= 1 for v in lower.values())
 
     def test_lower_bound_zero_clamped(self, tmp_path):
-        ledgers = ledgers_for(CurveModel(0, 0, 1, -1, 0), 5)  # 37a1
         record = record_for("37a1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        assert scenario.possible_dims == (1,)
-        assert apply_lower_bound(ledgers[MAIN], scenario) == {1: 0}
+        cert = analyze(CurveModel(0, 0, 1, -1, 0), 5, record=record, label="37a1")
+        assert cert["selmer"]["possible_dims"] == [1]
+        assert {int(d): b["lower"] for d, b in cert["bounds"].items()} == {1: 0}
 
     def test_upper_bound_featured(self, tmp_path):
-        ledgers = ledgers_for(CURVE_423801, 5)
         record = record_for("423801ci1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        t = compute_t_set(CURVE_423801, 5)
-        bounds, equality = apply_upper_bound(ledgers[MAIN_CONV], scenario, t)
-        assert bounds == {2: 2, 4: 4}
-        assert equality  # T empty: rank Hom equals the unramified subgroup rank
+        cert = analyze(CURVE_423801, 5, record=record, label="423801ci1")
+        assert {int(d): b["upper"] for d, b in cert["bounds"].items()} == {2: 2, 4: 4}
+        assert cert["equality_note"]  # T empty: rank Hom equals the unramified subgroup rank
 
     def test_upper_bound_with_t_member(self, tmp_path):
-        ledgers = ledgers_for(CURVE_1058D1, 5)
         record = record_for("1058d1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        t = compute_t_set(CURVE_1058D1, 5)
-        bounds, equality = apply_upper_bound(ledgers[MAIN_CONV], scenario, t)
-        assert t.members == frozenset({2})
-        assert bounds == {2: 3}
-        assert not equality
+        cert = analyze(CURVE_1058D1, 5, record=record, label="1058d1")
+        assert cert["t_set"]["members"] == [2]
+        assert {int(d): b["upper"] for d, b in cert["bounds"].items()} == {2: 3}
+        assert not cert["equality_note"]
 
-    def test_not_applicable_raises(self, tmp_path):
-        ledgers = ledgers_for(CURVE_11A1, 5)
-        record = record_for("11a1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, False)
-        with pytest.raises(LedgerNotApplicable):
-            apply_lower_bound(ledgers[MAIN], scenario)
-        with pytest.raises(LedgerNotApplicable):
-            apply_upper_bound(ledgers[MAIN_CONV], scenario, compute_t_set(CURVE_11A1, 5))
+    def test_no_bound_without_an_applicable_ledger(self, tmp_path):
+        """The certificate is one-sided: a bound appears exactly for a Selmer
+        scenario under an applicable Main ledger, each side by its formula,
+        and the Corollary is answered only under Main."""
+        seen = {"main": 0, "no main": 0, "no scenario": 0}
+        for label in sorted(f.stem for f in packaged_fixtures_dir().glob("*.txt")):
+            record = record_for(label, tmp_path)
+            model = CurveModel(*record.ainvs)
+            disc = compute_invariants(minimal_model(model)).disc
+            for p in (3, 5, 7, 11, 13):
+                if disc % p == 0:
+                    continue
+                for sha_finite in (True, False):
+                    for wild in (True, False):
+                        cert = analyze(
+                            model,
+                            p,
+                            record=record,
+                            assume_wild_ramification=wild,
+                            assume_sha_finite=sha_finite,
+                            label=label,
+                        )
+                        main = cert["ledgers"][MAIN]["applicable"]
+                        conv = cert["ledgers"][MAIN_CONV]["applicable"]
+                        if cert["selmer"] is None:
+                            seen["no scenario"] += 1
+                        else:
+                            seen["main" if main else "no main"] += 1
+                        emitted = cert["selmer"] is not None and main
+                        assert (cert["bounds"] is not None) == emitted, (label, p)
+                        if not main:
+                            assert cert["unramified_extension_exists"] == "Unknown"
+                        if not emitted:
+                            continue
+                        t = cert["t_set"]
+                        size = len(t["members"]) + len(t["provisional_members"])
+                        for d in cert["selmer"]["possible_dims"]:
+                            bound = cert["bounds"][str(d)]
+                            assert bound["lower"] == max(0, d - 1)
+                            assert bound["upper"] == (d + size if conv else None)
+                            assert bound["upper"] is None or bound["lower"] <= bound["upper"]
+        assert seen == {"main": 102, "no main": 10, "no scenario": 16}
 
 
 class TestCorollary:
     def test_yes_by_sha_rank(self, tmp_path):
-        ledgers = ledgers_for(CURVE_1058D1, 5)
         record = record_for("1058d1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        assert apply_corollary(ledgers[MAIN], record, scenario) == "Yes"
+        assert apply_corollary(record, 5) == "Yes"
 
     def test_yes_by_mw_rank(self, tmp_path):
-        ledgers = ledgers_for(CURVE_1058C1, 5)
         record = record_for("1058c1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
         assert record.sha_p_rank(5) == 0 and record.mw_rank == 2
-        assert apply_corollary(ledgers[MAIN], record, scenario) == "Yes"
+        assert apply_corollary(record, 5) == "Yes"
 
     def test_unknown_when_no_clause_fires(self, tmp_path):
-        ledgers = ledgers_for(CurveModel(0, 0, 1, -1, 0), 5)  # rank 1, Sha[5]=0
-        record = record_for("37a1", tmp_path)
-        scenario = selmer_rank_scenarios(record, 5, True)
-        assert apply_corollary(ledgers[MAIN], record, scenario) == "Unknown"
+        record = record_for("37a1", tmp_path)  # rank 1, Sha[5]=0
+        assert apply_corollary(record, 5) == "Unknown"
 
 
 class TestCertificates:

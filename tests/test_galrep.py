@@ -282,21 +282,21 @@ class TestWildRamification:
 
     def test_vacuous_when_ap_not_one(self):
         prof = classify_good_prime(CURVE_1058D1, 5)  # a_5 = 2
-        assert wild_ramification_status(prof).status == VACUOUS
+        assert wild_ramification_status(prof) == VACUOUS
 
     def test_vacuous_when_supersingular(self):
         prof = self._profile(5, 0, SUPERSINGULAR)
-        assert wild_ramification_status(prof).status == VACUOUS
+        assert wild_ramification_status(prof) == VACUOUS
 
     def test_cm_case(self):
         prof = dataclasses.replace(self._profile(7, 8), cm_discriminant=-3)  # a_p = 8 = 1 mod 7
-        assert wild_ramification_status(prof).status == CM_CASE
+        assert wild_ramification_status(prof) == CM_CASE
 
     def test_assumed_by_user(self):
         prof = self._profile(7, 8)
         status = wild_ramification_status(prof, assume_wild_ramification=True)
-        assert status.status == ASSUMED_BY_USER
+        assert status == ASSUMED_BY_USER
 
     def test_unknown_without_certificate(self):
         prof = self._profile(7, 8)
-        assert wild_ramification_status(prof).status == UNKNOWN
+        assert wild_ramification_status(prof) == UNKNOWN

@@ -5,6 +5,7 @@ import pytest
 from shaclass.arith import legendre, valuation
 from shaclass.curve import CurveModel, compute_invariants, minimal_model
 from shaclass.errors import InvalidInput
+from shaclass.galrep import a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
@@ -297,3 +298,32 @@ def test_two_isogenous_curves_share_conductor_at_2():
                 tate_algorithm(e, 2).conductor_exponent
                 == tate_algorithm(e_prime, 2).conductor_exponent
             ), (a, b)
+
+
+def test_three_isogenous_curves_share_conductor_at_3_and_traces():
+    """y^2 + a x y + b y = x^3 has the 3-torsion point (0, 0); its quotient
+    is (a, 0, b, -5ab, -a^3 b - 7b^2).  The two curves, and their twists by
+    -1, 3 and -3, share every a_l and the conductor exponent at 3, reached
+    through I0*, I3*, I6*, IV, III* and II* at v = 3."""
+
+    def twist(model, d):
+        inv = compute_invariants(model)
+        return CurveModel(0, 0, 0, -27 * inv.c4 * d * d, -54 * inv.c6 * d**3)
+
+    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    for a in range(-6, 7):
+        for b in range(-12, 13):
+            if b == 0 or a**3 == 27 * b:
+                continue
+            e = CurveModel(a, 0, b, 0, 0)
+            e_prime = CurveModel(a, 0, b, -5 * a * b, -(a**3) * b - 7 * b * b)
+            for d in (1, -1, 3, -3):
+                x, y = (e, e_prime) if d == 1 else (twist(e, d), twist(e_prime, d))
+                assert (
+                    tate_algorithm(x, 3).conductor_exponent
+                    == tate_algorithm(y, 3).conductor_exponent
+                ), (a, b, d)
+                disc = compute_invariants(minimal_model(x)).disc
+                for ell in small_primes:
+                    if disc % ell:
+                        assert a_ell(x, ell) == a_ell(y, ell), (a, b, d, ell)

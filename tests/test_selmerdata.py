@@ -24,7 +24,6 @@ from shaclass.selmerdata import (
     parse_record_text,
     render_record_text,
     selmer_rank_scenarios,
-    user_record,
     valid_label,
     write_cache,
 )
@@ -105,7 +104,9 @@ class TestCache:
 
     def test_cache_serves_after_fixture_removed(self, tmp_path):
         config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path)
-        record = user_record("53a1", (1, -1, 1, 0, 0), 1)
+        record = ExternalCurveRecord(
+            "53a1", (1, -1, 1, 0, 0), 1, (), None, None, provenance=USER_SUPPLIED
+        )
         write_cache(record, config)
         got = fetch_curve_record("53a1", OFFLINE_ONLY, config)
         assert got.mw_rank == 1 and got.provenance == LOCAL_FIXTURE
