@@ -35,11 +35,14 @@ for k in (1, 2, 4, 5):
 # and p = 5 >= 5, so T is empty.
 print()
 for name in ("1058d1", "423801ci1"):
-    t = compute_t_set(EXAMPLES[name], 5)
-    print(f"T({name}, p=5): members = {sorted(t.members)}, provisional = {sorted(t.provisional_members)}")
+    print(f"T({name}, p=5) = {sorted(compute_t_set(EXAMPLES[name], 5))}")
 
-# p = 3 is subtler: additive potentially good primes v >= 5 enter exactly
-# for Kodaira types IV and IV* (tame inertia of order 3).
-t3 = compute_t_set(CurveModel(0, 0, 0, 0, 49), 3)  # IV at 7
-print("T(y^2 = x^3 + 49, p=3):", sorted(t3.members), "(IV at 7 has order-3 inertia)")
+# p = 3 adds additive primes: at every v != 3, v = 2 included, an additive
+# v enters exactly for Kodaira types IV and IV*, whose Neron component
+# group has order 3.  36a1 is IV at 2 (and bad at p = 3 itself, which T
+# never contains), so T(36a1, p = 3) = [2].
+t3 = compute_t_set(EXAMPLES["36a1 (additive at 2, 3)"], 3)
+print("T(36a1, p=3) =", sorted(t3), "(IV at 2)")
+t3 = compute_t_set(CurveModel(0, 0, 0, 0, 49), 3)  # IV at 2 and at 7
+print("T(y^2 = x^3 + 49, p=3) =", sorted(t3), "(IV at 2 and at 7)")
 print("bad primes of that curve:", bad_primes(CurveModel(0, 0, 0, 0, 49)))

@@ -21,7 +21,6 @@ from .curve import (
 )
 from .localred import (
     LocalReductionData,
-    TSet,
     bad_primes,
     compute_t_set,
     local_data,
@@ -70,7 +69,6 @@ __all__ = [
     "parse_curve_spec",
     "trace_of_frobenius",
     "LocalReductionData",
-    "TSet",
     "bad_primes",
     "compute_t_set",
     "local_data",

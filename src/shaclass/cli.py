@@ -2,9 +2,10 @@
 
 Exit codes separate operational failure from mathematical inconclusiveness:
 a certificate full of Unknowns still exits 0; only bad input (2), network
-failure in RemoteFirst mode (3), or a missing fixture in OfflineOnly mode
-(4) are nonzero.  A batch runs its labels in file order, one at a time, and
-exits with the code of its first failing label, or 0 if none failed.
+failure in RemoteFirst mode (3), a missing fixture in OfflineOnly mode
+(4), or a valid curve beyond a capacity limit (5) are nonzero.  A batch
+runs its labels in file order, one at a time, and exits with the code of
+its first failing label, or 0 if none failed.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from .cohom import central_scalar_shortcut, close_group, cohomology
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
 from .errors import (
+    FactorizationTooHard,
     InvalidInput,
     NetworkError,
     NotFound,
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NETWORK = 3
 EXIT_FIXTURE_MISSING = 4
+EXIT_CAPACITY = 5
 
 
 def _build_parser():
@@ -232,6 +235,8 @@ def _exit_code(err, args):
         return EXIT_FIXTURE_MISSING if offline else EXIT_INVALID_INPUT
     if isinstance(err, NetworkError):
         return EXIT_NETWORK
+    if isinstance(err, FactorizationTooHard):
+        return EXIT_CAPACITY
     return EXIT_INVALID_INPUT
 
 

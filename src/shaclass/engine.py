@@ -176,11 +176,6 @@ def analyze(
         assumptions.append("wild ramification at p assumed by user flag")
     if assume_sha_finite:
         assumptions.append("Sha[p^infinity] assumed finite (even Sha[p]-rank)")
-    if t_set.provisional_members:
-        notes.append(
-            "provisional T members counted in the upper bound: "
-            f"{sorted(t_set.provisional_members)} (p = 3 additive cases not decided)"
-        )
     if scenario is not None:
         notes.extend(scenario.notes)
 
@@ -193,9 +188,8 @@ def analyze(
         lower = {d: max(0, d - 1) for d in scenario.possible_dims}
         corollary_answer = apply_corollary(record, p, assume_sha_finite)
     if scenario is not None and ledgers[MAIN_CONV]["applicable"]:
-        size = t_set.size_for_bound()  # provisional members counted
-        upper = {d: d + size for d in scenario.possible_dims}
-        equality = not t_set.members and not t_set.provisional_members
+        upper = {d: d + len(t_set) for d in scenario.possible_dims}
+        equality = not t_set
     if lower is not None and upper is not None:
         for d in lower:
             assert lower[d] <= upper[d]
@@ -224,8 +218,8 @@ def analyze(
         },
         "tamagawa_unit_check": {str(q): v for q, v in sorted(tmap.items())},
         "t_set": {
-            "members": sorted(t_set.members),
-            "provisional_members": sorted(t_set.provisional_members),
+            "members": sorted(t_set),
+            "provisional_members": [],
         },
         "selmer": None
         if scenario is None
@@ -280,10 +274,7 @@ def certificate_to_text(doc):
             f" v(disc) = {d['val_delta_min']}, f = {d['conductor_exponent']}"
         )
     add(f"  Tamagawa unit check: {doc['tamagawa_unit_check']}")
-    add(
-        f"  T = {doc['t_set']['members']}"
-        + (f" plus provisional {doc['t_set']['provisional_members']}" if doc["t_set"]["provisional_members"] else "")
-    )
+    add(f"  T = {doc['t_set']['members']}")
     if doc["selmer"]:
         add(
             f"  Selmer dim scenarios: {doc['selmer']['possible_dims']} "

@@ -8,7 +8,6 @@ search, which sidesteps the usual case analysis at wild primes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 from .arith import (
     count_roots_mod,
@@ -16,7 +15,6 @@ from .arith import (
     is_prime,
     legendre,
     quadratic_roots,
-    rational_factors,
     valuation,
 )
 from .curve import (
@@ -28,7 +26,6 @@ from .curve import (
     translate,
 )
 from .errors import InvalidInput
-from .galrep import division_polynomial
 
 GOOD = "good"
 SPLIT_MULTIPLICATIVE = "split multiplicative"
@@ -51,22 +48,6 @@ class LocalReductionData:
 
     def is_multiplicative(self):
         return self.reduction_class in MULTIPLICATIVE_CLASSES
-
-
-@dataclass(frozen=True)
-class TSet:
-    """Primes v != p where unramified p-torsion has rank one.
-
-    provisional_members collects p = 3 additive cases that could not be
-    decided; they are counted in upper bounds to stay on the safe side.
-    """
-
-    p: int
-    members: frozenset
-    provisional_members: frozenset
-
-    def size_for_bound(self):
-        return len(self.members) + len(self.provisional_members)
 
 
 def _exact_div(x, q):
@@ -298,62 +279,27 @@ def tamagawa_unit_check(model, p):
     return out
 
 
-def _three_torsion_unramified_certificate(model, v):
-    """Certify E(Q_v^ur)[3] != 0 from a rational root of the 3-division
-    polynomial, or return None when inconclusive.
-
-    A rational root x0 that is v-integral gives a 3-torsion point whose
-    y-coordinate lies in Q_v^ur iff g(x0) = 4x0^3 + b2 x0^2 + 2 b4 x0 + b6
-    is a square there: even valuation, plus (v = 2 only) odd part 1 mod 4.
-    """
-    m = minimal_model(model)
-    b2, b4, b6, _ = b_invariants(*m.ainvs())
-    for poly, _mult in rational_factors(division_polynomial(m, 3)):
-        if len(poly) != 2:
-            continue
-        c0, c1 = poly
-        x0 = Fraction(-c0, c1)
-        if x0.denominator % v == 0:
-            continue  # not v-integral: no 3-torsion in the formal group (v != 3)
-        g = 4 * x0**3 + b2 * x0**2 + 2 * b4 * x0 + b6
-        assert g != 0, "a 3-torsion x-coordinate cannot be 2-torsion"
-        num, den = g.numerator, g.denominator
-        w = valuation(num, v) - valuation(den, v)
-        if w % 2 != 0:
-            continue
-        if v == 2:
-            odd = (num >> valuation(num, 2)) * (den >> valuation(den, 2))
-            if odd % 4 != 1:
-                continue
-        return True
-    return None
-
-
 def compute_t_set(model, p):
-    """The set T of rank-one primes entering the converse upper bound.
+    """The set T of primes v != p where E(Q_v^ur)[p] has rank one.
 
-    Multiplicative v != p belongs iff p does not divide ord_v(q_Tate)
-    (= v(disc_min)).  Additive potentially good primes can enter only for
-    p = 3: decided exactly by the tame inertia order for v >= 5 (rank one
-    precisely for Kodaira types IV and IV*), attempted via the 3-division
-    polynomial at v = 2, and otherwise counted provisionally.  Additive
-    potentially multiplicative primes never enter (the ramified quadratic
-    twist of a Tate curve has no inertia invariants in E[p]).
+    For v != p, E(Q_v^ur)[p] is the p-torsion of the special fibre of the
+    Neron model: the formal group has no p-torsion, and the etale p-torsion
+    of the fibre lifts by Hensel (Serre-Tate 1968, section 1; Bosch-
+    Lutkebohmert-Raynaud, Neron Models, 7.3).  The identity component is
+    G_m (p-rank one) at multiplicative v and G_a (none) at additive v.  So
+    a multiplicative v belongs iff p does not divide v(disc_min), the order
+    of the geometric component group.  An additive v belongs iff p = 3 and
+    the type is IV or IV*, the only additive types whose component group
+    has 3-torsion (Silverman, Advanced Topics, IV.9, Table 4.1).  The rule
+    is the same at every v, v = 2 included.
     """
     members = set()
-    provisional = set()
     for q, data in local_data(model).items():
         if q == p:
             continue
         if data.is_multiplicative():
             if data.val_delta_min % p != 0:
                 members.add(q)
-        elif data.reduction_class == ADDITIVE_POT_GOOD and p == 3:
-            if q >= 5:
-                if data.kodaira in ("IV", "IV*"):
-                    members.add(q)
-            elif _three_torsion_unramified_certificate(model, q):
-                members.add(q)
-            else:
-                provisional.add(q)
-    return TSet(p, frozenset(members), frozenset(provisional))
+        elif p == 3 and data.kodaira in ("IV", "IV*"):
+            members.add(q)
+    return frozenset(members)

@@ -3,9 +3,13 @@
 Everything here is deliberately implemented from different first principles
 than the library code it checks: the tame local classifier uses the
 valuation table and closed-form Tamagawa criteria for p >= 5 (no Tate
-loop), and the cohomology oracles solve the full linear systems over all
-group elements (no generator reduction).
+loop), the unramified 3-torsion test at 2 finds an actual point from a
+rational root of the 3-division polynomial (no Kodaira type), and the
+cohomology oracles solve the full linear systems over all group elements
+(no generator reduction).
 """
+
+from fractions import Fraction
 
 from shaclass.arith import legendre, valuation
 from shaclass.cohom import identity_matrix, mat_mul
@@ -58,6 +62,31 @@ def tame_local_data(model, p):
     if n == 10:
         return ("II*", 1) if k4_at_least(4) else ("I4*", None)
     return f"I{n - 6}*", None
+
+
+def rational_three_torsion_unramified_at_2(model):
+    """True if a rational root of psi_3 gives a point of E(Q_2^ur)[3].
+
+    psi_3 = 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8.  A root x0 gives the
+    points with (2y + a1 x0 + a3)^2 = g(x0) = 4x0^3 + b2 x0^2 + 2 b4 x0 + b6,
+    which lie in Q_2^ur iff g(x0) is a square there: even valuation and
+    odd part 1 mod 4.  False means no rational root does this, which does
+    not rule out a point from an irrational root.
+    """
+    from sympy import Poly, symbols
+
+    a1, a2, a3, a4, a6 = model.ainvs()
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    psi3 = Poly([3, b2, 3 * b4, 3 * b6, b8], symbols("x"))
+    for root in psi3.ground_roots():
+        x0 = Fraction(int(root.p), int(root.q))
+        g = 4 * x0**3 + b2 * x0**2 + 2 * b4 * x0 + b6
+        square_class = g.numerator * g.denominator  # same square class as g
+        w = valuation(square_class, 2)
+        if w % 2 == 0 and (square_class >> w) % 4 == 1:
+            return True
+    return False
 
 
 def brute_h0(group):

@@ -8,6 +8,7 @@ import pytest
 
 import shaclass
 from shaclass.cli import (
+    EXIT_CAPACITY,
     EXIT_FIXTURE_MISSING,
     EXIT_INVALID_INPUT,
     EXIT_NETWORK,
@@ -203,6 +204,44 @@ class TestAnalyze:
         )
         assert "SurjectiveCertified" in proc.stdout
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+    def test_p3_t_set_at_2_by_kodaira_type(self, capsys):
+        # 56a1 is I1* at 2, which has no 3-torsion in its component group,
+        # so T = [7] (nonsplit I1) and the upper bound is d + 1
+        flags = ("-p", "3", "--mw-rank", "0", "--sha-order", "1", "--offline")
+        code, out, _ = run(capsys, "analyze", "--curve", "0,0,0,1,2", *flags)
+        assert code == EXIT_OK
+        assert "  T = [7]\n" in out
+        assert "Selmer dim 0: 0 <= dim Hom <= 1\n" in out
+        assert "provisional" not in out
+        # I0* at 2 and I1* at 7: T is empty and the bound is an equality
+        code, out, _ = run(capsys, "analyze", "--curve", "0,0,0,49,686", *flags)
+        assert code == EXIT_OK
+        assert "  T = []\n" in out
+        assert "Selmer dim 0: 0 <= dim Hom <= 0\n" in out
+        assert "  T empty: dim Hom_G equals" in out
+
+    def test_factorization_too_hard_is_a_capacity_limit(self, capsys, tmp_path):
+        # a valid curve whose discriminant leaves a composite cofactor above
+        # 2^128 after trial division: exit 5, on its own and as a batch label
+        ainvs = f"0,0,0,{10**45 + 1},{10**69 + 3}"
+        code, out, err = run(capsys, "analyze", "--curve", ainvs, "-p", "5", "--offline")
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("error: cofactor ") and "exceeds 2^128" in err
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "99a1.txt").write_text(
+            f"label = 99a1\nainvs = {ainvs}\nmw_rank = 0\ntorsion_structure = \n"
+            "sha_order = 1\nsha_structure = \n"
+        )
+        batch = tmp_path / "labels.txt"
+        batch.write_text("99a1\n")
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(batch), "-p", "5", "--offline",
+            "--fixtures", str(fixtures),
+        )
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("error: 99a1: cofactor ")
 
     @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5"])
     def test_bad_sha_structure_is_invalid_input(self, capsys, structure):

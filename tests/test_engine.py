@@ -1,9 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import shaclass
 from conftest import DATA_DIR
 from shaclass.curve import (
     CurveModel,
@@ -184,8 +189,8 @@ class TestBounds:
                             assert cert["unramified_extension_exists"] == "Unknown"
                         if not emitted:
                             continue
-                        t = cert["t_set"]
-                        size = len(t["members"]) + len(t["provisional_members"])
+                        assert cert["t_set"]["provisional_members"] == []
+                        size = len(cert["t_set"]["members"])
                         for d in cert["selmer"]["possible_dims"]:
                             bound = cert["bounds"][str(d)]
                             assert bound["lower"] == max(0, d - 1)
@@ -228,7 +233,7 @@ class TestCertificates:
         assert {d: b["lower"] for d, b in cert["bounds"].items()} == {"2": 1, "4": 3}
         assert {d: b["upper"] for d, b in cert["bounds"].items()} == {"2": 2, "4": 4}
         assert cert["equality_note"]
-        assert cert["t_set"]["members"] == [] and cert["t_set"]["provisional_members"] == []
+        assert cert["t_set"] == {"members": [], "provisional_members": []}
 
     def test_bounds_conditional_order(self, tmp_path):
         record = record_for("423801ci1", tmp_path)
@@ -263,6 +268,23 @@ class TestCertificates:
         for q, d in doc["local_data"].items():
             assert f"v = {q}: {d['kodaira']}" in text
         assert doc["unramified_extension_exists"] in text
+
+    def test_p3_t_set_imports_no_sympy(self):
+        # y^2 = x^3 - 2x + 3 is II at 2 and I1 at 211, non-CM, and its image
+        # at p = 3 is certified surjective by the scan: T comes from the
+        # Kodaira types alone
+        code = (
+            "import sys; from shaclass import CurveModel; "
+            "from shaclass.engine import analyze; "
+            "cert = analyze(CurveModel(0, 0, 0, -2, 3), 3); "
+            "print(cert['local_data']['2']['kodaira'], cert['t_set'], 'sympy' in sys.modules)"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.strip() == "II {'members': [211], 'provisional_members': []} False"
 
     def test_no_bounds_when_inapplicable(self, tmp_path):
         record = record_for("11a1", tmp_path)

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from shaclass.arith import legendre, valuation
 from shaclass.curve import CurveModel, compute_invariants, minimal_model
-from shaclass.errors import InvalidInput
+from shaclass.errors import InvalidInput, SingularModel
 from shaclass.galrep import a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
@@ -18,7 +20,7 @@ from shaclass.localred import (
     tate_algorithm,
 )
 
-from oracles import tame_local_data
+from oracles import rational_three_torsion_unramified_at_2, tame_local_data
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_423801 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
@@ -182,31 +184,42 @@ def test_invalid_prime():
         tate_algorithm(CURVE_1058D1, 6)
 
 
+# corpus curves whose type at 2 (II, III, I0*, I1* or I3*) has a component
+# group without 3-torsion, so 2 is not in T at p = 3
+P3_NOT_IN_T_AT_2 = {
+    "32a1": (0, 0, 0, 4, 0),
+    "56a1": (0, 0, 0, 1, 2),
+    "88a1": (0, 0, 0, -4, 4),
+    "syn_i0star_13": (0, 0, 0, 169, 0),
+    "syn_i0star_7": (0, 0, 0, 49, 0),
+    "syn_i1star_13": (0, 0, 0, 169, 6591),
+    "syn_i1star_7": (0, 0, 0, 49, 686),
+    "syn_i2star_7": (0, 0, 0, 49, 10290),
+    "syn_iii_7": (0, 0, 0, 7, 0),
+    "syn_iiistar_7": (0, 0, 0, 343, 0),
+}
+
+
 class TestTSet:
     def test_featured_empty(self):
-        t = compute_t_set(CURVE_423801, 5)
-        assert t.members == frozenset() and t.provisional_members == frozenset()
-        assert t.size_for_bound() == 0
+        assert compute_t_set(CURVE_423801, 5) == frozenset()
 
     def test_1058d1_multiplicative_member(self):
         # v = 2 is multiplicative with v(disc) = 7, and 5 does not divide 7
-        t = compute_t_set(CURVE_1058D1, 5)
-        assert t.members == frozenset({2})
-        assert t.provisional_members == frozenset()
+        assert compute_t_set(CURVE_1058D1, 5) == frozenset({2})
 
     def test_p_divides_ordv_excluded(self):
         # y^2 + xy = x^3 + 32: split I5 at v = 2, so ord_v(q) = 5 and the
         # rank-two case applies at p = 5; members come from the I1/I2 primes
         model = CurveModel(1, 0, 0, 0, 32)
         t = compute_t_set(model, 5)
-        assert 2 not in t.members
-        assert t.members == frozenset({7, 79})
+        assert 2 not in t
+        assert t == frozenset({7, 79})
 
     def test_small_multiplicative_included(self):
         # split I1 at v = 11 with p = 5: included
         model = CurveModel(1, 0, 0, 0, 11)
-        t = compute_t_set(model, 5)
-        assert t.members == frozenset({7, 11, 97})
+        assert compute_t_set(model, 5) == frozenset({7, 11, 97})
 
     def test_never_contains_p_or_good_primes(self, tate_corpus):
         for entry in tate_corpus.values():
@@ -214,25 +227,25 @@ class TestTSet:
             bad = set(bad_primes(model))
             for p in (3, 5):
                 t = compute_t_set(model, p)
-                union = t.members | t.provisional_members
-                assert p not in union
-                assert union <= bad
+                assert p not in t
+                assert t <= bad
 
     def test_p3_additive_kodaira_rule(self):
         # IV at 7 enters T for p = 3 (tame inertia of order 3); I0* does not
-        t_iv = compute_t_set(CurveModel(0, 0, 0, 0, 49), 3)
-        assert 7 in t_iv.members
-        t_i0 = compute_t_set(CurveModel(0, 0, 0, 49, 0), 3)
-        assert 7 not in t_i0.members | t_i0.provisional_members
+        assert 7 in compute_t_set(CurveModel(0, 0, 0, 0, 49), 3)
+        assert 7 not in compute_t_set(CurveModel(0, 0, 0, 49, 0), 3)
         # II at 7 (order 6) stays out as well
-        t_ii = compute_t_set(CurveModel(0, 0, 0, 0, 7), 3)
-        assert 7 not in t_ii.members | t_ii.provisional_members
+        assert 7 not in compute_t_set(CurveModel(0, 0, 0, 0, 7), 3)
 
-    def test_p3_additive_at_2_is_decided_or_provisional(self):
-        # 36a1 is additive at 2 (type IV): for p = 3 it lands in members only
-        # with a certified unramified 3-torsion point, else provisional
-        t = compute_t_set(CurveModel(0, 0, 0, 0, 1), 3)
-        assert 2 in t.members | t.provisional_members
+    def test_p3_additive_at_2_is_decided_by_kodaira_type(self):
+        # 36a1 is IV at 2, whose component group has order 3: 2 is in T
+        model = CurveModel(0, 0, 0, 0, 1)
+        assert tate_algorithm(model, 2).kodaira == "IV"
+        assert 2 in compute_t_set(model, 3)
+        for label, ainvs in P3_NOT_IN_T_AT_2.items():
+            model = CurveModel(*ainvs)
+            assert tate_algorithm(model, 2).kodaira in ("II", "III", "I0*", "I1*", "I3*"), label
+            assert 2 not in compute_t_set(model, 3), label
 
     def test_p3_additive_at_2_certified_by_psi3_root(self):
         # 20a1 has good reduction at 3 and is additive, potentially good, at 2.
@@ -247,17 +260,55 @@ class TestTSet:
         assert slope * slope + a1 * slope - a2 - 2 * x0 == x0
         assert compute_invariants(model).disc % 3 != 0
         assert tate_algorithm(model, 2).reduction_class == ADDITIVE_POT_GOOD
-        t = compute_t_set(model, 3)
-        assert 2 in t.members
-        assert not t.provisional_members
+        assert rational_three_torsion_unramified_at_2(model)
+        assert 2 in compute_t_set(model, 3)
+
+    def test_p3_unramified_3_torsion_at_2_oracle_sweep(self):
+        """Every small model with additive potentially good reduction at 2
+        on which the rational-root oracle finds a point of E(Q_2^ur)[3] is
+        of type IV or IV* there, and has 2 in T at p = 3."""
+        models = fired = 0
+        for a1, a2, a3, a4, a6 in product((0, 1), range(-2, 3), (0, 1), range(-6, 7), range(-8, 9)):
+            try:
+                model = CurveModel(a1, a2, a3, a4, a6)
+            except SingularModel:
+                continue
+            data = tate_algorithm(model, 2)
+            if data.reduction_class != ADDITIVE_POT_GOOD:
+                continue
+            models += 1
+            if rational_three_torsion_unramified_at_2(model):
+                fired += 1
+                assert data.kodaira in ("IV", "IV*"), model
+                assert 2 in compute_t_set(model, 3), model
+        assert (models, fired) == (1089, 23)
+
+    def test_p3_twist_unramified_at_2_keeps_type_and_t(self):
+        """A quadratic twist by d = 1 mod 4 is unramified at 2, so E and its
+        twist agree on the Kodaira type at 2 and on whether 2 is in T."""
+        rng = random.Random(12)
+        curves = []
+        while len(curves) < 400:
+            try:
+                model = CurveModel(*(rng.randint(-9, 9) for _ in range(5)))
+            except SingularModel:
+                continue
+            if compute_invariants(minimal_model(model)).disc % 2 == 0:
+                curves.append(model)
+        for model in curves:
+            inv = compute_invariants(model)
+            kodaira = tate_algorithm(model, 2).kodaira
+            in_t = 2 in compute_t_set(model, 3)
+            for d in (5, -3, -7, 13):
+                twist = CurveModel(0, 0, 0, -27 * d * d * inv.c4, -54 * d**3 * inv.c6)
+                assert tate_algorithm(twist, 2).kodaira == kodaira, (model, d)
+                assert (2 in compute_t_set(twist, 3)) == in_t, (model, d)
 
     def test_p5_additive_never_in_t(self, tate_corpus):
         for entry in tate_corpus.values():
             model = CurveModel(*entry["ainvs"])
-            t = compute_t_set(model, 5)
-            for q in t.members:
+            for q in compute_t_set(model, 5):
                 assert tate_algorithm(model, q).is_multiplicative()
-            assert not t.provisional_members
 
 
 def test_local_data_all_primes():
@@ -286,8 +337,10 @@ def test_val_delta_min_on_minimal_model(tate_corpus):
 
 def test_two_isogenous_curves_share_conductor_at_2():
     """y^2 = x^3 + a x^2 + b x and y^2 = x^3 - 2a x^2 + (a^2 - 4b) x are
-    2-isogenous, so their conductors agree; many pairs reach the p = 2
-    double root of the I_n* and IV* steps of Tate's algorithm."""
+    2-isogenous, so their conductors agree, and so does a_l at every good
+    l <= 43; many pairs reach the p = 2 double root of the I_n* and IV*
+    steps of Tate's algorithm."""
+    small_primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
     for a in range(-12, 13):
         for b in range(-40, 41):
             if b == 0 or a * a == 4 * b:
@@ -298,6 +351,10 @@ def test_two_isogenous_curves_share_conductor_at_2():
                 tate_algorithm(e, 2).conductor_exponent
                 == tate_algorithm(e_prime, 2).conductor_exponent
             ), (a, b)
+            disc = compute_invariants(minimal_model(e)).disc
+            for ell in small_primes:
+                if disc % ell:
+                    assert a_ell(e, ell) == a_ell(e_prime, ell), (a, b, ell)
 
 
 def test_three_isogenous_curves_share_conductor_at_3_and_traces():
