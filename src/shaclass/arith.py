@@ -4,12 +4,14 @@ Everything here works on plain Python ints (arbitrary precision).  The
 factorization routine follows a fixed policy: trial division by all primes
 up to 10**6, then Brent's variant of Pollard rho, but only if the remaining
 cofactor is at most 2**128; larger cofactors raise FactorizationTooHard
-instead of stalling.
+instead of stalling.  Trial division reads primes only up to the square
+root of the cofactor, from one table that grows as far as some call needs.
 """
 
-from functools import lru_cache
-from itertools import compress
-from math import gcd
+from bisect import bisect_right
+from fractions import Fraction
+from itertools import compress, islice
+from math import comb, gcd, isqrt, lcm
 
 from .errors import FactorizationTooHard
 
@@ -20,18 +22,39 @@ RHO_CUTOFF = 2**128
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
+# Every prime up to _sieved, in order.  The table grows geometrically,
+# each step sieving only the new segment, so reaching any limit costs about
+# one sieve up to that limit.
+_primes = [2, 3, 5, 7]
+_sieved = 10
 
-@lru_cache(maxsize=None)
+
+def _prime_table(limit):
+    """The shared prime table, extended to hold every prime up to limit.
+
+    Growth at least doubles the sieved range, but stops at
+    TRIAL_DIVISION_BOUND unless limit itself lies beyond it.
+    """
+    global _sieved
+    if limit > _sieved:
+        top = max(limit, min(2 * _sieved, TRIAL_DIVISION_BOUND))
+        _prime_table(isqrt(top))  # the sieving primes; may itself extend the table
+        lo = _sieved + 1
+        flags = bytearray([1]) * (top - lo + 1)
+        for q in _primes:
+            if q * q > top:
+                break
+            start = max(q * q, -(-lo // q) * q) - lo
+            flags[start::q] = bytes(len(range(start, len(flags), q)))
+        _primes.extend(compress(range(lo, top + 1), flags))
+        _sieved = top
+    return _primes
+
+
 def primes_up_to(limit):
     """Primes up to limit (inclusive), as a tuple."""
-    if limit < 2:
-        return ()
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(compress(range(limit + 1), flags))
+    table = _prime_table(limit)
+    return tuple(table[: bisect_right(table, limit)])
 
 
 def _miller_rabin(n, base):
@@ -61,9 +84,56 @@ def is_prime(n):
             return False
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_miller_rabin(n, b) for b in _MR_BASES)
-    import sympy
+    return _miller_rabin(n, 2) and _strong_lucas_probable_prime(n)
 
-    return sympy.isprime(n)
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test with Selfridge's parameters, for odd n > 41 that is
+    not divisible by a prime <= 41; with a strong base-2 test it is BPSW."""
+    if isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(D, n) > 1 and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, P, Q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def rational_factors(coeffs):
@@ -117,7 +187,9 @@ def factor(n):
         raise ValueError("cannot factor 0")
     n = abs(n)
     out = {}
-    for p in primes_up_to(TRIAL_DIVISION_BOUND):
+    bound = min(isqrt(n), TRIAL_DIVISION_BOUND)
+    table = _prime_table(bound)
+    for p in islice(table, bisect_right(table, bound)):
         if p * p > n:
             break
         while n % p == 0:
@@ -165,8 +237,9 @@ def legendre(a, p):
 
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic.  Polynomials are lists of coefficients in ascending
-# degree order.  _zmul and _zsub work over Z, on division polynomials of
-# degree up to (p^2-1)/2 among others; the rest reduce over F_p.
+# degree order.  _zmul, _zsub and _zadd work over Z, on division polynomials
+# of degree up to (p^2-1)/2 among others; the _p helpers reduce over Z/m,
+# dividing only by polynomials whose leading coefficient is a unit mod m.
 # ---------------------------------------------------------------------------
 
 
@@ -187,27 +260,40 @@ def _zsub(f, g):
     return [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
 
 
-def _ptrim(f, p):
-    f = [c % p for c in f]
+def _zadd(f, g):
+    n = max(len(f), len(g))
+    return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
+
+
+def _ptrim(f, m):
+    f = [c % m for c in f]
     while f and f[-1] == 0:
         f.pop()
     return f
 
 
+def _pdivmod(f, g, m):
+    """Quotient and remainder of f by g over Z/m (g nonzero, unit leading coefficient)."""
+    f = _ptrim(f, m)
+    g = _ptrim(g, m)
+    inv = pow(g[-1], -1, m)
+    dg = len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = f[shift + dg] * inv % m
+        if c:
+            q[shift] = c
+            for i in range(dg):  # the top coefficient cancels and is not read again
+                f[shift + i] = (f[shift + i] - c * g[i]) % m
+    r = f[:dg]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def _prem(f, g, p):
     """Remainder of f modulo g over F_p (g nonzero)."""
-    f = _ptrim(f, p)
-    g = _ptrim(g, p)
-    inv = pow(g[-1], -1, p)
-    while len(f) >= len(g):
-        c = f[-1] * inv % p
-        shift = len(f) - len(g)
-        for i, b in enumerate(g):
-            f[i + shift] = (f[i + shift] - c * b) % p
-        f = _ptrim(f, p)
-        if not f:
-            break
-    return f
+    return _pdivmod(f, g, p)[1]
 
 
 def _pgcd(f, g, p):
@@ -220,19 +306,148 @@ def _pgcd(f, g, p):
     return f
 
 
+def _pinvmod(a, h, p):
+    """Inverse of a modulo h over F_p; raises ArithmeticError unless gcd(a, h) = 1."""
+    r0, r1 = _ptrim(h, p), _prem(a, h, p)
+    s0, s1 = [], [1]  # r_i = s_i a mod h
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _ptrim(_zsub(s0, _zmul(q, s1)), p)
+    if len(r0) != 1:
+        raise ArithmeticError("polynomials are not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0]
+
+
+def _ppow(b, e, f, p):
+    """b^e mod f over F_p (f nonzero), by square-and-multiply."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _prem(_zmul(out, b), f, p)
+        b = _prem(_zmul(b, b), f, p)
+        e >>= 1
+    return out
+
+
 def count_roots_mod(f, p):
     """Number of distinct roots of f in F_p: the degree of gcd(f, x^p - x)."""
     f = _ptrim(f, p)
     if not f:
         raise ValueError("zero polynomial")
-    # x^p mod f by square-and-multiply
-    xp, base, e = [1], [0, 1], p
-    while e:
-        if e & 1:
-            xp = _prem(_zmul(xp, base), f, p)
-        base = _prem(_zmul(base, base), f, p)
-        e >>= 1
-    return len(_pgcd(f, _zsub(xp, [0, 1]), p)) - 1
+    return len(_pgcd(f, _zsub(_ppow([0, 1], p, f, p), [0, 1]), p)) - 1
+
+
+def hensel_lifts(f, h, ell):
+    """Lift a monic factor h of the integer polynomial f mod the prime ell.
+
+    h must be coprime mod ell to its cofactor g, and ell must not divide the
+    leading coefficient of f.  Yields (M, H) for M = ell^2, ell^4, ...: H is
+    monic, H = h mod ell, and H divides f mod M.  Each step is a Newton step
+    on H and on s = 1/g mod H, so it works modulo H and costs one division
+    of f by H, not products with the cofactor.
+    """
+    g, r = _pdivmod(f, h, ell)
+    if r:
+        raise ValueError("h does not divide f mod ell")
+    s = _pinvmod(g, h, ell)
+    m = ell
+    while True:
+        m *= m
+        # f = g h + r with r = 0 mod sqrt(m); h + (s r mod h) divides f mod m
+        r = _pdivmod(f, h, m)[1]
+        h = _ptrim(_zadd(h, _pdivmod(_zmul(s, r), h, m)[1]), m)
+        g = _pdivmod(f, h, m)[0]
+        gs = _pdivmod(_zmul(g, s), h, m)[1]
+        s = _pdivmod(_zmul(s, _zsub([2], gs)), h, m)[1]  # 1 - g s is squared
+        yield m, h
+
+
+def rational_reconstruction(c, m, N, D):
+    """The fraction a/b = c mod m with |a| <= N and 0 < b <= D, or None.
+
+    Unique when 2 N D < m (Wang's half extended Euclid).
+    """
+    r0, r1, t0, t1 = m, c % m, 0, 1
+    while r1 > N:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > D or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def exact_quotient(f, g):
+    """f / g in Z[x]; raises ArithmeticError unless g divides f exactly.
+
+    For a primitive g this decides divisibility in Q[x] too (Gauss's lemma).
+    """
+    f = list(f)
+    dg = len(g) - 1
+    q = [0] * max(len(f) - dg, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c, r = divmod(f[shift + dg], g[-1])
+        if r:
+            raise ArithmeticError("quotient is not integral")
+        q[shift] = c
+        for i, b in enumerate(g):
+            f[shift + i] -= c * b
+    if any(f):
+        raise ArithmeticError("nonzero remainder")
+    return q
+
+
+def _root_bound_log2(f):
+    """log2 of a power of two bounding every complex root of f.
+
+    Fujiwara: |z| <= 2 max_i |f_(n-i) / f_n|^(1/i).
+    """
+    n, lead = len(f) - 1, abs(f[-1])
+    log_r = 0
+    for i in range(1, n + 1):
+        ratio = -(-abs(f[n - i]) // lead)  # ceil |f_(n-i) / f_n| < 2^bits
+        log_r = max(log_r, -(-ratio.bit_length() // i))
+    return log_r + 1
+
+
+def lift_rational_factor(f, h, ell):
+    """A primitive factor of f in Z[x] that is h times a unit mod ell, or None.
+
+    f is an integer polynomial, ell a prime not dividing its leading
+    coefficient, and h a monic factor of f mod ell coprime to its cofactor.
+    The coefficients of the Hensel-lifted h are read back by rational
+    reconstruction, and a candidate is kept only if it divides f exactly.
+
+    If f has a factor g over Q that reduces to h, the coefficient of x^i in
+    g / lc(g) is a fraction with denominator dividing lc(f) and numerator at
+    most C(d, i) R^(d-i) |lc(f)|, for d = deg h and R a bound on the roots
+    of f.  Once the modulus exceeds twice that bound times |lc(f)|,
+    reconstruction must return it; a coefficient that fails there proves
+    that no such g exists, which ends the lift early for most h.
+    """
+    lead, d = abs(f[-1]), len(h) - 1
+    r = 1 << _root_bound_log2(f)
+    bounds = [comb(d, i) * r ** (d - i) * lead for i in range(d + 1)]
+    for m, lifted in hensel_lifts(f, h, ell):
+        coeffs = []
+        for c, bound in zip(lifted, bounds):
+            value = rational_reconstruction(c, m, min(bound, (m - 1) // (2 * lead)), lead)
+            if value is None and m > 2 * bound * lead:
+                return None
+            coeffs.append(value)
+        if None in coeffs:
+            continue
+        den = lcm(*(c.denominator for c in coeffs))
+        g = [int(c * den) for c in coeffs]
+        content = gcd(*g)
+        g = [c // content for c in g]
+        try:
+            exact_quotient(f, g)
+            return g
+        except ArithmeticError:
+            if m > 2 * max(bounds) * lead:  # every coefficient was read exactly
+                return None
 
 
 def quadratic_roots(A, B, C, p):

@@ -13,7 +13,8 @@ coefficient lists, lowest degree first.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import _zmul, _zsub, count_roots_mod, legendre, primes_up_to, rational_factors
+from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre
+from .arith import lift_rational_factor, primes_up_to, rational_factors
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
@@ -42,6 +43,9 @@ ASSUMED_BY_USER = "AssumedByUser"
 UNKNOWN = "Unknown"
 
 DEFAULT_SAMPLE_BOUND = 1000
+# good primes scanned before a standing Borel class sends the scan to
+# look for a rational factor of psi_p (at p <= 13)
+SCAN_PREFIX = 10
 
 KERNEL_CHARACTER_NOTE = "omega_p * psi^(-1) on C_p"
 
@@ -109,6 +113,11 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     maximal-subgroup class is ruled out and the determinant witnesses
     generate (Z/p)^x.  At p = 3, where traces never rule out the nonsplit
     Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
+    At p <= 13, if Borel still stands after SCAN_PREFIX good primes, a
+    factor of psi_p over Q from exact_factor ends the scan SmallImageCertified
+    with the witnesses so far.  After a full scan that certifies nothing,
+    sympy's factorization of psi_p is the last resort (Inconclusive when
+    sympy is not installed).
     """
     if sample_bound < 10:
         raise InvalidInput("sample_bound must be at least 10")
@@ -121,6 +130,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
 
     ruled_out = set()
     witnesses = []
+    frobenius = []
     det_values = set()
     det_group = {1}
     det_full = False
@@ -131,6 +141,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             continue
         a = a_ell(m, ell)
         a_mod, d_mod = a % p, ell % p
+        frobenius.append((ell, a_mod, d_mod))
         useful = False
 
         if not det_full and d_mod not in det_group:
@@ -173,20 +184,95 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
+        if (
+            len(frobenius) == SCAN_PREFIX
+            and p <= 13
+            and BOREL not in ruled_out
+            and exact_factor(m, p, frobenius) is not None
+        ):
+            # full image acts transitively on the (p^2-1)/2 x-coordinates of
+            # p-torsion, so a factor of psi_p over Q certifies a proper image
+            return _unsurjective(p, SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
 
     status = INCONCLUSIVE
-    if p <= 13 and not _division_poly_irreducible(m, p):
-        # full image acts transitively on the (p^2-1)/2 x-coordinates of
-        # p-torsion, so a reducible division polynomial certifies a proper image
+    if p <= 13 and _division_poly_reducible(m, p):
         status = SMALL_IMAGE_CERTIFIED
+    return _unsurjective(p, status, witnesses, ruled_out)
+
+
+def _unsurjective(p, status, witnesses, ruled_out):
     missing = [c for c in ALL_CLASSES if c not in ruled_out]
     first = missing[0] if missing else "DetNotWitnessed"
     return ImageCertificate(p, status, tuple(witnesses), frozenset(ruled_out), first)
 
 
-def _division_poly_irreducible(model, p):
-    factors = rational_factors(division_polynomial(model, p))
-    return len(factors) == 1 and factors[0][1] == 1
+def _x_multiple(model, c):
+    """(N, D) with x(cP) = N(x) / D(x) on the curve, for c >= 1.
+
+    phi_c / psi_c^2 with phi_c = x psi_c^2 - psi_(c+1) psi_(c-1), written on
+    f_m = psi_m (m odd) or psi_m / psi_2 (m even) and S = psi_2^2.
+    """
+    if c == 1:
+        return [0, 1], [1]
+    b2, b4, b6, _ = b_invariants(*model.ainvs())
+    S = [b6, 2 * b4, b2, 4]
+    f = {m: list(_division_polynomial(model, m)) for m in (c - 1, c, c + 1)}
+    if c % 2:
+        D, E = _zmul(f[c], f[c]), _zmul(S, f[c + 1], f[c - 1])
+    else:
+        D, E = _zmul(S, f[c], f[c]), _zmul(f[c + 1], f[c - 1])
+    return _zsub(_zmul([0, 1], D), E), D
+
+
+def exact_factor(model, p, frobenius):
+    """A factor of psi_p over Q of degree (p-1)/2, read off from Frobenius data, or None.
+
+    frobenius holds (ell, a_ell mod p, ell mod p) at good primes ell != p.
+    For an eigenvalue lam of Frob_ell on E[p], the roots of psi_p mod ell
+    with x^ell = x(lam P) are the x-coordinates of the points that Frob_ell
+    sends to +-lam P: gcd(psi_p, x^ell D_lam - N_lam) mod ell.  When that
+    has degree (p-1)/2 it is one eigenline, and it is lifted to Q and kept
+    only if it divides psi_p exactly.  If the image lies in a Borel with
+    stable line C, the first prime that gives any eigenline gives C among
+    its one or two, so the search ends at that prime.
+    """
+    psi = _division_polynomial(model, p)
+    half = (p - 1) // 2
+    for ell, a_mod, d_mod in frobenius:
+        # eigenvalues up to sign; lam and -lam have the same x-coordinate map
+        signs = {
+            min(lam, p - lam)
+            for lam in range(1, p)
+            if (lam * lam - a_mod * lam + d_mod) % p == 0
+        }
+        if not signs:
+            continue
+        frob = _ppow([0, 1], ell, psi, ell)  # x^ell mod psi_p
+        candidates = []
+        for c in sorted(signs):
+            N, D = _x_multiple(model, c)
+            line = _pgcd(psi, _zsub(_prem(_zmul(frob, D), psi, ell), N), ell)
+            if len(line) - 1 == half:
+                candidates.append(line)
+            elif half == 1 and len(line) == 3:
+                # p = 3, a_ell = 0 mod 3: the two eigenlines, one root each
+                candidates += [[-x, 1] for x in range(ell) if not _prem(line, [-x, 1], ell)]
+        for h in candidates:
+            factor = lift_rational_factor(psi, h, ell)
+            if factor is not None:
+                return factor
+        if candidates:
+            return None
+    return None
+
+
+def _division_poly_reducible(model, p):
+    """Whether psi_p factors over Q, by sympy; False when sympy is missing."""
+    try:
+        factors = rational_factors(division_polynomial(model, p))
+    except ImportError:
+        return False
+    return len(factors) > 1 or factors[0][1] > 1
 
 
 def division_polynomial(model, m):

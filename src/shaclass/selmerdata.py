@@ -35,6 +35,10 @@ DEFAULT_TIMEOUT = 10.0
 
 _REQUIRED_REMOTE_FIELDS = ("label", "ainvs", "rank", "torsion_structure")
 
+# base URL -> the error behind the first fetch from it that ended in
+# NetworkError; later fetches in the same process fail at once with it
+_unreachable = {}
+
 
 def valid_label(label):
     return bool(CREMONA_LABEL_RE.match(label) or LMFDB_LABEL_RE.match(label))
@@ -193,6 +197,8 @@ def _remote_get(label, config):
     import urllib.request
 
     url = f"{config.base_url.rstrip('/')}/{label}"
+    if config.base_url in _unreachable:
+        raise NetworkError(f"remote fetch failed for {label}: {_unreachable[config.base_url]}")
     last_err = None
     for attempt in range(2):
         if attempt:
@@ -210,6 +216,7 @@ def _remote_get(label, config):
         except ValueError as err:  # urlopen's "unknown url type"
             raise InvalidInput(f"bad base URL {config.base_url!r}: {err}") from err
     else:
+        _unreachable[config.base_url] = last_err
         raise NetworkError(f"remote fetch failed for {label}: {last_err}")
 
     if not isinstance(payload, dict):
@@ -246,7 +253,9 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     OfflineOnly (also forced by SHACLASS_OFFLINE=1) reads committed fixtures
     and the on-disk cache and never opens a connection.  RemoteFirst asks
     the database (one retry with backoff), caches the answer, and falls
-    back to local data when the network is down.
+    back to local data when the network is down.  Once a fetch has failed
+    that way, later RemoteFirst lookups in the same process skip the
+    database at that base URL and go straight to local data.
     """
     if not valid_label(label):
         raise InvalidInput(f"malformed curve label {label!r}")

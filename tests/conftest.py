@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from shaclass import selmerdata
+
 TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR))
 
@@ -25,3 +27,5 @@ def _offline_env(monkeypatch):
     """Tests never touch the network unless they explicitly opt in."""
     monkeypatch.delenv("SHACLASS_OFFLINE", raising=False)
     monkeypatch.delenv("SHACLASS_CACHE_DIR", raising=False)
+    # a network failure seen by one test must not short-cut the next one's fetches
+    monkeypatch.setattr(selmerdata, "_unreachable", {})

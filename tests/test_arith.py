@@ -1,13 +1,25 @@
-import pytest
-from hypothesis import given, strategies as st
+import random
 
+import pytest
+import sympy
+from hypothesis import given, strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
+
+from shaclass import arith
 from shaclass.arith import (
+    RHO_CUTOFF,
+    TRIAL_DIVISION_BOUND,
+    _MR_DETERMINISTIC_BOUND,
+    _strong_lucas_probable_prime,
     count_roots_mod,
+    exact_quotient,
     factor,
     is_prime,
     legendre,
+    lift_rational_factor,
     primes_up_to,
     quadratic_roots,
+    rational_reconstruction,
     valuation,
 )
 from shaclass.errors import FactorizationTooHard
@@ -23,6 +35,134 @@ def test_is_prime_known_values():
         assert not is_prime(n)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # Cole's factorization
+
+
+def test_is_prime_matches_sympy_above_the_deterministic_range():
+    """Above ~3.3e24 is_prime is BPSW; sympy.isprime is the oracle."""
+    bound = _MR_DETERMINISTIC_BOUND
+    # Chernick Carmichael numbers (6k+1)(12k+1)(18k+1) just above the bound
+    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in (13679106, 13679690)]
+    # p (2p - 1) with 2p - 1 = +-1 mod 8: strong base-2 pseudoprimes, which
+    # only the Lucas half of BPSW rejects
+    strong_psp = [p * (2 * p - 1) for p in (1287836183341, 1287836190649, 1287836193229)]
+    for n in strong_psp:
+        assert n > bound and mr(n, [2]) and not sympy.isprime(n)
+    p, q = sympy.nextprime(bound // 10**12), sympy.nextprime(2 * 10**12)
+    semiprimes = [p * q, sympy.nextprime(10**13) * sympy.nextprime(10**13 + 10**6)]
+    mersenne = [2**89 - 1, 2**101 - 1, 2**107 - 1, 2**127 - 1]
+    rng = random.Random(20240613)
+    seeded = [rng.randrange(bound, 2**110) | 1 for _ in range(300)]
+    primes = [sympy.nextprime(bound), sympy.nextprime(10**30), sympy.nextprime(2**100)]
+    squares = [x * x for x in (sympy.nextprime(2 * 10**12), sympy.nextprime(10**15))]
+    cases = carmichael + strong_psp + semiprimes + mersenne + seeded + primes + squares
+    assert all(n > bound for n in cases)
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert sum(map(is_prime, seeded)) > 0  # the seeded sample holds primes too
+
+
+def test_strong_lucas_matches_sympy():
+    small = [n for n in range(43, 60000, 2) if all(n % q for q in primes_up_to(41))]
+    rng = random.Random(7)
+    big = [rng.randrange(10**20, 10**40) | 1 for _ in range(200)]
+    for n in small + [n for n in big if all(n % q for q in primes_up_to(41))]:
+        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+    # 5459 and 5777 are the two smallest strong Lucas pseudoprimes
+    assert _strong_lucas_probable_prime(5459) and _strong_lucas_probable_prime(5777)
+
+
+def _plain_sieve(limit):
+    flags = [True] * (limit + 1)
+    flags[0] = flags[1] = False
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = [False] * len(range(i * i, limit + 1, i))
+    return [i for i, prime in enumerate(flags) if prime]
+
+
+def _reference_factor(n, table):
+    """factor's policy, written plainly: trial division by the whole table of
+    primes up to 10^6, then sympy on a cofactor of at most 2^128."""
+    out = {}
+    for p in table:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if not sympy.isprime(n) and n > RHO_CUTOFF:
+            return "too hard"
+        for q, e in sympy.factorint(n).items():
+            out[q] = out.get(q, 0) + e
+    return out
+
+
+def test_factor_matches_plain_trial_division(monkeypatch):
+    """The trial-division table grows from scratch in both orders of n."""
+    table = _plain_sieve(TRIAL_DIVISION_BOUND)
+    near = [999953, 999959, 999961, 999979, 999983, 1000003, 1000033]
+    rng = random.Random(11)
+    cases = [p * q for p in near for q in near]  # cofactors just around 10^12
+    cases += [10**12 + k for k in range(-6, 7)]
+    cases += [rng.randrange(2, 10 ** rng.randrange(2, 16)) for _ in range(60)]
+    cases += [2**64 * 999983, 3**5 * 7 * 1000003**2, (2**89 - 1) * 999983]
+    cases += [(2**89 - 1) * (2**107 - 1)]  # beyond the rho cutoff
+    for order in (sorted(cases), sorted(cases, reverse=True)):
+        monkeypatch.setattr(arith, "_primes", [2, 3, 5, 7])
+        monkeypatch.setattr(arith, "_sieved", 10)
+        for n in order:
+            try:
+                got = factor(n)
+            except FactorizationTooHard:
+                got = "too hard"
+            assert got == _reference_factor(n, table), n
+        assert arith._primes == table[: len(arith._primes)]
+        assert arith._sieved <= TRIAL_DIVISION_BOUND
+
+
+def test_prime_table_grows_geometrically(monkeypatch):
+    monkeypatch.setattr(arith, "_primes", [2, 3, 5, 7])
+    monkeypatch.setattr(arith, "_sieved", 10)
+    assert primes_up_to(11) == (2, 3, 5, 7, 11)
+    assert arith._sieved == 20  # doubled, not stopped at 11
+    factor(1009 * 1013)  # trial division needs primes up to isqrt(n) = 1010 only
+    assert arith._sieved == 1010
+    assert list(primes_up_to(2 * 10**6)) == _plain_sieve(2 * 10**6)
+
+
+def test_rational_reconstruction():
+    m = 10007**4
+    for a, b in ((3, 7), (-5, 13), (12345, 1), (0, 1)):
+        c = a * pow(b, -1, m) % m
+        assert rational_reconstruction(c, m, 10**6, 13) == sympy.Rational(a, b)
+    assert rational_reconstruction(3 * pow(7, -1, m) % m, m, 10**6, 5) is None
+
+
+def _monic_mod(g, ell):
+    inv = pow(g[-1], -1, ell)
+    return [c * inv % ell for c in g]
+
+
+def test_lift_rational_factor_finds_each_factor():
+    x = sympy.Symbol("x")
+    product = sympy.Poly((2 * x - 3) * (x**2 + 5) * (3 * x**3 - x + 7), x)
+    f = [int(c) for c in product.all_coeffs()[::-1]]
+    ell = 23  # roots mod 23: 13 of 2x - 3, 8 and 15 of x^2 + 5, 9 of the cubic
+    for g in ([-3, 2], [5, 0, 1], [7, -1, 0, 3]):
+        assert lift_rational_factor(f, _monic_mod(g, ell), ell) == g
+    # factors mod 23 that come from no factor over Q
+    assert lift_rational_factor(f, [-8 % ell, 1], ell) is None
+    x13_x9 = _monic_mod([13 * 9, -22, 1], ell)  # (x - 13)(x - 9)
+    assert lift_rational_factor(f, x13_x9, ell) is None
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    assert exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ArithmeticError):
+        exact_quotient([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        exact_quotient([1, 0, 1], [0, 2])  # x^2 + 1 over 2x: not integral
 
 
 @given(st.integers(min_value=2, max_value=10**9))

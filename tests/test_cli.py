@@ -205,6 +205,59 @@ class TestAnalyze:
         assert "SurjectiveCertified" in proc.stdout
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
+    def test_fixture_runs_import_no_sympy(self):
+        # every packaged fixture at each good p in {3, 5, 7}, the reducible
+        # images of 11a1 at 5 and 1058c1 at 3 included
+        code = (
+            "import contextlib, io, sys\n"
+            "from shaclass.cli import main\n"
+            "from shaclass.selmerdata import packaged_fixtures_dir\n"
+            "for path in sorted(packaged_fixtures_dir().glob('*.txt')):\n"
+            "    for p in (3, 5, 7):\n"
+            "        out, err = io.StringIO(), io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "            argv = ['analyze', '--label', path.stem, '-p', str(p), '--offline']\n"
+            "            code = main(argv)\n"
+            "        status = [l for l in out.getvalue().splitlines() if 'mod-p image' in l]\n"
+            "        print(path.stem, p, code, *status)\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        *runs, sympy_loaded = proc.stdout.splitlines()
+        assert sympy_loaded == "False"
+        good = [r for r in runs if r.split()[2] == str(EXIT_OK)]
+        # 423801ci1 has bad reduction at 3 and 7
+        assert len(runs) == 21 and len(good) == 19
+        assert "11a1 5 0   mod-p image: SmallImageCertified" in runs
+        assert "1058c1 3 0   mod-p image: SmallImageCertified" in runs
+
+    def test_refused_batch_sleeps_once(self, capsys, monkeypatch, tmp_path):
+        import urllib.error
+
+        fetches, sleeps = [], []
+
+        def refuse(url, timeout):
+            fetches.append(url)
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        batch = tmp_path / "labels.txt"
+        batch.write_text("11a1\n37a1\n389a1\n")
+        argv = ("analyze", "--batch", str(batch), "-p", "5", "--format", "json",
+                "--cache-dir", str(tmp_path / "cache"))
+        code, remote, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        # the first label tries twice with one backoff; the others go
+        # straight to the packaged fixtures
+        assert len(fetches) == 2 and sleeps == [1.0]
+        code, offline, _ = run(capsys, *argv, "--offline")
+        assert code == EXIT_OK and remote == offline
+
     def test_p3_t_set_at_2_by_kodaira_type(self, capsys):
         # 56a1 is I1* at 2, which has no 3-torsion in its component group,
         # so T = [7] (nonsplit I1) and the upper bound is d + 1

@@ -1,8 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import shaclass
 
 from conftest import DATA_DIR
 from oracles import duplication_fixed_x_count
@@ -27,9 +35,11 @@ from shaclass.galrep import (
     UNKNOWN,
     VACUOUS,
     NONSPLIT_CARTAN_NORMALIZER,
+    SCAN_PREFIX,
     a_ell,
     certify_image,
     division_polynomial,
+    exact_factor,
     ordinary_shape,
     wild_ramification_status,
 )
@@ -205,6 +215,151 @@ class TestCertifyImage:
         # exceptional class at p = 3
         cert = certify_image(CurveModel(0, 0, 1, -1, 0), 3, 1000)
         assert cert.status == SURJECTIVE_CERTIFIED
+
+
+# the corpus jobs whose mod-p image is reducible (not CM), with p
+REDUCIBLE_JOBS = (
+    ("11a1", 5), ("11a2", 5), ("11a3", 5),
+    ("14a1", 3), ("19a1", 3), ("37b1", 3), ("1058c1", 3),
+)
+
+
+def _sympy_psi(model, p):
+    return sympy.Poly(division_polynomial(model, p)[::-1], sympy.Symbol("x"))
+
+
+def _psi_reducible_by_sympy(model, p):
+    factors = _sympy_psi(model, p).factor_list()[1]
+    return len(factors) > 1 or factors[0][1] > 1
+
+
+def _frobenius_prefix(model, p):
+    """(ell, a_ell mod p, ell mod p) at the first SCAN_PREFIX good primes ell != p."""
+    m = minimal_model(model)
+    disc = compute_invariants(m).disc
+    good = [ell for ell in primes_up_to(200) if ell != p and disc % ell][:SCAN_PREFIX]
+    return m, [(ell, a_ell(m, ell) % p, ell % p) for ell in good]
+
+
+def _curve_with_j(j, d):
+    """y^2 = x^3 - 3 j (j - 1728) d^2 x - 2 j (j - 1728)^2 d^3, scaled to integers:
+    a twist by d of a curve with j-invariant j (j != 0, 1728)."""
+    a4, a6 = -3 * j * (j - 1728) * d * d, -2 * j * (j - 1728) ** 2 * d**3
+    u = a4.denominator * a6.denominator
+    return CurveModel(0, 0, 0, int(a4 * u**4), int(a6 * u**6))
+
+
+# X_0(p) for p = 3, 5, 7: j(t) of a curve with a rational p-isogeny
+_X0_J = {
+    3: lambda t: (t + 27) * (t + 3) ** 3 / t,
+    5: lambda t: (t * t + 10 * t + 5) ** 3 / t,
+    7: lambda t: (t * t + 13 * t + 49) * (t * t + 5 * t + 1) ** 3 / t,
+}
+
+
+@st.composite
+def small_curves(draw):
+    """(model, p): a small non-CM curve, good at p in {3, 5, 7}; half of them
+    twists of curves on X_0(p), whose image is reducible."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    if draw(st.booleans()):
+        t = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 4)))
+        j = _X0_J[p](t)
+        if j in (0, 1728):
+            j = Fraction(_X0_J[p](Fraction(11)))
+        model = _curve_with_j(j, draw(st.sampled_from((1, -1, 2, -3, 5))))
+    else:
+        ainvs = [draw(st.integers(-1, 1)), draw(st.integers(-2, 2)), draw(st.integers(-1, 1)),
+                 draw(st.integers(-30, 30)), draw(st.integers(-60, 60))]
+        try:
+            model = CurveModel(*ainvs)
+        except Exception:
+            model = CURVE_11A1
+    inv = compute_invariants(minimal_model(model))
+    if inv.disc % p == 0 or inv.j in CM_J:
+        model, p = CURVE_11A1, 5
+    return model, p
+
+
+class TestExactFactor:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_curves())
+    def test_small_image_exactly_when_psi_reducible(self, case):
+        """SmallImageCertified iff the scan leaves surjectivity open and
+        sympy (the oracle) factors psi_p; a returned factor divides psi_p."""
+        model, p = case
+        cert = certify_image(model, p)
+        reducible = _psi_reducible_by_sympy(model, p)
+        if cert.status == SURJECTIVE_CERTIFIED:
+            assert not reducible
+        assert (cert.status == SMALL_IMAGE_CERTIFIED) == (
+            cert.status != SURJECTIVE_CERTIFIED and reducible
+        )
+        m, frobenius = _frobenius_prefix(model, p)
+        factor = exact_factor(m, p, frobenius)
+        if factor is not None:
+            assert len(factor) - 1 == (p - 1) // 2
+            divisor = sympy.Poly(factor[::-1], sympy.Symbol("x"))
+            quotient, remainder = sympy.div(_sympy_psi(m, p), divisor)
+            assert remainder.is_zero and quotient.degree() > 0
+
+    def test_x0_curves_are_found_by_the_exact_factor(self):
+        found = 0
+        for p, j_of in _X0_J.items():
+            for t in (-4, -2, 2, 3, 5):
+                for d in (1, -1, 2):
+                    model = minimal_model(_curve_with_j(j_of(Fraction(t)), d))
+                    if compute_invariants(model).disc % p == 0:
+                        continue
+                    m, frobenius = _frobenius_prefix(model, p)
+                    factor = exact_factor(m, p, frobenius)
+                    assert factor is not None, (p, t, d)
+                    found += 1
+        assert found >= 20
+
+    def test_surjective_curve_has_no_exact_factor(self):
+        m, frobenius = _frobenius_prefix(CURVE_1058D1, 5)
+        assert exact_factor(m, 5, frobenius) is None
+
+    @pytest.mark.parametrize("label, p", REDUCIBLE_JOBS)
+    def test_reducible_corpus_jobs_scan_only_the_prefix(self, label, p, corpus_models, monkeypatch):
+        calls = []
+
+        def counted(model, ell):
+            calls.append(ell)
+            return a_ell(model, ell)
+
+        def no_fallback(model, p):
+            raise AssertionError("the sympy fallback was reached")
+
+        monkeypatch.setattr("shaclass.galrep.a_ell", counted)
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", no_fallback)
+        cert = certify_image(CurveModel(*corpus_models[label]), p)
+        assert cert.status == SMALL_IMAGE_CERTIFIED
+        assert cert.first_unruled == "Borel"
+        assert len(calls) <= SCAN_PREFIX
+
+    def test_fallback_without_sympy_is_inconclusive(self):
+        """With the exact-factor search turned off, 11a1 at 5 reaches the
+        sympy fallback: SmallImageCertified with sympy, Inconclusive without."""
+        code = (
+            "import sys\n"
+            "if sys.argv[1] == 'missing':\n"
+            "    sys.modules['sympy'] = None\n"
+            "from shaclass import galrep\n"
+            "from shaclass.curve import CurveModel\n"
+            "galrep.exact_factor = lambda *args: None\n"
+            "print(galrep.certify_image(CurveModel(0, -1, 1, -10, -20), 5).status)\n"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        status = {}
+        for mode in ("present", "missing"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, mode], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            status[mode] = proc.stdout.strip()
+        assert status == {"present": SMALL_IMAGE_CERTIFIED, "missing": INCONCLUSIVE}
 
 
 class TestDivisionPolynomials:
