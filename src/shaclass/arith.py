@@ -5,12 +5,12 @@ factorization routine follows a fixed policy: trial division by all primes
 up to 10**6, then Brent's variant of Pollard rho, but only if the remaining
 cofactor is at most 2**128; larger cofactors raise FactorizationTooHard
 instead of stalling.  Trial division reads primes only up to the square
-root of the cofactor, from one table that grows as far as some call needs.
+root of n.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress, islice
+from functools import lru_cache
+from itertools import compress
 from math import comb, gcd, isqrt, lcm
 
 from .errors import FactorizationTooHard
@@ -22,39 +22,18 @@ RHO_CUTOFF = 2**128
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
-# Every prime up to _sieved, in order.  The table grows geometrically,
-# each step sieving only the new segment, so reaching any limit costs about
-# one sieve up to that limit.
-_primes = [2, 3, 5, 7]
-_sieved = 10
 
-
-def _prime_table(limit):
-    """The shared prime table, extended to hold every prime up to limit.
-
-    Growth at least doubles the sieved range, but stops at
-    TRIAL_DIVISION_BOUND unless limit itself lies beyond it.
-    """
-    global _sieved
-    if limit > _sieved:
-        top = max(limit, min(2 * _sieved, TRIAL_DIVISION_BOUND))
-        _prime_table(isqrt(top))  # the sieving primes; may itself extend the table
-        lo = _sieved + 1
-        flags = bytearray([1]) * (top - lo + 1)
-        for q in _primes:
-            if q * q > top:
-                break
-            start = max(q * q, -(-lo // q) * q) - lo
-            flags[start::q] = bytes(len(range(start, len(flags), q)))
-        _primes.extend(compress(range(lo, top + 1), flags))
-        _sieved = top
-    return _primes
-
-
+@lru_cache(maxsize=None)
 def primes_up_to(limit):
     """Primes up to limit (inclusive), as a tuple."""
-    table = _prime_table(limit)
-    return tuple(table[: bisect_right(table, limit)])
+    if limit < 2:
+        return ()
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return tuple(compress(range(limit + 1), flags))
 
 
 def _miller_rabin(n, base):
@@ -84,56 +63,9 @@ def is_prime(n):
             return False
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_miller_rabin(n, b) for b in _MR_BASES)
-    return _miller_rabin(n, 2) and _strong_lucas_probable_prime(n)
+    import sympy
 
-
-def _jacobi(a, n):
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n):
-    """Strong Lucas test with Selfridge's parameters, for odd n > 41 that is
-    not divisible by a prime <= 41; with a strong base-2 test it is BPSW."""
-    if isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
-        return False
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:  # gcd(D, n) > 1 and |D| < n
-            return False
-        D = -D - 2 if D > 0 else -D + 2
-    P, Q = 1, (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    def half(x):
-        return (x + n if x % 2 else x) // 2 % n
-
-    U, V, Qk = 1, P, Q % n  # U_1, V_1, Q^1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
+    return sympy.isprime(n)
 
 
 def rational_factors(coeffs):
@@ -187,9 +119,10 @@ def factor(n):
         raise ValueError("cannot factor 0")
     n = abs(n)
     out = {}
-    bound = min(isqrt(n), TRIAL_DIVISION_BOUND)
-    table = _prime_table(bound)
-    for p in islice(table, bisect_right(table, bound)):
+    # primes up to isqrt(n) rounded up to a power of 16: at most five cached
+    # tables, so a process that needs every prime to 10^6 sieves little more
+    limit = min(16 ** -(-isqrt(n).bit_length() // 4), TRIAL_DIVISION_BOUND)
+    for p in primes_up_to(limit):
         if p * p > n:
             break
         while n % p == 0:

@@ -105,13 +105,17 @@ def _build_parser():
     return parser
 
 
-def _resolve_curve(args, label=None):
+def _store_config(args):
+    return default_config(args.cache_dir, args.fixtures, args.base_url)
+
+
+def _resolve_curve(args, label=None, config=None):
     """Returns (model, record, label). record is None without a label."""
     if args.curve is not None:  # argparse lets through only one of --label, --curve, --batch
         return parse_curve_spec(args.curve), None, None
     label = label or args.label
     mode = OFFLINE_ONLY if args.offline else REMOTE_FIRST
-    config = default_config(args.cache_dir, args.fixtures, args.base_url)
+    config = config or _store_config(args)
     record = fetch_curve_record(label, mode, config)
     if record.ainvs is None:
         raise InvalidInput(f"record for {label} carries no coefficients")
@@ -137,8 +141,8 @@ def _user_overrides(args, model, record):
     )
 
 
-def _analyze_one(args, label=None):
-    model, record, label = _resolve_curve(args, label)
+def _analyze_one(args, label=None, config=None):
+    model, record, label = _resolve_curve(args, label, config)
     record = _user_overrides(args, model, record)
     cert = analyze(
         model,
@@ -166,9 +170,12 @@ def cmd_analyze(args):
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidInput(f"cannot read batch file {args.batch}: {err}") from err
     code = EXIT_OK
+    # one config for the whole batch: after a fetch fails for want of a
+    # network, the later labels go straight to local data
+    config = _store_config(args)
     for label in labels:
         try:
-            sys.stdout.write(_analyze_one(args, label))
+            sys.stdout.write(_analyze_one(args, label, config))
         except ShaclassError as err:
             print(f"error: {label}: {err}", file=sys.stderr)
             code = code or _exit_code(err, args)

@@ -115,9 +115,9 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
     At p <= 13, if Borel still stands after SCAN_PREFIX good primes, a
     factor of psi_p over Q from exact_factor ends the scan SmallImageCertified
-    with the witnesses so far.  After a full scan that certifies nothing,
-    sympy's factorization of psi_p is the last resort (Inconclusive when
-    sympy is not installed).
+    with the witnesses of those primes only; witnesses a full scan would
+    find at later primes are not listed.  After a full scan that certifies
+    nothing, sympy's factorization of psi_p is the last resort.
     """
     if sample_bound < 10:
         raise InvalidInput("sample_bound must be at least 10")
@@ -267,11 +267,8 @@ def exact_factor(model, p, frobenius):
 
 
 def _division_poly_reducible(model, p):
-    """Whether psi_p factors over Q, by sympy; False when sympy is missing."""
-    try:
-        factors = rational_factors(division_polynomial(model, p))
-    except ImportError:
-        return False
+    """Whether psi_p factors over Q, by sympy."""
+    factors = rational_factors(division_polynomial(model, p))
     return len(factors) > 1 or factors[0][1] > 1
 
 

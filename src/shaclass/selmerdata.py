@@ -11,7 +11,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .arith import valuation
@@ -34,10 +34,6 @@ DEFAULT_BASE_URL = "https://www.lmfdb.org/api/shaclass_curve_records"
 DEFAULT_TIMEOUT = 10.0
 
 _REQUIRED_REMOTE_FIELDS = ("label", "ainvs", "rank", "torsion_structure")
-
-# base URL -> the error behind the first fetch from it that ended in
-# NetworkError; later fetches in the same process fail at once with it
-_unreachable = {}
 
 
 def valid_label(label):
@@ -102,6 +98,9 @@ class StoreConfig:
     fixtures_dir: Path
     cache_dir: Path
     base_url: str = DEFAULT_BASE_URL
+    # the error of the first remote fetch through this config that ended in
+    # NetworkError; later fetches through it fail at once with that error
+    unreachable: list = field(default_factory=list, init=False, compare=False, repr=False)
 
 
 def packaged_fixtures_dir():
@@ -197,8 +196,8 @@ def _remote_get(label, config):
     import urllib.request
 
     url = f"{config.base_url.rstrip('/')}/{label}"
-    if config.base_url in _unreachable:
-        raise NetworkError(f"remote fetch failed for {label}: {_unreachable[config.base_url]}")
+    if config.unreachable:
+        raise NetworkError(f"remote fetch failed for {label}: {config.unreachable[0]}")
     last_err = None
     for attempt in range(2):
         if attempt:
@@ -216,7 +215,7 @@ def _remote_get(label, config):
         except ValueError as err:  # urlopen's "unknown url type"
             raise InvalidInput(f"bad base URL {config.base_url!r}: {err}") from err
     else:
-        _unreachable[config.base_url] = last_err
+        config.unreachable.append(last_err)
         raise NetworkError(f"remote fetch failed for {label}: {last_err}")
 
     if not isinstance(payload, dict):
@@ -253,9 +252,9 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     OfflineOnly (also forced by SHACLASS_OFFLINE=1) reads committed fixtures
     and the on-disk cache and never opens a connection.  RemoteFirst asks
     the database (one retry with backoff), caches the answer, and falls
-    back to local data when the network is down.  Once a fetch has failed
-    that way, later RemoteFirst lookups in the same process skip the
-    database at that base URL and go straight to local data.
+    back to local data when the network is down.  Once a fetch through
+    config has failed that way, later RemoteFirst lookups through the same
+    config skip the database and go straight to local data.
     """
     if not valid_label(label):
         raise InvalidInput(f"malformed curve label {label!r}")

@@ -4,8 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from shaclass import selmerdata
-
 TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR))
 
@@ -27,5 +25,3 @@ def _offline_env(monkeypatch):
     """Tests never touch the network unless they explicitly opt in."""
     monkeypatch.delenv("SHACLASS_OFFLINE", raising=False)
     monkeypatch.delenv("SHACLASS_CACHE_DIR", raising=False)
-    # a network failure seen by one test must not short-cut the next one's fetches
-    monkeypatch.setattr(selmerdata, "_unreachable", {})

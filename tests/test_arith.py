@@ -3,14 +3,10 @@ import random
 import pytest
 import sympy
 from hypothesis import given, strategies as st
-from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 
-from shaclass import arith
 from shaclass.arith import (
     RHO_CUTOFF,
     TRIAL_DIVISION_BOUND,
-    _MR_DETERMINISTIC_BOUND,
-    _strong_lucas_probable_prime,
     count_roots_mod,
     exact_quotient,
     factor,
@@ -35,40 +31,6 @@ def test_is_prime_known_values():
         assert not is_prime(n)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # Cole's factorization
-
-
-def test_is_prime_matches_sympy_above_the_deterministic_range():
-    """Above ~3.3e24 is_prime is BPSW; sympy.isprime is the oracle."""
-    bound = _MR_DETERMINISTIC_BOUND
-    # Chernick Carmichael numbers (6k+1)(12k+1)(18k+1) just above the bound
-    carmichael = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in (13679106, 13679690)]
-    # p (2p - 1) with 2p - 1 = +-1 mod 8: strong base-2 pseudoprimes, which
-    # only the Lucas half of BPSW rejects
-    strong_psp = [p * (2 * p - 1) for p in (1287836183341, 1287836190649, 1287836193229)]
-    for n in strong_psp:
-        assert n > bound and mr(n, [2]) and not sympy.isprime(n)
-    p, q = sympy.nextprime(bound // 10**12), sympy.nextprime(2 * 10**12)
-    semiprimes = [p * q, sympy.nextprime(10**13) * sympy.nextprime(10**13 + 10**6)]
-    mersenne = [2**89 - 1, 2**101 - 1, 2**107 - 1, 2**127 - 1]
-    rng = random.Random(20240613)
-    seeded = [rng.randrange(bound, 2**110) | 1 for _ in range(300)]
-    primes = [sympy.nextprime(bound), sympy.nextprime(10**30), sympy.nextprime(2**100)]
-    squares = [x * x for x in (sympy.nextprime(2 * 10**12), sympy.nextprime(10**15))]
-    cases = carmichael + strong_psp + semiprimes + mersenne + seeded + primes + squares
-    assert all(n > bound for n in cases)
-    for n in cases:
-        assert is_prime(n) == sympy.isprime(n), n
-    assert sum(map(is_prime, seeded)) > 0  # the seeded sample holds primes too
-
-
-def test_strong_lucas_matches_sympy():
-    small = [n for n in range(43, 60000, 2) if all(n % q for q in primes_up_to(41))]
-    rng = random.Random(7)
-    big = [rng.randrange(10**20, 10**40) | 1 for _ in range(200)]
-    for n in small + [n for n in big if all(n % q for q in primes_up_to(41))]:
-        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
-    # 5459 and 5777 are the two smallest strong Lucas pseudoprimes
-    assert _strong_lucas_probable_prime(5459) and _strong_lucas_probable_prime(5777)
 
 
 def _plain_sieve(limit):
@@ -98,8 +60,8 @@ def _reference_factor(n, table):
     return out
 
 
-def test_factor_matches_plain_trial_division(monkeypatch):
-    """The trial-division table grows from scratch in both orders of n."""
+def test_factor_matches_plain_trial_division():
+    """Same factorizations with the prime tables built from scratch, in both orders of n."""
     table = _plain_sieve(TRIAL_DIVISION_BOUND)
     near = [999953, 999959, 999961, 999979, 999983, 1000003, 1000033]
     rng = random.Random(11)
@@ -108,27 +70,27 @@ def test_factor_matches_plain_trial_division(monkeypatch):
     cases += [rng.randrange(2, 10 ** rng.randrange(2, 16)) for _ in range(60)]
     cases += [2**64 * 999983, 3**5 * 7 * 1000003**2, (2**89 - 1) * 999983]
     cases += [(2**89 - 1) * (2**107 - 1)]  # beyond the rho cutoff
+    cases += [999983 * 1000003 * (2**89 - 1)]  # within it only once 999983 is divided out
     for order in (sorted(cases), sorted(cases, reverse=True)):
-        monkeypatch.setattr(arith, "_primes", [2, 3, 5, 7])
-        monkeypatch.setattr(arith, "_sieved", 10)
+        primes_up_to.cache_clear()
         for n in order:
             try:
                 got = factor(n)
             except FactorizationTooHard:
                 got = "too hard"
             assert got == _reference_factor(n, table), n
-        assert arith._primes == table[: len(arith._primes)]
-        assert arith._sieved <= TRIAL_DIVISION_BOUND
 
 
-def test_prime_table_grows_geometrically(monkeypatch):
-    monkeypatch.setattr(arith, "_primes", [2, 3, 5, 7])
-    monkeypatch.setattr(arith, "_sieved", 10)
-    assert primes_up_to(11) == (2, 3, 5, 7, 11)
-    assert arith._sieved == 20  # doubled, not stopped at 11
-    factor(1009 * 1013)  # trial division needs primes up to isqrt(n) = 1010 only
-    assert arith._sieved == 1010
-    assert list(primes_up_to(2 * 10**6)) == _plain_sieve(2 * 10**6)
+def test_factor_sieves_only_power_of_16_limits():
+    primes_up_to.cache_clear()
+    factor(1009 * 1013)  # isqrt(n) = 1010: the table up to 4096 only
+    assert primes_up_to.cache_info().misses == 1
+    assert primes_up_to(4096)[-1] == 4093 and primes_up_to.cache_info().hits == 1
+    for k in range(1, 100):
+        assert factor(2**k) == {2: k}
+    # the tables up to 16, 256, 4096, 65536 and 10^6
+    assert primes_up_to.cache_info().currsize == 5
+    assert list(primes_up_to(TRIAL_DIVISION_BOUND)) == _plain_sieve(TRIAL_DIVISION_BOUND)
 
 
 def test_rational_reconstruction():

@@ -1,16 +1,10 @@
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
-
-import shaclass
 
 from conftest import DATA_DIR
 from oracles import duplication_fixed_x_count
@@ -339,27 +333,25 @@ class TestExactFactor:
         assert cert.first_unruled == "Borel"
         assert len(calls) <= SCAN_PREFIX
 
-    def test_fallback_without_sympy_is_inconclusive(self):
-        """With the exact-factor search turned off, 11a1 at 5 reaches the
-        sympy fallback: SmallImageCertified with sympy, Inconclusive without."""
-        code = (
-            "import sys\n"
-            "if sys.argv[1] == 'missing':\n"
-            "    sys.modules['sympy'] = None\n"
-            "from shaclass import galrep\n"
-            "from shaclass.curve import CurveModel\n"
-            "galrep.exact_factor = lambda *args: None\n"
-            "print(galrep.certify_image(CurveModel(0, -1, 1, -10, -20), 5).status)\n"
-        )
-        src = str(Path(shaclass.__file__).resolve().parents[1])
-        status = {}
-        for mode in ("present", "missing"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code, mode], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            status[mode] = proc.stdout.strip()
-        assert status == {"present": SMALL_IMAGE_CERTIFIED, "missing": INCONCLUSIVE}
+    def test_certificate_lists_the_prefix_witnesses_only(self, monkeypatch):
+        """A factor found after SCAN_PREFIX good primes ends the scan: the
+        certificate lists the witnesses a full scan finds at those primes."""
+        checked = 0
+        for p, j_of in _X0_J.items():
+            for t, d in ((-4, 1), (2, -1), (3, 2), (5, -1), (-2, 5)):
+                model = minimal_model(_curve_with_j(j_of(Fraction(t)), d))
+                if compute_invariants(model).disc % p == 0:
+                    continue
+                prefix = {ell for ell, _, _ in _frobenius_prefix(model, p)[1]}
+                cert = certify_image(model, p)
+                with monkeypatch.context() as patched:
+                    patched.setattr("shaclass.galrep.exact_factor", lambda *args: None)
+                    full = certify_image(model, p)
+                assert cert.status == full.status == SMALL_IMAGE_CERTIFIED
+                assert cert.witnesses == tuple(w for w in full.witnesses if w[0] in prefix)
+                assert cert.ruled_out <= full.ruled_out
+                checked += 1
+        assert checked >= 8
 
 
 class TestDivisionPolynomials:

@@ -228,6 +228,23 @@ class TestRemote:
         record = fetch_curve_record("1058d1", REMOTE_FIRST, offline_config(tmp_path))
         assert record.provenance == LOCAL_FIXTURE
 
+    def test_network_failure_is_remembered_per_config(self, tmp_path, monkeypatch):
+        fetches = []
+
+        def refuse(url, timeout):
+            fetches.append(url)
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        config = offline_config(tmp_path)
+        for label in ("11a1", "37a1", "1058d1"):
+            assert fetch_curve_record(label, REMOTE_FIRST, config).provenance == LOCAL_FIXTURE
+        assert len(fetches) == 2  # the first label's try and retry only
+        # a new config, as a later caller in the same process builds, asks again
+        fetch_curve_record("11a1", REMOTE_FIRST, offline_config(tmp_path))
+        assert len(fetches) == 4
+
     def test_network_failure_without_fixture(self, tmp_path, monkeypatch):
         def refuse(url, timeout):
             raise urllib.error.URLError("connection refused")
