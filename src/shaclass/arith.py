@@ -8,10 +8,9 @@ instead of stalling.  Trial division reads primes only up to the square
 root of n.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 from .errors import FactorizationTooHard
 
@@ -297,20 +296,6 @@ def hensel_lifts(f, h, ell):
         yield m, h
 
 
-def rational_reconstruction(c, m, N, D):
-    """The fraction a/b = c mod m with |a| <= N and 0 < b <= D, or None.
-
-    Unique when 2 N D < m (Wang's half extended Euclid).
-    """
-    r0, r1, t0, t1 = m, c % m, 0, 1
-    while r1 > N:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > D or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
 def exact_quotient(f, g):
     """f / g in Z[x]; raises ArithmeticError unless g divides f exactly.
 
@@ -349,37 +334,34 @@ def lift_rational_factor(f, h, ell):
 
     f is an integer polynomial, ell a prime not dividing its leading
     coefficient, and h a monic factor of f mod ell coprime to its cofactor.
-    The coefficients of the Hensel-lifted h are read back by rational
-    reconstruction, and a candidate is kept only if it divides f exactly.
+    A factor g of f in Z[x] has lc(g) | lc(f), so lc(f) g / lc(g) is an
+    integer polynomial: lc(f) times the Hensel-lifted monic h.  Its
+    coefficients are read as symmetric residues of lc(f) times the lift, and
+    the primitive part is kept only if it divides f exactly.
 
     If f has a factor g over Q that reduces to h, the coefficient of x^i in
-    g / lc(g) is a fraction with denominator dividing lc(f) and numerator at
-    most C(d, i) R^(d-i) |lc(f)|, for d = deg h and R a bound on the roots
-    of f.  Once the modulus exceeds twice that bound times |lc(f)|,
-    reconstruction must return it; a coefficient that fails there proves
-    that no such g exists, which ends the lift early for most h.
+    lc(f) g / lc(g) is at most C(d, i) R^(d-i) |lc(f)|, for d = deg h and R
+    a bound on the roots of f.  Once the modulus exceeds twice that bound, a
+    residue outside it proves that no such g exists, which ends the lift
+    early for most h.
     """
     lead, d = abs(f[-1]), len(h) - 1
     r = 1 << _root_bound_log2(f)
     bounds = [comb(d, i) * r ** (d - i) * lead for i in range(d + 1)]
     for m, lifted in hensel_lifts(f, h, ell):
-        coeffs = []
+        g = []
         for c, bound in zip(lifted, bounds):
-            value = rational_reconstruction(c, m, min(bound, (m - 1) // (2 * lead)), lead)
-            if value is None and m > 2 * bound * lead:
+            value = (lead * c + m // 2) % m - m // 2
+            if abs(value) > bound and m > 2 * bound:
                 return None
-            coeffs.append(value)
-        if None in coeffs:
-            continue
-        den = lcm(*(c.denominator for c in coeffs))
-        g = [int(c * den) for c in coeffs]
-        content = gcd(*g)
+            g.append(value)
+        content = gcd(*g) if g[-1] > 0 else -gcd(*g)
         g = [c // content for c in g]
         try:
             exact_quotient(f, g)
             return g
         except ArithmeticError:
-            if m > 2 * max(bounds) * lead:  # every coefficient was read exactly
+            if m > 2 * max(bounds):  # every coefficient was read exactly
                 return None
 
 

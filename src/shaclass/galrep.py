@@ -87,22 +87,6 @@ def a_ell(model, ell):
     return trace_of_frobenius(model, ell)
 
 
-def _mult_closure(values, p):
-    """Subgroup of (Z/p)^x generated by the given units."""
-    group = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in values:
-                t = s * v % p
-                if t not in group:
-                    group.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return group
-
-
 def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     """One-sided surjectivity certificate for the mod-p representation.
 
@@ -116,8 +100,9 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     At p <= 13, if Borel still stands after SCAN_PREFIX good primes, a
     factor of psi_p over Q from exact_factor ends the scan SmallImageCertified
     with the witnesses of those primes only; witnesses a full scan would
-    find at later primes are not listed.  After a full scan that certifies
-    nothing, sympy's factorization of psi_p is the last resort.
+    find at later primes are not listed.  After a scan of any length that
+    certifies nothing, exact_factor on all the primes scanned and then
+    sympy's factorization of psi_p are the last resort.
     """
     if sample_bound < 10:
         raise InvalidInput("sample_bound must be at least 10")
@@ -131,9 +116,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     ruled_out = set()
     witnesses = []
     frobenius = []
-    det_values = set()
-    det_group = {1}
-    det_full = False
+    det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
     bad_u = _exceptional_trace_set(p)
 
     for ell in primes_up_to(sample_bound):
@@ -142,30 +125,26 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
         a = a_ell(m, ell)
         a_mod, d_mod = a % p, ell % p
         frobenius.append((ell, a_mod, d_mod))
-        useful = False
+        before = (len(ruled_out), det_order)
 
-        if not det_full and d_mod not in det_group:
-            det_values.add(d_mod)
-            det_group = _mult_closure(det_values, p)
-            useful = True
-            det_full = len(det_group) == p - 1
-            if det_full and p == 3:
+        # (Z/p)^x is cyclic: its subgroup of order n is {x : x^n = 1}, and
+        # adding d_mod gives the least multiple of n that kills d_mod
+        if pow(d_mod, det_order, p) != 1:
+            det_order = next(n for n in range(det_order, p, det_order) if pow(d_mod, n, p) == 1)
+            if det_order == p - 1 and p == 3:
                 # projective image A4 = PSL_2(F_3) forces determinant 1,
                 # so full determinant already excludes the exceptional class
                 ruled_out.add(EXCEPTIONAL)
 
         if a_mod != 0:
             chi = legendre(a_mod * a_mod - 4 * d_mod, p)
-            if chi == -1 and BOREL not in ruled_out:
+            if chi == -1:
                 ruled_out.update((BOREL, SPLIT_CARTAN_NORMALIZER))
-                useful = True
-            if chi == 1 and NONSPLIT_CARTAN_NORMALIZER not in ruled_out:
+            if chi == 1:
                 ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
-                useful = True
             u = a_mod * a_mod * pow(d_mod, -1, p) % p
-            if u not in bad_u and EXCEPTIONAL not in ruled_out:
+            if u not in bad_u:
                 ruled_out.add(EXCEPTIONAL)
-                useful = True
 
         if p == 3 and BOREL in ruled_out and NONSPLIT_CARTAN_NORMALIZER not in ruled_out:
             # psi_3 has four distinct roots mod ell (good reduction, ell != 3),
@@ -176,11 +155,10 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             # of GL_2(F_3) has that image (its involution is unique).
             if count_roots_mod(_division_polynomial(m, 3), ell) == 1:
                 ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
-                useful = True
 
-        if useful:
+        if (len(ruled_out), det_order) != before:  # a class or a determinant is new
             witnesses.append((ell, a_mod, d_mod))
-        if det_full and len(ruled_out) == 4:
+        if det_order == p - 1 and len(ruled_out) == 4:
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
@@ -195,7 +173,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             return _unsurjective(p, SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
 
     status = INCONCLUSIVE
-    if p <= 13 and _division_poly_reducible(m, p):
+    if p <= 13 and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
         status = SMALL_IMAGE_CERTIFIED
     return _unsurjective(p, status, witnesses, ruled_out)
 

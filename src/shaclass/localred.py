@@ -146,114 +146,107 @@ def tate_algorithm(model, v):
     p = v
     ai = minimal_model(model).ainvs()
 
-    while True:
-        b2, b4, b6, b8 = b_invariants(*ai)
-        c4, _c6 = c_invariants(b2, b4, b6)
-        disc = discriminant_from_b(b2, b4, b6, b8)
-        if disc % p != 0:
-            return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0)
-        n = valuation(disc, p)
-        if c4 == 0:
-            val_j_den = 0  # j = 0 is integral
-        elif c4 % p == 0:
-            val_j_den = max(0, n - 3 * valuation(c4, p))
+    b2, b4, b6, b8 = b_invariants(*ai)
+    c4, _c6 = c_invariants(b2, b4, b6)
+    disc = discriminant_from_b(b2, b4, b6, b8)
+    if disc % p != 0:
+        return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0)
+    n = valuation(disc, p)
+    if c4 == 0:
+        val_j_den = 0  # j = 0 is integral
+    elif c4 % p == 0:
+        val_j_den = max(0, n - 3 * valuation(c4, p))
+    else:
+        val_j_den = n  # multiplicative: v(j) = -n
+
+    x0, y0 = _singular_point(tuple(a % p for a in ai), p)
+    ai2 = translate(ai, x0, 0, y0)
+    assert all(a % p == 0 for a in ai2[2:])
+    b2_2, b4_2, b6_2, b8_2 = b_invariants(*ai2)
+
+    if b2_2 % p != 0:
+        # split iff -c6 is a square mod p (odd p); at p = 2 test the
+        # tangent quadratic T^2 + a1 T - a2 at the translated node
+        if p == 2:
+            split = quadratic_roots(1, ai2[0], -ai2[1], p)[0] == 2
         else:
-            val_j_den = n  # multiplicative: v(j) = -n
+            _, c6_2 = c_invariants(b2_2, b4_2, b6_2)
+            split = legendre(-c6_2, p) == 1
+        if split:
+            cls, c = SPLIT_MULTIPLICATIVE, n
+        else:
+            cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
+        return LocalReductionData(p, f"I{n}", cls, c, n, n, 1)
 
-        x0, y0 = _singular_point(tuple(a % p for a in ai), p)
-        ai2 = translate(ai, x0, 0, y0)
-        assert all(a % p == 0 for a in ai2[2:])
-        b2_2, b4_2, b6_2, b8_2 = b_invariants(*ai2)
+    add_class = (
+        ADDITIVE_POT_MULTIPLICATIVE if val_j_den > 0 else ADDITIVE_POT_GOOD
+    )
 
-        if b2_2 % p != 0:
-            # split iff -c6 is a square mod p (odd p); at p = 2 test the
-            # tangent quadratic T^2 + a1 T - a2 at the translated node
-            if p == 2:
-                split = quadratic_roots(1, ai2[0], -ai2[1], p)[0] == 2
-            else:
-                _, c6_2 = c_invariants(b2_2, b4_2, b6_2)
-                split = legendre(-c6_2, p) == 1
-            if split:
-                cls, c = SPLIT_MULTIPLICATIVE, n
-            else:
-                cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
-            return LocalReductionData(p, f"I{n}", cls, c, n, n, 1)
-
-        add_class = (
-            ADDITIVE_POT_MULTIPLICATIVE if val_j_den > 0 else ADDITIVE_POT_GOOD
+    def done(kod, c, ncomp):
+        return LocalReductionData(
+            p, kod, add_class, c, n, val_j_den, n - ncomp + 1
         )
 
-        def done(kod, c, ncomp):
-            return LocalReductionData(
-                p, kod, add_class, c, n, val_j_den, n - ncomp + 1
-            )
+    if not _val_at_least(ai2[4], p, 2):
+        return done("II", 1, 1)
+    if not _val_at_least(b8_2, p, 3):
+        return done("III", 2, 2)
+    if not _val_at_least(b6_2, p, 3):
+        b = _exact_div(ai2[2], p)
+        c = -_exact_div(ai2[4], p * p)
+        nr, _ = quadratic_roots(1, b, c, p)
+        return done("IV", 3 if nr == 2 else 1, 3)
 
-        if not _val_at_least(ai2[4], p, 2):
-            return done("II", 1, 1)
-        if not _val_at_least(b8_2, p, 3):
-            return done("III", 2, 2)
-        if not _val_at_least(b6_2, p, 3):
-            b = _exact_div(ai2[2], p)
-            c = -_exact_div(ai2[4], p * p)
-            nr, _ = quadratic_roots(1, b, c, p)
-            return done("IV", 3 if nr == 2 else 1, 3)
+    ai3 = _normalize_step6(ai2, p)
+    A = _exact_div(ai3[1], p)
+    B = _exact_div(ai3[3], p * p)
+    C = _exact_div(ai3[4], p**3)
+    kind, info = _cubic_structure(A, B, C, p)
 
-        ai3 = _normalize_step6(ai2, p)
-        A = _exact_div(ai3[1], p)
-        B = _exact_div(ai3[3], p * p)
-        C = _exact_div(ai3[4], p**3)
-        kind, info = _cubic_structure(A, B, C, p)
+    if kind == "distinct":
+        return done("I0*", 1 + info, 5)
 
-        if kind == "distinct":
-            return done("I0*", 1 + info, 5)
-
-        if kind == "double":
-            a = translate(ai3, p * info, 0, 0)
-            assert a[1] != 0 and valuation(a[1], p) == 1
-            assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
-            nstar, k = 1, 2
-            while True:
-                assert nstar <= n, "runaway In* loop"
-                b = _exact_div(a[2], p**k)
-                c = -_exact_div(a[4], p ** (2 * k))
-                nr, root = quadratic_roots(1, b, c, p)
-                if root is None:
-                    return done(f"I{nstar}*", 2 + nr, nstar + 5)
-                a = translate(a, 0, 0, p**k * root)
-                nstar += 1
-                Aq = _exact_div(a[1], p)
-                Bq = _exact_div(a[3], p ** (k + 1))
-                Cq = _exact_div(a[4], p ** (2 * k + 1))
-                nr, root = quadratic_roots(Aq, Bq, Cq, p)
-                if root is None:
-                    return done(f"I{nstar}*", 2 + nr, nstar + 5)
-                a = translate(a, p**k * root, 0, 0)
-                nstar += 1
-                k += 1
-
-        # triple root of P: move it to T = 0
+    if kind == "double":
         a = translate(ai3, p * info, 0, 0)
-        assert _val_at_least(a[1], p, 2)
+        assert a[1] != 0 and valuation(a[1], p) == 1
         assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
-        b = _exact_div(a[2], p * p)
-        c = -_exact_div(a[4], p**4)
-        nr, root = quadratic_roots(1, b, c, p)
-        if root is None:
-            return done("IV*", 3 if nr == 2 else 1, 7)
-        a = translate(a, 0, 0, p * p * root)
-        assert _val_at_least(a[2], p, 3) and _val_at_least(a[4], p, 5)
-        if not _val_at_least(a[3], p, 4):
-            return done("III*", 2, 8)
-        if not _val_at_least(a[4], p, 6):
-            return done("II*", 1, 9)
-        # not p-minimal after all: rescale by u = p and restart
-        ai = (
-            _exact_div(a[0], p),
-            _exact_div(a[1], p * p),
-            _exact_div(a[2], p**3),
-            _exact_div(a[3], p**4),
-            _exact_div(a[4], p**6),
-        )
+        nstar, k = 1, 2
+        while True:
+            assert nstar <= n, "runaway In* loop"
+            b = _exact_div(a[2], p**k)
+            c = -_exact_div(a[4], p ** (2 * k))
+            nr, root = quadratic_roots(1, b, c, p)
+            if root is None:
+                return done(f"I{nstar}*", 2 + nr, nstar + 5)
+            a = translate(a, 0, 0, p**k * root)
+            nstar += 1
+            Aq = _exact_div(a[1], p)
+            Bq = _exact_div(a[3], p ** (k + 1))
+            Cq = _exact_div(a[4], p ** (2 * k + 1))
+            nr, root = quadratic_roots(Aq, Bq, Cq, p)
+            if root is None:
+                return done(f"I{nstar}*", 2 + nr, nstar + 5)
+            a = translate(a, p**k * root, 0, 0)
+            nstar += 1
+            k += 1
+
+    # triple root of P: move it to T = 0
+    a = translate(ai3, p * info, 0, 0)
+    assert _val_at_least(a[1], p, 2)
+    assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
+    b = _exact_div(a[2], p * p)
+    c = -_exact_div(a[4], p**4)
+    nr, root = quadratic_roots(1, b, c, p)
+    if root is None:
+        return done("IV*", 3 if nr == 2 else 1, 7)
+    a = translate(a, 0, 0, p * p * root)
+    assert _val_at_least(a[2], p, 3) and _val_at_least(a[4], p, 5)
+    if not _val_at_least(a[3], p, 4):
+        return done("III*", 2, 8)
+    if not _val_at_least(a[4], p, 6):
+        return done("II*", 1, 9)
+    # minimal_model is minimal at every prime, so this is never reached
+    raise ArithmeticError(f"model is not minimal at {p}")
 
 
 @lru_cache(maxsize=None)

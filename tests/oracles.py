@@ -4,9 +4,10 @@ Everything here is deliberately implemented from different first principles
 than the library code it checks: the tame local classifier uses the
 valuation table and closed-form Tamagawa criteria for p >= 5 (no Tate
 loop), the unramified 3-torsion test at 2 finds an actual point from a
-rational root of the 3-division polynomial (no Kodaira type), and the
+rational root of the 3-division polynomial (no Kodaira type), the
 cohomology oracles solve the full linear systems over all group elements
-(no generator reduction).
+(no generator reduction), and the subgroup of (Z/p)^x that units generate
+is found by closing under multiplication (no element orders).
 """
 
 from fractions import Fraction
@@ -199,6 +200,21 @@ def duplication_fixed_x_count(model, ell):
         if den and num == x * den % ell:
             count += 1
     return count
+
+
+def unit_subgroup(units, p):
+    """The subgroup of (Z/p)^x generated by units, as a set.
+
+    Brute-force closure: multiply everything found so far by every
+    generator until nothing new appears, with no use of the cyclicity of
+    (Z/p)^x that the library relies on.
+    """
+    group = {1}
+    while True:
+        new = {g * u % p for g in group for u in units} - group
+        if not new:
+            return group
+        group |= new
 
 
 def _rank(rows, p):

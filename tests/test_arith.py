@@ -15,7 +15,6 @@ from shaclass.arith import (
     lift_rational_factor,
     primes_up_to,
     quadratic_roots,
-    rational_reconstruction,
     valuation,
 )
 from shaclass.errors import FactorizationTooHard
@@ -91,14 +90,6 @@ def test_factor_sieves_only_power_of_16_limits():
     # the tables up to 16, 256, 4096, 65536 and 10^6
     assert primes_up_to.cache_info().currsize == 5
     assert list(primes_up_to(TRIAL_DIVISION_BOUND)) == _plain_sieve(TRIAL_DIVISION_BOUND)
-
-
-def test_rational_reconstruction():
-    m = 10007**4
-    for a, b in ((3, 7), (-5, 13), (12345, 1), (0, 1)):
-        c = a * pow(b, -1, m) % m
-        assert rational_reconstruction(c, m, 10**6, 13) == sympy.Rational(a, b)
-    assert rational_reconstruction(3 * pow(7, -1, m) % m, m, 10**6, 5) is None
 
 
 def _monic_mod(g, ell):

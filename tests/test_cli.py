@@ -207,19 +207,21 @@ class TestAnalyze:
 
     def test_fixture_runs_import_no_sympy(self):
         # every packaged fixture at each good p in {3, 5, 7}, the reducible
-        # images of 11a1 at 5 and 1058c1 at 3 included
+        # images of 11a1 at 5 and 1058c1 at 3 included, and 11a1 at 5 on a
+        # scan of 6 good primes, shorter than SCAN_PREFIX
         code = (
             "import contextlib, io, sys\n"
             "from shaclass.cli import main\n"
             "from shaclass.selmerdata import packaged_fixtures_dir\n"
-            "for path in sorted(packaged_fixtures_dir().glob('*.txt')):\n"
-            "    for p in (3, 5, 7):\n"
-            "        out, err = io.StringIO(), io.StringIO()\n"
-            "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-            "            argv = ['analyze', '--label', path.stem, '-p', str(p), '--offline']\n"
-            "            code = main(argv)\n"
-            "        status = [l for l in out.getvalue().splitlines() if 'mod-p image' in l]\n"
-            "        print(path.stem, p, code, *status)\n"
+            "runs = [(path.stem, p, []) for path in sorted(packaged_fixtures_dir().glob('*.txt'))\n"
+            "        for p in (3, 5, 7)]\n"
+            "for label, p, extra in runs + [('11a1', 5, ['--sample-bound', '20'])]:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        argv = ['analyze', '--label', label, '-p', str(p), '--offline', *extra]\n"
+            "        code = main(argv)\n"
+            "    status = [l for l in out.getvalue().splitlines() if 'mod-p image' in l]\n"
+            "    print(label, p, code, *status)\n"
             "print('sympy' in sys.modules)\n"
         )
         src = str(Path(shaclass.__file__).resolve().parents[1])
@@ -231,9 +233,10 @@ class TestAnalyze:
         assert sympy_loaded == "False"
         good = [r for r in runs if r.split()[2] == str(EXIT_OK)]
         # 423801ci1 has bad reduction at 3 and 7
-        assert len(runs) == 21 and len(good) == 19
+        assert len(runs) == 22 and len(good) == 20
         assert "11a1 5 0   mod-p image: SmallImageCertified" in runs
         assert "1058c1 3 0   mod-p image: SmallImageCertified" in runs
+        assert runs[-1] == "11a1 5 0   mod-p image: SmallImageCertified"  # the short scan
 
     def test_refused_batch_sleeps_once(self, capsys, monkeypatch, tmp_path):
         import urllib.error

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import shaclass
 from conftest import DATA_DIR
+from oracles import unit_subgroup
+from shaclass.arith import primes_up_to
 from shaclass.curve import (
     CurveModel,
     classify_good_prime,
@@ -268,6 +270,35 @@ class TestCertificates:
         for q, d in doc["local_data"].items():
             assert f"v = {q}: {d['kodaira']}" in text
         assert doc["unramified_extension_exists"] in text
+
+    def test_determinant_witnesses_generate_the_units(self):
+        """Every SurjectiveCertified certificate of the corpus (each curve at
+        every odd prime p <= 97 of good reduction, 1,203 jobs) lists
+        witnesses whose ell mod p generate (Z/p)^x; the same check fails
+        once every witness's ell mod p is set to 1."""
+
+        def determinant_witnessed(doc):
+            dets = [d for _, _, d in doc["image_witnesses"]]
+            return len(unit_subgroup(dets, doc["p"])) == doc["p"] - 1
+
+        jobs = [
+            (label, p)
+            for label, ainvs in CORPUS.items()
+            for p in primes_up_to(97)[1:]
+            if CurveModel(*ainvs).discriminant() % p
+        ]
+        assert len(jobs) == 1203
+        surjective = 0
+        for label, p in jobs:
+            doc = analyze(CurveModel(*CORPUS[label]), p, label=label)
+            if doc["image_status"] != "SurjectiveCertified":
+                continue
+            surjective += 1
+            assert all(d == ell % p for ell, _, d in doc["image_witnesses"]), label
+            assert determinant_witnessed(doc), (label, p)
+            ones = [[ell, a, 1] for ell, a, _ in doc["image_witnesses"]]
+            assert not determinant_witnessed({**doc, "image_witnesses": ones})
+        assert surjective == 833
 
     def test_p3_t_set_imports_no_sympy(self):
         # y^2 = x^3 - 2x + 3 is II at 2 and I1 at 211, non-CM, and its image

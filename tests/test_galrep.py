@@ -333,6 +333,15 @@ class TestExactFactor:
         assert cert.first_unruled == "Borel"
         assert len(calls) <= SCAN_PREFIX
 
+    def test_scan_shorter_than_the_prefix_tries_the_exact_factor(self, monkeypatch):
+        def no_fallback(model, p):
+            raise AssertionError("the sympy fallback was reached")
+
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", no_fallback)
+        cert = certify_image(CURVE_11A1, 5, sample_bound=20)  # 6 good primes
+        assert cert.status == SMALL_IMAGE_CERTIFIED
+        assert cert.first_unruled == "Borel"
+
     def test_certificate_lists_the_prefix_witnesses_only(self, monkeypatch):
         """A factor found after SCAN_PREFIX good primes ends the scan: the
         certificate lists the witnesses a full scan finds at those primes."""

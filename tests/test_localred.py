@@ -327,6 +327,17 @@ def test_nonminimal_input_handled():
     assert valuation(big.discriminant(), 2) == 19
 
 
+def test_model_not_minimal_at_v_raises(monkeypatch):
+    """Tate's algorithm runs on minimal_model's output; a model that is not
+    minimal at v (here minimal_model bypassed) is refused, not rescaled."""
+    from shaclass.curve import transform_model
+
+    scaled = transform_model(CurveModel(0, -1, 1, -10, -20), Fraction(1, 5), 0, 0, 0)  # 11a1
+    monkeypatch.setattr("shaclass.localred.minimal_model", lambda model: model)
+    with pytest.raises(ArithmeticError):
+        tate_algorithm(scaled, 5)
+
+
 def test_val_delta_min_on_minimal_model(tate_corpus):
     for entry in tate_corpus.values():
         model = CurveModel(*entry["ainvs"])
