@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre
-from .arith import lift_rational_factor, primes_up_to, rational_factors
+from .arith import TRIAL_DIVISION_BOUND, lift_rational_factor, primes_up_to, rational_factors
 from .curve import (
     ORDINARY,
     SUPERSINGULAR,
@@ -104,8 +104,8 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     certifies nothing, exact_factor on all the primes scanned and then
     sympy's factorization of psi_p are the last resort.
     """
-    if sample_bound < 10:
-        raise InvalidInput("sample_bound must be at least 10")
+    if not 10 <= sample_bound <= TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"sample_bound must be between 10 and {TRIAL_DIVISION_BOUND}")
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:

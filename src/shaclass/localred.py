@@ -1,9 +1,9 @@
 """Tate's algorithm, Tamagawa numbers, and the auxiliary prime set T.
 
-The algorithm runs on the globally minimal model (so it is v-minimal at
-every prime).  Normalizing coordinate changes use closed forms for p >= 5;
-for p in {2, 3} the required (r, s, t) are found by a small exhaustive
-search, which sidesteps the usual case analysis at wild primes.
+The algorithm runs on the globally minimal model, v-minimal at every prime,
+and takes one path at every prime, 2 and 3 included: each coordinate change
+is a closed form (Cremona, Algorithms for Modular Elliptic Curves, 3.2;
+Silverman, Advanced Topics, IV.9), checked by raised errors, not asserts.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from .arith import (
     count_roots_mod,
     factor,
     is_prime,
-    legendre,
     quadratic_roots,
     valuation,
 )
@@ -50,63 +49,52 @@ class LocalReductionData:
         return self.reduction_class in MULTIPLICATIVE_CLASSES
 
 
+def _check(ok, what):
+    if not ok:
+        raise ArithmeticError(what)
+
+
 def _exact_div(x, q):
     quo, rem = divmod(x, q)
-    assert rem == 0, f"expected {q} | {x}"
+    _check(rem == 0, f"expected {q} | {x}")
     return quo
 
 
-def _val_at_least(x, p, k):
-    return x == 0 or x % p**k == 0
+def _y_roots(a, p, k):
+    """quadratic_roots of Y^2 + (a3 / p^k) Y - a6 / p^(2k), the quadratic in y."""
+    return quadratic_roots(1, _exact_div(a[2], p**k), -_exact_div(a[4], p ** (2 * k)), p)
 
 
 def _singular_point(ai, p):
     """Coordinates mod p of the singular point of the reduced curve."""
     a1, a2, a3, a4, a6 = ai
-    if p <= 3:
-        for x in range(p):
-            for y in range(p):
-                on = (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p
-                fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-                fy = (2 * y + a1 * x + a3) % p
-                if on == 0 and fx == 0 and fy == 0:
-                    return x, y
-        raise AssertionError(f"no singular point found mod {p}")
     b2, b4, b6, _ = b_invariants(*ai)
-    # x0 is the multiple root mod p of g/4, g = 4x^3 + b2 x^2 + 2 b4 x + b6
-    inv4 = pow(4, -1, p)
-    kind, x0 = _cubic_structure(b2 * inv4, 2 * b4 * inv4, b6 * inv4, p)
-    assert kind != "distinct", "expected a multiple root"
-    y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
-    return x0, y0
+    if p == 2 and b2 % 2 == 0:
+        x, y = a4, a4 * (1 + a2 + a4) + a6
+    elif p == 2:
+        x, y = a3, a3 + a4
+    elif p == 3:
+        x = -b6 if b2 % 3 == 0 else -b2 * b4
+        y = a1 * x + a3
+    else:
+        c4, c6 = c_invariants(b2, b4, b6)
+        if c4 % p == 0:
+            x = -b2 * pow(12, -1, p)
+        else:
+            x = -(c6 + b2 * c4) * pow(12 * c4, -1, p)
+        y = -(a1 * x + a3) * pow(2, -1, p)
+    return x % p, y % p
 
 
 def _normalize_step6(ai, p):
     """Reach p | a1, a2; p^2 | a3, a4; p^3 | a6 (entering the cubic P(T))."""
-
-    def ok(b):
-        return (
-            b[0] % p == 0
-            and b[1] % p == 0
-            and b[2] % p**2 == 0
-            and b[3] % p**2 == 0
-            and b[4] % p**3 == 0
-        )
-
-    if p >= 5:
-        s = (-ai[0] * pow(2, -1, p)) % p
-        b = translate(ai, 0, s, 0)
-        t = (-b[2] * pow(2, -1, p * p)) % (p * p)
-        b = translate(b, 0, 0, t)
-        assert ok(b)
-        return b
-    for r in range(0, p**3, p):
-        for s in range(p):
-            for t in range(p**3):
-                b = translate(ai, r, s, t)
-                if ok(b):
-                    return b
-    raise AssertionError(f"step-6 normalization not found at p={p}")
+    if p == 2:
+        s, t = ai[1] % 2, 2 * (ai[4] // 4 % 2)
+    else:
+        s, t = -ai[0] * (p + 1) // 2, -ai[2] * (p + 1) // 2
+    b = translate(ai, 0, s, t)
+    _check(all(a % p**k == 0 for a, k in zip(b, (1, 1, 2, 2, 3))), f"step 6 at p={p}")
+    return b
 
 
 def _cubic_structure(A, B, C, p):
@@ -115,27 +103,19 @@ def _cubic_structure(A, B, C, p):
     Returns ('distinct', #roots in F_p), ('double', root), or ('triple', root).
     """
     A, B, C = A % p, B % p, C % p
-    if p <= 3:
-        roots = [t for t in range(p) if (t**3 + A * t * t + B * t + C) % p == 0]
-        for r in roots:
-            q2 = (A + r) % p  # P = (T - r)(T^2 + q2 T + q1)
-            q1 = (B + r * q2) % p
-            if (r * r + q2 * r + q1) % p == 0:
-                q3 = (q2 + r) % p  # second deflation: T + q3
-                if (r + q3) % p == 0:
-                    return ("triple", r)
-                return ("double", r)
-        return ("distinct", len(roots))
     disc = (18 * A * B * C - 4 * A**3 * C + A * A * B * B - 4 * B**3 - 27 * C * C) % p
     if disc != 0:
         return ("distinct", count_roots_mod([C, B, A, 1], p))
-    r_tri = (-A * pow(3, -1, p)) % p
-    if (3 * r_tri * r_tri - B) % p == 0 and (r_tri**3 + C) % p == 0:
-        return ("triple", r_tri)
-    denom = (2 * (A * A - 3 * B)) % p
-    r_dbl = ((9 * C - A * B) * pow(denom, -1, p)) % p
-    assert (r_dbl**3 + A * r_dbl**2 + B * r_dbl + C) % p == 0
-    return ("double", r_dbl)
+    # a multiple root is triple iff x = 0; each root is read off the
+    # coefficients of (T - r)^3 or (T - r)^2 (T - s), s != r
+    x = (A * A - 3 * B) % p
+    if p == 2:
+        return ("triple", A) if x == 0 else ("double", B)
+    if p == 3:
+        return ("triple", -C % p) if x == 0 else ("double", A * B % p)
+    if x == 0:
+        return ("triple", -A * pow(3, -1, p) % p)
+    return ("double", (9 * C - A * B) * pow(2 * x, -1, p) % p)
 
 
 @lru_cache(maxsize=None)
@@ -161,18 +141,13 @@ def tate_algorithm(model, v):
 
     x0, y0 = _singular_point(tuple(a % p for a in ai), p)
     ai2 = translate(ai, x0, 0, y0)
-    assert all(a % p == 0 for a in ai2[2:])
-    b2_2, b4_2, b6_2, b8_2 = b_invariants(*ai2)
+    _check(all(a % p == 0 for a in ai2[2:]), f"no singular point at the origin mod {p}")
+    b2_2, _, b6_2, b8_2 = b_invariants(*ai2)
 
     if b2_2 % p != 0:
-        # split iff -c6 is a square mod p (odd p); at p = 2 test the
-        # tangent quadratic T^2 + a1 T - a2 at the translated node
-        if p == 2:
-            split = quadratic_roots(1, ai2[0], -ai2[1], p)[0] == 2
-        else:
-            _, c6_2 = c_invariants(b2_2, b4_2, b6_2)
-            split = legendre(-c6_2, p) == 1
-        if split:
+        # split iff the tangent quadratic T^2 + a1 T - a2 at the node has
+        # two roots in F_p
+        if quadratic_roots(1, ai2[0], -ai2[1], p)[0] == 2:
             cls, c = SPLIT_MULTIPLICATIVE, n
         else:
             cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
@@ -187,14 +162,12 @@ def tate_algorithm(model, v):
             p, kod, add_class, c, n, val_j_den, n - ncomp + 1
         )
 
-    if not _val_at_least(ai2[4], p, 2):
+    if ai2[4] % p**2:
         return done("II", 1, 1)
-    if not _val_at_least(b8_2, p, 3):
+    if b8_2 % p**3:
         return done("III", 2, 2)
-    if not _val_at_least(b6_2, p, 3):
-        b = _exact_div(ai2[2], p)
-        c = -_exact_div(ai2[4], p * p)
-        nr, _ = quadratic_roots(1, b, c, p)
+    if b6_2 % p**3:
+        nr, _ = _y_roots(ai2, p, 1)
         return done("IV", 3 if nr == 2 else 1, 3)
 
     ai3 = _normalize_step6(ai2, p)
@@ -208,14 +181,12 @@ def tate_algorithm(model, v):
 
     if kind == "double":
         a = translate(ai3, p * info, 0, 0)
-        assert a[1] != 0 and valuation(a[1], p) == 1
-        assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
+        _check(a[1] % p == 0 and a[1] % p**2 != 0, f"double root: v(a2) != 1 at p={p}")
+        _check(a[3] % p**3 == 0 and a[4] % p**4 == 0, f"double root at p={p}")
         nstar, k = 1, 2
         while True:
-            assert nstar <= n, "runaway In* loop"
-            b = _exact_div(a[2], p**k)
-            c = -_exact_div(a[4], p ** (2 * k))
-            nr, root = quadratic_roots(1, b, c, p)
+            _check(nstar <= n, "runaway In* loop")
+            nr, root = _y_roots(a, p, k)
             if root is None:
                 return done(f"I{nstar}*", 2 + nr, nstar + 5)
             a = translate(a, 0, 0, p**k * root)
@@ -232,18 +203,16 @@ def tate_algorithm(model, v):
 
     # triple root of P: move it to T = 0
     a = translate(ai3, p * info, 0, 0)
-    assert _val_at_least(a[1], p, 2)
-    assert _val_at_least(a[3], p, 3) and _val_at_least(a[4], p, 4)
-    b = _exact_div(a[2], p * p)
-    c = -_exact_div(a[4], p**4)
-    nr, root = quadratic_roots(1, b, c, p)
+    _check(a[1] % p**2 == 0, f"triple root: v(a2) < 2 at p={p}")
+    _check(a[3] % p**3 == 0 and a[4] % p**4 == 0, f"triple root at p={p}")
+    nr, root = _y_roots(a, p, 2)
     if root is None:
         return done("IV*", 3 if nr == 2 else 1, 7)
     a = translate(a, 0, 0, p * p * root)
-    assert _val_at_least(a[2], p, 3) and _val_at_least(a[4], p, 5)
-    if not _val_at_least(a[3], p, 4):
+    _check(a[2] % p**3 == 0 and a[4] % p**5 == 0, f"IV* translation at p={p}")
+    if a[3] % p**4:
         return done("III*", 2, 8)
-    if not _val_at_least(a[4], p, 6):
+    if a[4] % p**6:
         return done("II*", 1, 9)
     # minimal_model is minimal at every prime, so this is never reached
     raise ArithmeticError(f"model is not minimal at {p}")

@@ -310,8 +310,8 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("bound", ["0", "5", "-3"])
-    def test_sample_bound_below_ten_is_invalid_input(self, capsys, bound):
+    @pytest.mark.parametrize("bound", ["0", "5", "-3", "1000001"])
+    def test_sample_bound_out_of_range_is_invalid_input(self, capsys, bound):
         code, out, err = run(
             capsys,
             "analyze", "--label", "11a1", "-p", "5", "--offline",

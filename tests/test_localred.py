@@ -5,13 +5,20 @@ from itertools import product
 import pytest
 
 from shaclass.arith import legendre, valuation
-from shaclass.curve import CurveModel, compute_invariants, minimal_model
+from shaclass.curve import (
+    CurveModel,
+    b_invariants,
+    compute_invariants,
+    discriminant_from_b,
+    minimal_model,
+)
 from shaclass.errors import InvalidInput, SingularModel
 from shaclass.galrep import a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
     GOOD,
+    _cubic_structure,
     _singular_point,
     bad_primes,
     compute_t_set,
@@ -105,21 +112,90 @@ def test_tame_table_oracle_agreement(tate_corpus):
                 assert data.c_v in (2, 4)
 
 
+def is_singular_point(ai, x, y, p):
+    """The curve and both of its partial derivatives vanish at (x, y) mod p."""
+    a1, a2, a3, a4, a6 = ai
+    return (
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+        and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
+        and (2 * y + a1 * x + a3) % p == 0
+    )
+
+
 def test_singular_point_is_singular(tate_corpus):
-    """At each bad p >= 5 the curve and both partials vanish at the point."""
+    """At each bad prime, 2 and 3 included, the point is singular."""
     checked = 0
     for entry in tate_corpus.values():
         model = CurveModel(*entry["ainvs"])
-        a1, a2, a3, a4, a6 = minimal_model(model).ainvs()
+        ai = minimal_model(model).ainvs()
         for p in bad_primes(model):
-            if p < 5:
-                continue
-            x, y = _singular_point(tuple(a % p for a in (a1, a2, a3, a4, a6)), p)
-            assert (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
-            assert (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p == 0
-            assert (2 * y + a1 * x + a3) % p == 0
+            x, y = _singular_point(tuple(a % p for a in ai), p)
+            assert is_singular_point(ai, x, y, p), (entry["ainvs"], p)
             checked += 1
-    assert checked >= 20
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_singular_point_on_every_singular_reduction(p):
+    """Every Weierstrass 5-tuple over F_p with discriminant 0 gets its
+    singular point.  Of the p^5 tuples, p^5 - p^4 are nonsingular, so p^4
+    are checked."""
+    singular = 0
+    for ai in product(range(p), repeat=5):
+        if discriminant_from_b(*b_invariants(*ai)) % p == 0:
+            x, y = _singular_point(ai, p)
+            assert is_singular_point(ai, x, y, p), ai
+            singular += 1
+    assert singular == p**4
+
+
+def root_multiplicity(coeffs, t, p):
+    """How often T - t divides the polynomial mod p (coefficients high to low)."""
+    m = 0
+    while len(coeffs) > 1:
+        quotient = [coeffs[0]]
+        for c in coeffs[1:]:
+            quotient.append((c + t * quotient[-1]) % p)
+        if quotient.pop() != 0:  # the remainder
+            break
+        coeffs, m = quotient, m + 1
+    return m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cubic_structure_matches_root_multiplicities(p):
+    """T^3 + A T^2 + B T + C for every (A, B, C) mod p, against synthetic
+    division by T - t for every t in F_p.  A multiple root of a cubic lies
+    in F_p, so the enumeration sees it."""
+    for A, B, C in product(range(p), repeat=3):
+        mult = {t: root_multiplicity([1, A, B, C], t, p) for t in range(p)}
+        multiple = [t for t, m in mult.items() if m > 1]
+        if multiple:
+            (t,) = multiple
+            expected = ("triple" if mult[t] == 3 else "double", t)
+        else:
+            expected = ("distinct", sum(1 for m in mult.values() if m))
+        assert _cubic_structure(A, B, C, p) == expected, (A, B, C)
+        assert _cubic_structure(A - p, B + 2 * p, C + p**3, p) == expected, (A, B, C)
+
+
+@pytest.mark.parametrize(
+    "model, v",
+    [(CURVE_1058D1, 2), (CURVE_1058D1, 23), (CURVE_423801, 3), (CURVE_423801, 31)],
+)
+def test_wrong_singular_point_raises(monkeypatch, model, v):
+    """A point that is not the singular point of the reduction leaves some of
+    a3, a4, a6 prime to v after the translation.  The raised check catches
+    it, and it still runs under python -O."""
+    real = _singular_point
+
+    def shifted(ai, p):
+        x, y = real(ai, p)
+        return (x + 1) % p, y
+
+    monkeypatch.setattr("shaclass.localred._singular_point", shifted)
+    with pytest.raises(ArithmeticError):
+        tate_algorithm.__wrapped__(model, v)
 
 
 def test_multiplicative_j_valuation(tate_corpus):
