@@ -4,17 +4,20 @@ Everything here works on plain Python ints (arbitrary precision).  The
 factorization routine follows a fixed policy: trial division by all primes
 up to 10**6, then Brent's variant of Pollard rho, but only if the remaining
 cofactor is at most 2**128; larger cofactors raise FactorizationTooHard
-instead of stalling.  Trial division reads primes only up to the square
-root of n.
+instead of stalling.  Trial division walks cached prime tables up to 16,
+256, 4096, 65536 and 10**6 in turn, each from where the last one ended, and
+builds the next table only while the last one's limit squared is below the
+cofactor still left, so small factors never cost a large sieve.
 """
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import comb, gcd, isqrt
 
 from .errors import FactorizationTooHard
 
 TRIAL_DIVISION_BOUND = 10**6
+_TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
 RHO_CUTOFF = 2**128
 
 # Deterministic Miller-Rabin base set, valid for n < 3,317,044,064,679,887,385,961,981.
@@ -118,15 +121,21 @@ def factor(n):
         raise ValueError("cannot factor 0")
     n = abs(n)
     out = {}
-    # primes up to isqrt(n) rounded up to a power of 16: at most five cached
-    # tables, so a process that needs every prime to 10^6 sieves little more
-    limit = min(16 ** -(-isqrt(n).bit_length() // 4), TRIAL_DIVISION_BOUND)
-    for p in primes_up_to(limit):
-        if p * p > n:
+    # each table is read past the end of the previous one, and the next is
+    # built only while limit^2 < n for the cofactor n left: the primes tried
+    # are those up to min(isqrt(n), 10^6), stopping at the first p^2 > n
+    start = 0
+    for limit in _TABLE_LIMITS:
+        table = primes_up_to(limit)
+        for p in islice(table, start, None):
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        if limit * limit >= n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        start = len(table)
     if n == 1:
         return out
     if is_prime(n):
@@ -144,6 +153,14 @@ def factor(n):
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+def exact_div(x, q):
+    """x // q, raising ArithmeticError unless q divides x."""
+    quo, rem = divmod(x, q)
+    if rem:
+        raise ArithmeticError(f"expected {q} | {x}")
+    return quo
 
 
 def valuation(n, p):

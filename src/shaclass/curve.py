@@ -12,7 +12,7 @@ from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
-from .arith import factor, is_prime, valuation
+from .arith import exact_div, factor, is_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 ORDINARY = "ordinary"
@@ -206,25 +206,22 @@ def minimal_model(model):
         exps[2] -= 1
 
     c4m, c6m = scaled(exps)
-    assert _kraus_ok_at_2(c4m, c6m) and _kraus_ok_at_3(c6m)
+    if not (_kraus_ok_at_2(c4m, c6m) and _kraus_ok_at_3(c6m)):
+        raise ArithmeticError(f"Kraus's conditions fail for c4 = {c4m}, c6 = {c6m}")
 
     b2 = (-c6m) % 12
     if b2 > 6:
         b2 -= 12
-    b4, rem = divmod(b2 * b2 - c4m, 24)
-    assert rem == 0
-    b6, rem = divmod(-(b2**3) + 36 * b2 * b4 - c6m, 216)
-    assert rem == 0
+    b4 = exact_div(b2 * b2 - c4m, 24)
+    b6 = exact_div(-(b2**3) + 36 * b2 * b4 - c6m, 216)
     a1 = b2 % 2
-    a2, rem = divmod(b2 - a1, 4)
-    assert rem == 0
+    a2 = exact_div(b2 - a1, 4)
     a3 = b6 % 2
-    a6, rem = divmod(b6 - a3, 4)
-    assert rem == 0
-    a4, rem = divmod(b4 - a1 * a3, 2)
-    assert rem == 0
+    a6 = exact_div(b6 - a3, 4)
+    a4 = exact_div(b4 - a1 * a3, 2)
     out = CurveModel(a1, a2, a3, a4, a6)
-    assert compute_invariants(out).j == inv.j
+    if compute_invariants(out).j != inv.j:
+        raise ArithmeticError(f"minimal model {out} changes j")
     return out
 
 

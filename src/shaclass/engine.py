@@ -10,7 +10,7 @@ with d running over the possible Selmer dimensions and K the p-division
 field.  Everything lands in a deterministic, schema-versioned certificate.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .curve import classify_good_prime, minimal_model
 from .errors import InsufficientData
@@ -192,7 +192,8 @@ def analyze(
         equality = not t_set
     if lower is not None and upper is not None:
         for d in lower:
-            assert lower[d] <= upper[d]
+            if lower[d] > upper[d]:
+                raise ArithmeticError(f"lower bound {lower[d]} exceeds upper bound {upper[d]}")
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -249,7 +250,49 @@ def analyze(
 
 
 def certificate_to_json(doc):
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of json.dumps(doc, indent=2) + "\n", written without the
+    pure-Python encoder that indent makes CPython fall back to.
+
+    Only dict (str keys), list, str, int, bool and None are written; any other
+    value, a float or tuple among them, raises TypeError.
+    """
+    out = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline, add):
+    if isinstance(value, str):
+        add(_quote(value))
+    elif value is None:
+        add("null")
+    elif value is True:
+        add("true")
+    elif value is False:
+        add("false")
+    elif isinstance(value, int):
+        add(int.__repr__(value))
+    elif isinstance(value, list):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            add(sep)
+            _write(item, inner, add)
+            sep = "," + inner
+        add(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"certificate key {key!r} is not a str")
+            add(sep + _quote(key) + ": ")
+            _write(item, inner, add)
+            sep = "," + inner
+        add(newline + "}" if value else "{}")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a certificate value")
 
 
 def certificate_to_text(doc):

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from .arith import (
     count_roots_mod,
+    exact_div,
     factor,
     is_prime,
     quadratic_roots,
@@ -54,15 +55,9 @@ def _check(ok, what):
         raise ArithmeticError(what)
 
 
-def _exact_div(x, q):
-    quo, rem = divmod(x, q)
-    _check(rem == 0, f"expected {q} | {x}")
-    return quo
-
-
 def _y_roots(a, p, k):
     """quadratic_roots of Y^2 + (a3 / p^k) Y - a6 / p^(2k), the quadratic in y."""
-    return quadratic_roots(1, _exact_div(a[2], p**k), -_exact_div(a[4], p ** (2 * k)), p)
+    return quadratic_roots(1, exact_div(a[2], p**k), -exact_div(a[4], p ** (2 * k)), p)
 
 
 def _singular_point(ai, p):
@@ -171,9 +166,9 @@ def tate_algorithm(model, v):
         return done("IV", 3 if nr == 2 else 1, 3)
 
     ai3 = _normalize_step6(ai2, p)
-    A = _exact_div(ai3[1], p)
-    B = _exact_div(ai3[3], p * p)
-    C = _exact_div(ai3[4], p**3)
+    A = exact_div(ai3[1], p)
+    B = exact_div(ai3[3], p * p)
+    C = exact_div(ai3[4], p**3)
     kind, info = _cubic_structure(A, B, C, p)
 
     if kind == "distinct":
@@ -191,9 +186,9 @@ def tate_algorithm(model, v):
                 return done(f"I{nstar}*", 2 + nr, nstar + 5)
             a = translate(a, 0, 0, p**k * root)
             nstar += 1
-            Aq = _exact_div(a[1], p)
-            Bq = _exact_div(a[3], p ** (k + 1))
-            Cq = _exact_div(a[4], p ** (2 * k + 1))
+            Aq = exact_div(a[1], p)
+            Bq = exact_div(a[3], p ** (k + 1))
+            Cq = exact_div(a[4], p ** (2 * k + 1))
             nr, root = quadratic_roots(Aq, Bq, Cq, p)
             if root is None:
                 return done(f"I{nstar}*", 2 + nr, nstar + 5)

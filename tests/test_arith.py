@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from shaclass import arith
 from shaclass.arith import (
     RHO_CUTOFF,
     TRIAL_DIVISION_BOUND,
@@ -80,15 +81,34 @@ def test_factor_matches_plain_trial_division():
             assert got == _reference_factor(n, table), n
 
 
-def test_factor_sieves_only_power_of_16_limits():
-    primes_up_to.cache_clear()
-    factor(1009 * 1013)  # isqrt(n) = 1010: the table up to 4096 only
-    assert primes_up_to.cache_info().misses == 1
+def test_factor_sieves_only_power_of_16_limits(monkeypatch):
+    """From cleared caches, factor builds the tables up to 16, 256, 4096,
+    65536 and 10^6 in turn, and the next only while limit^2 < the cofactor."""
+    built = []
+
+    def recording(limit):
+        if limit not in built:
+            built.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(arith, "primes_up_to", recording)
+
+    def tables(n, want):
+        primes_up_to.cache_clear()
+        built.clear()
+        assert factor(n) == want
+        assert primes_up_to.cache_info().misses == len(built)
+        return built
+
+    assert tables(1009 * 1013, {1009: 1, 1013: 1}) == [16, 256, 4096]
     assert primes_up_to(4096)[-1] == 4093 and primes_up_to.cache_info().hits == 1
     for k in range(1, 100):
-        assert factor(2**k) == {2: k}
-    # the tables up to 16, 256, 4096, 65536 and 10^6
-    assert primes_up_to.cache_info().currsize == 5
+        assert tables(2**k, {2: k}) == [16]
+    # 999983 < 1009^2 is left once the 2s are gone: no table past 4096
+    assert tables(2**64 * 999983, {2: 64, 999983: 1}) == [16, 256, 4096]
+    # a corpus-style gcd(c4, c6): its largest prime factor is 31
+    assert tables(2**30 * 3 * 7 * 31, {2: 30, 3: 1, 7: 1, 31: 1}) == [16]
+    assert tables(999983 * 1000003, {999983: 1, 1000003: 1}) == [16, 256, 4096, 65536, 10**6]
     assert list(primes_up_to(TRIAL_DIVISION_BOUND)) == _plain_sieve(TRIAL_DIVISION_BOUND)
 
 

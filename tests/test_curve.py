@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from shaclass import curve
 from shaclass.arith import factor
 from shaclass.curve import (
     CurveModel,
@@ -28,6 +30,7 @@ from shaclass.errors import BadReductionAtP, InvalidInput, SingularModel
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_1058C1 = CurveModel(1, 0, 1, 0, 2)
 CURVE_423801 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
+CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
 
 
 def random_model(rng):
@@ -97,6 +100,17 @@ class TestTransforms:
         assert big.discriminant() == CURVE_1058D1.discriminant() * 2**12
 
 
+def _with_fake_invariants(monkeypatch, **changes):
+    """A fresh 11a1 model whose invariants, and no other model's, read with
+    the given fields changed; minimal_model.__wrapped__ bypasses its cache."""
+    model = CurveModel(*CURVE_11A1.ainvs())
+    fake = dataclasses.replace(compute_invariants(model), **changes)
+    monkeypatch.setattr(
+        curve, "compute_invariants", lambda m: fake if m is model else compute_invariants(m)
+    )
+    return model
+
+
 class TestMinimalModel:
     def test_idempotent_and_preserves_j(self):
         rng = random.Random(99)
@@ -120,6 +134,36 @@ class TestMinimalModel:
         mm = minimal_model(CurveModel(0, 0, 1, -1, 0))  # 37a1
         big = transform_model(mm, Fraction(1, 3), 2, 1, 5)
         assert minimal_model(big) == mm
+
+    def test_failed_kraus_check_raises(self, monkeypatch):
+        monkeypatch.setattr(curve, "_kraus_ok_at_3", lambda c6: False)
+        with pytest.raises(ArithmeticError, match="Kraus"):
+            minimal_model.__wrapped__(CURVE_11A1)
+
+    # (c4, c6) with no scaling to strip, each ending at one exact division:
+    # b4 = (b2^2 - c4)/24, b6 = (-b2^3 + 36 b2 b4 - c6)/216, a2 = (b2 - a1)/4,
+    # a6 = (b6 - a3)/4 and a4 = (b4 - a1 a3)/2, where b2 = -c6 mod 12 in [-5, 6]
+    @pytest.mark.parametrize(
+        "c4, c6, message",
+        [
+            (1, 0, "expected 24 \\| -1$"),
+            (0, 12, "expected 216 \\| -12$"),
+            (9, -27, "expected 4 \\| 2$"),
+            (0, -1296, "expected 4 \\| 6$"),
+            (-24, 0, "expected 2 \\| 1$"),
+        ],
+    )
+    def test_inexact_division_raises(self, monkeypatch, c4, c6, message):
+        model = _with_fake_invariants(monkeypatch, c4=c4, c6=c6, disc=1)
+        monkeypatch.setattr(curve, "_kraus_ok_at_2", lambda c4, c6: True)
+        monkeypatch.setattr(curve, "_kraus_ok_at_3", lambda c6: True)
+        with pytest.raises(ArithmeticError, match=message):
+            minimal_model.__wrapped__(model)
+
+    def test_changed_j_raises(self, monkeypatch):
+        model = _with_fake_invariants(monkeypatch, j=compute_invariants(CURVE_11A1).j + 1)
+        with pytest.raises(ArithmeticError, match="changes j"):
+            minimal_model.__wrapped__(model)
 
 
 class TestPointCounting:

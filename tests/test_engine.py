@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import shaclass
+from shaclass import engine
 from conftest import DATA_DIR
 from oracles import unit_subgroup
 from shaclass.arith import primes_up_to
@@ -201,6 +203,13 @@ class TestBounds:
         assert seen == {"main": 102, "no main": 10, "no scenario": 16}
 
 
+    def test_lower_bound_above_upper_bound_raises(self, monkeypatch, tmp_path):
+        record = record_for("1058d1", tmp_path)
+        monkeypatch.setattr(engine, "max", lambda *args: 10**6, raising=False)
+        with pytest.raises(ArithmeticError, match="exceeds upper bound"):
+            analyze(CURVE_1058D1, 5, record=record, label="1058d1")
+
+
 class TestCorollary:
     def test_yes_by_sha_rank(self, tmp_path):
         record = record_for("1058d1", tmp_path)
@@ -370,3 +379,35 @@ class TestCertificates:
             assert got.pop("ainvs") == list(moved.ainvs())
             want.pop("ainvs")
             assert got == want, (label, n, r, s, t, p)
+
+
+# strings mixing ASCII, non-ASCII, control characters, quotes, backslashes
+# and a lone surrogate, which the stdlib writes as an escape
+_TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\ud800'), max_size=8)
+_SCALARS = (
+    st.none()
+    | st.sampled_from([True, False, 0, 1])
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | _TEXT
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestCertificateJson:
+    @settings(max_examples=300)
+    @given(_DOCUMENTS)
+    def test_writes_the_bytes_of_json_dumps(self, doc):
+        assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc", [{"a": 1.5}, [0.0], {"a": [(1, 2)]}, (1,), {1: "x"}, {"a": {None: 1}}]
+    )
+    def test_non_json_native_values_raise(self, doc):
+        with pytest.raises(TypeError):
+            certificate_to_json(doc)
