@@ -12,7 +12,7 @@ Run:  python3 demos/03_mod_p_images.py
 from shaclass import CurveModel, certify_image, division_polynomial
 from shaclass.arith import rational_factors
 from shaclass.curve import classify_good_prime
-from shaclass.galrep import ordinary_shape, wild_ramification_status
+from shaclass.galrep import wild_ramification_status
 
 E = CurveModel(1, -1, 0, -332311, -73733731)  # 1058d1
 cert = certify_image(E, 5, sample_bound=1000)
@@ -38,12 +38,10 @@ print("\n27a1 (j = 0), p = 5:", certify_image(CurveModel(0, 0, 1, 0, -7), 5).sta
 cert389 = certify_image(CurveModel(0, 1, 1, -2, 0), 3)
 print("\n389a1, p = 3:", cert389.status, "- 3-cycle witness ell =", cert389.witnesses[-1][0])
 
-# The ordinary local shape at p and the wild-ramification ledger entry.
+# The local picture at p: the unit root of Frobenius mod p on the
+# unramified quotient, and the wild-ramification ledger entry.
 profile = classify_good_prime(E, 5)
-shape = ordinary_shape(profile)
-print("\nordinary shape of 1058d1 at 5:")
-print("  Frobenius eigenvalue on the unramified quotient:", shape.psi_frobenius_eigenvalue)
-print("  kernel character:", shape.kernel_character_note)
-print("  off-diagonal class nonzero:", shape.star_nonzero)
+print("\n1058d1 at 5:", profile.reduction_kind, "reduction, a_5 =", profile.a_p)
+print("  unit root alpha_5 mod 5:", profile.alpha_p_mod_p)
 wild = wild_ramification_status(profile)
 print("  wild ramification hypothesis:", wild, "(a_5 = 2 != 1 mod 5)")

@@ -3,8 +3,8 @@ the class group of its p-division field.
 
 The pipeline: exact Weierstrass arithmetic (curve), Tate's algorithm and
 the rank-one prime set T (localred), mod-p image certification and the
-ordinary local shape (galrep), finite group cohomology over F_p (cohom),
-external rank/Sha data (selmerdata), and the hypothesis ledgers with the
+wild-ramification status at p (galrep), finite group cohomology over F_p
+(cohom), external rank/Sha data (selmerdata), and the hypothesis ledgers with the
 two-sided bound on dim Hom_G(Cl_K/pCl_K, E[p]) (engine).
 """
 
@@ -29,10 +29,8 @@ from .localred import (
 )
 from .galrep import (
     ImageCertificate,
-    OrdinaryShape,
     certify_image,
     division_polynomial,
-    ordinary_shape,
     wild_ramification_status,
 )
 from .cohom import (
@@ -75,10 +73,8 @@ __all__ = [
     "tamagawa_unit_check",
     "tate_algorithm",
     "ImageCertificate",
-    "OrdinaryShape",
     "certify_image",
     "division_polynomial",
-    "ordinary_shape",
     "wild_ramification_status",
     "CohomologyResult",
     "MatrixGroup",

@@ -132,7 +132,10 @@ def _user_overrides(args, model, record):
     if record is None:
         if args.mw_rank is None and args.sha_order is None and structure is None:
             return None
-        record = ExternalCurveRecord("user-curve", model.ainvs(), 0, (), None, None)
+        if args.mw_rank is None:
+            # no record to read it from: 0 would be an invented rank
+            raise InvalidInput("--curve with --sha-order or --sha-structure needs --mw-rank")
+        record = ExternalCurveRecord("user-curve", model.ainvs(), args.mw_rank, (), None, None)
     return apply_user_overrides(
         record,
         mw_rank=args.mw_rank,

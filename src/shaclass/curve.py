@@ -114,8 +114,8 @@ def compute_invariants(model):
     disc = discriminant_from_b(b2, b4, b6, b8)
     if disc == 0:
         raise SingularModel("discriminant is zero")
-    assert c4**3 - c6**2 == 1728 * disc
-    assert 4 * b8 == b2 * b6 - b4 * b4
+    if c4**3 - c6**2 != 1728 * disc or 4 * b8 != b2 * b6 - b4 * b4:
+        raise ArithmeticError(f"{model}: c4^3 - c6^2 != 1728 disc or 4 b8 != b2 b6 - b4^2")
     return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
@@ -249,7 +249,8 @@ def trace_of_frobenius(model, p):
             continue
         total += 1 if is_qr[g] else -1
     a_p = -total
-    assert a_p * a_p <= 4 * p, "Hasse bound violated"
+    if a_p * a_p > 4 * p:
+        raise ArithmeticError(f"a_{p} = {a_p} breaks the Hasse bound")
     return a_p
 
 
@@ -268,9 +269,7 @@ def classify_good_prime(model, p):
     j = compute_invariants(model).j
     if a_p % p == 0:
         return GoodPrimeProfile(p, a_p, SUPERSINGULAR, None, detect_cm(j))
-    alpha = a_p % p
-    assert alpha != 0
-    return GoodPrimeProfile(p, a_p, ORDINARY, alpha, detect_cm(j))
+    return GoodPrimeProfile(p, a_p, ORDINARY, a_p % p, detect_cm(j))
 
 
 def brute_force_point_count(model, p):

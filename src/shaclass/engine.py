@@ -12,8 +12,9 @@ field.  Everything lands in a deterministic, schema-versioned certificate.
 
 from json.encoder import encode_basestring_ascii as _quote
 
+from .arith import TRIAL_DIVISION_BOUND
 from .curve import classify_good_prime, minimal_model
-from .errors import InsufficientData
+from .errors import InsufficientData, InvalidInput
 from .galrep import ASSUMED_BY_USER, CM_CASE, SURJECTIVE_CERTIFIED, UNKNOWN, VACUOUS
 from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
 from .localred import bad_primes
@@ -123,19 +124,14 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     return ledgers
 
 
-def apply_corollary(record, p, assume_sha_finite=True):
+def apply_corollary(mw_rank, scenario, assume_sha_finite=True):
     """Does an unramified abelian extension of K with group E[p] exist?
 
     Asked only when the Main ledger applies and a Selmer scenario exists.
+    Yes when mw_rank >= 2, or when every Sha[p] rank of the scenario is at
+    least 2; under finiteness a nonzero Sha[p] has even rank, so 1 will do.
     """
-    r = record.sha_p_rank(p)
-    if r is not None and r > 1:
-        return YES
-    if r is not None and r >= 1 and assume_sha_finite:
-        return YES
-    if r is None and record.sha_order is not None and record.sha_order % p == 0 and assume_sha_finite:
-        return YES  # Sha[p] != 0 plus finiteness forces rank >= 2
-    if record.mw_rank >= 2:
+    if mw_rank >= 2 or all(r >= 2 or (r >= 1 and assume_sha_finite) for r in scenario.sha_ranks):
         return YES
     return UNKNOWN_ANSWER
 
@@ -152,7 +148,10 @@ def analyze(
     """Full pipeline for one curve and prime; record may be None (degraded).
 
     Returns the certificate as its JSON document: a dict of JSON-native values.
+    p is at most TRIAL_DIVISION_BOUND, since a_p is counted by one pass over F_p.
     """
+    if p > TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
     profile = classify_good_prime(model, p)
     image_cert = certify_image(model, p, sample_bound)
     wild = wild_ramification_status(profile, assume_wild_ramification)
@@ -186,7 +185,7 @@ def analyze(
     corollary_answer = UNKNOWN_ANSWER
     if scenario is not None and ledgers[MAIN]["applicable"]:
         lower = {d: max(0, d - 1) for d in scenario.possible_dims}
-        corollary_answer = apply_corollary(record, p, assume_sha_finite)
+        corollary_answer = apply_corollary(record.mw_rank, scenario, assume_sha_finite)
     if scenario is not None and ledgers[MAIN_CONV]["applicable"]:
         upper = {d: d + len(t_set) for d in scenario.possible_dims}
         equality = not t_set

@@ -13,10 +13,6 @@ class BadReductionAtP(ShaclassError):
     """Operation requires good reduction at p."""
 
 
-class NotOrdinary(ShaclassError):
-    """Operation requires good ordinary reduction."""
-
-
 class FactorizationTooHard(ShaclassError):
     """Remaining cofactor after trial division exceeds the rho cutoff."""
 

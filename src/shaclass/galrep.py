@@ -1,4 +1,4 @@
-"""Mod-p Galois image certification and the ordinary local shape.
+"""Mod-p Galois image certification and the wild-ramification status at p.
 
 Surjectivity is certified one-sidedly from Frobenius data (a_ell, ell mod p):
 a proper subgroup of GL_2(F_p) with full determinant lies in a Borel, the
@@ -7,7 +7,8 @@ image A4/S4/A5; each class is ruled out by an explicit witness prime.  The
 certificate is sound: SurjectiveCertified is only emitted with witnesses
 against all four classes plus determinant surjectivity.  CM curves are
 decided from j alone, before any scan.  Division polynomials are integer
-coefficient lists, lowest degree first.
+coefficient lists, lowest degree first.  The wild-ramification status of
+hypothesis (b) is read off curve.GoodPrimeProfile, the local picture at p.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from functools import lru_cache
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre
 from .arith import TRIAL_DIVISION_BOUND, lift_rational_factor, primes_up_to, rational_factors
 from .curve import (
-    ORDINARY,
     SUPERSINGULAR,
     b_invariants,
     brute_force_point_count,
@@ -25,7 +25,7 @@ from .curve import (
     minimal_model,
     trace_of_frobenius,
 )
-from .errors import BadReductionAtP, InvalidInput, NotOrdinary
+from .errors import BadReductionAtP, InvalidInput
 
 SURJECTIVE_CERTIFIED = "SurjectiveCertified"
 SMALL_IMAGE_CERTIFIED = "SmallImageCertified"
@@ -47,8 +47,6 @@ DEFAULT_SAMPLE_BOUND = 1000
 # look for a rational factor of psi_p (at p <= 13)
 SCAN_PREFIX = 10
 
-KERNEL_CHARACTER_NOTE = "omega_p * psi^(-1) on C_p"
-
 
 @dataclass(frozen=True)
 class ImageCertificate:
@@ -57,14 +55,6 @@ class ImageCertificate:
     witnesses: tuple
     ruled_out: frozenset
     first_unruled: str | None = None
-
-
-@dataclass(frozen=True)
-class OrdinaryShape:
-    p: int
-    psi_frobenius_eigenvalue: int
-    kernel_character_note: str
-    star_nonzero: str
 
 
 @lru_cache(maxsize=None)
@@ -291,18 +281,6 @@ def _division_polynomial(model, m):
         return f[n]
 
     return tuple(get(m))
-
-
-def ordinary_shape(profile, star_nonzero=UNKNOWN):
-    """Upper-triangular local shape at a good ordinary prime."""
-    if profile.reduction_kind != ORDINARY:
-        raise NotOrdinary(f"reduction at {profile.p} is not ordinary")
-    assert profile.alpha_p_mod_p and profile.alpha_p_mod_p % profile.p != 0
-    if star_nonzero not in ("True", "False", UNKNOWN):
-        raise InvalidInput(f"bad star_nonzero value {star_nonzero!r}")
-    return OrdinaryShape(
-        profile.p, profile.alpha_p_mod_p, KERNEL_CHARACTER_NOTE, star_nonzero
-    )
 
 
 def wild_ramification_status(profile, assume_wild_ramification=False):

@@ -86,10 +86,9 @@ class ExternalCurveRecord:
 
 @dataclass(frozen=True)
 class SelmerScenario:
-    p: int
     possible_dims: tuple
     reasoning: tuple
-    torsion_dim: int
+    sha_ranks: tuple  # the F_p-rank of Sha[p] behind each of possible_dims
     notes: tuple = ()
 
 
@@ -307,8 +306,8 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     """Possible values of dim_Fp Sel_p from rank, Sha data and torsion.
 
     Each dim is mw_rank + r + dim E(Q)[p], where r runs over the Sha[p]
-    ranks consistent with the record.  With the finiteness flag (default),
-    a nonzero Sha[p] must have even rank.
+    ranks consistent with the record; sha_ranks lists each dim's r.  With
+    the finiteness flag (default), a nonzero Sha[p] must have even rank.
     """
     notes = []
     if irreducible:
@@ -324,14 +323,15 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     if r_known is not None:
         dims = (record.mw_rank + r_known + torsion_dim,)
         reasons = (f"Sha[{p}] has recorded F_{p}-rank {r_known}",)
-        return SelmerScenario(p, dims, reasons, torsion_dim, tuple(notes))
+        return SelmerScenario(dims, reasons, (r_known,), tuple(notes))
 
     if record.sha_order is None:
         raise InsufficientData(
             f"record for {record.label} has neither Sha order nor Sha[{p}] rank"
         )
     vp = valuation(record.sha_order, p)
-    assert vp > 0  # vp == 0 is handled by sha_p_rank above
+    if vp == 0:  # sha_p_rank reads rank 0 off an order prime to p
+        raise ArithmeticError(f"no Sha[{p}] rank read off Sha order {record.sha_order}")
     if assume_sha_finite:
         ranks = [r for r in range(2, vp + 1, 2)]
         if not ranks:
@@ -347,4 +347,4 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     for r in ranks:
         dims.append(record.mw_rank + r + torsion_dim)
         reasons.append(f"assuming Sha[{p}] has F_{p}-rank {r} (order divides {p}^{vp})")
-    return SelmerScenario(p, tuple(dims), tuple(reasons), torsion_dim, tuple(notes))
+    return SelmerScenario(tuple(dims), tuple(reasons), tuple(ranks), tuple(notes))

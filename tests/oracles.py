@@ -7,7 +7,8 @@ loop), the unramified 3-torsion test at 2 finds an actual point from a
 rational root of the 3-division polynomial (no Kodaira type), the
 cohomology oracles solve the full linear systems over all group elements
 (no generator reduction), and the subgroup of (Z/p)^x that units generate
-is found by closing under multiplication (no element orders).
+is found by closing under multiplication (no element orders), and the
+Corollary's answer is read from the record's Sha data (no Selmer scenario).
 """
 
 from fractions import Fraction
@@ -215,6 +216,24 @@ def unit_subgroup(units, p):
         if not new:
             return group
         group |= new
+
+
+def corollary_from_record(record, p, assume_sha_finite=True):
+    """The Corollary's answer ("Yes" or "Unknown") straight from the record.
+
+    Reads the Sha[p] rank, or failing that p | #Sha, off the record itself,
+    branch by branch, with no use of the Selmer scenario.
+    """
+    r = record.sha_p_rank(p)
+    if r is not None and r > 1:
+        return "Yes"
+    if r is not None and r >= 1 and assume_sha_finite:
+        return "Yes"
+    if r is None and record.sha_order is not None and record.sha_order % p == 0 and assume_sha_finite:
+        return "Yes"  # Sha[p] != 0 plus finiteness forces rank >= 2
+    if record.mw_rank >= 2:
+        return "Yes"
+    return "Unknown"
 
 
 def _rank(rows, p):

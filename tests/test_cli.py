@@ -303,12 +303,27 @@ class TestAnalyze:
     def test_bad_sha_structure_is_invalid_input(self, capsys, structure):
         code, out, err = run(
             capsys,
-            "analyze", "--curve", "[0,1]", "-p", "7", "--offline",
+            "analyze", "--curve", "[0,1]", "-p", "7", "--offline", "--mw-rank", "0",
             "--sha-structure", structure,
         )
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [("--sha-order", "1"), ("--sha-structure", "5,5")])
+    def test_sha_data_for_a_curve_needs_mw_rank(self, capsys, flag):
+        # 389a1's equation has rank 2; no rank may be made up for it
+        code, out, err = run(
+            capsys, "analyze", "--curve", "0,1,1,-2,0", "-p", "5", "--offline", *flag
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error:") and "--mw-rank" in err
+
+    @pytest.mark.parametrize("p", ["1000003", str(2**89 - 1)])
+    def test_p_above_trial_division_bound_is_invalid_input(self, capsys, p):
+        code, out, err = run(capsys, "analyze", "--label", "11a1", "-p", p, "--offline")
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: p must be at most 1000000") and "Traceback" not in err
 
     @pytest.mark.parametrize("bound", ["0", "5", "-3", "1000001"])
     def test_sample_bound_out_of_range_is_invalid_input(self, capsys, bound):

@@ -63,6 +63,30 @@ class TestInvariants:
         with pytest.raises(SingularModel):
             CurveModel(0, 0, 0, 0, 0)
 
+    def test_broken_c_identity_raises(self, monkeypatch):
+        def c4_off_by_one(b2, b4, b6):
+            c4, c6 = c_invariants(b2, b4, b6)
+            return c4 + 1, c6
+
+        monkeypatch.setattr(curve, "c_invariants", c4_off_by_one)
+        with pytest.raises(ArithmeticError, match="1728 disc"):
+            compute_invariants.__wrapped__(CURVE_11A1)
+
+    def test_broken_b8_identity_raises(self, monkeypatch):
+        # b8 off by one, with the discriminant still that of the true b8, so
+        # that only 4 b8 = b2 b6 - b4^2 breaks
+        def b8_off_by_one(*ainvs):
+            b2, b4, b6, b8 = b_invariants(*ainvs)
+            return b2, b4, b6, b8 + 1
+
+        def disc_of_true_b8(b2, b4, b6, b8):
+            return discriminant_from_b(b2, b4, b6, b8 - 1)
+
+        monkeypatch.setattr(curve, "b_invariants", b8_off_by_one)
+        monkeypatch.setattr(curve, "discriminant_from_b", disc_of_true_b8)
+        with pytest.raises(ArithmeticError, match="4 b8"):
+            compute_invariants.__wrapped__(CURVE_11A1)
+
     def test_1058d1_disc_support(self):
         inv = compute_invariants(CURVE_1058D1)
         assert set(factor(abs(inv.disc))) == {2, 23}
@@ -214,6 +238,12 @@ class TestPointCounting:
                 CURVE_1058C1, p
             )
             assert diff % 5 == 0
+
+    def test_count_beyond_hasse_bound_raises(self, monkeypatch):
+        # every value a square: a_p = -(p - #roots of g), far past 2 sqrt(p)
+        monkeypatch.setattr(curve, "bytearray", lambda n: bytearray(b"\x01" * n), raising=False)
+        with pytest.raises(ArithmeticError, match="Hasse bound"):
+            trace_of_frobenius(CURVE_11A1, 97)
 
     def test_bad_reduction_raises(self):
         with pytest.raises(BadReductionAtP):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import shaclass
 from shaclass import engine
 from conftest import DATA_DIR
-from oracles import unit_subgroup
-from shaclass.arith import primes_up_to
+from oracles import corollary_from_record, unit_subgroup
+from shaclass.arith import primes_up_to, valuation
 from shaclass.curve import (
     CurveModel,
     classify_good_prime,
@@ -36,13 +37,16 @@ from shaclass.engine import (
     certificate_to_text,
     evaluate_hypotheses,
 )
+from shaclass.errors import InsufficientData, InvalidInput
 from shaclass.galrep import certify_image, wild_ramification_status
 from shaclass.localred import tamagawa_unit_check
 from shaclass.selmerdata import (
     OFFLINE_ONLY,
+    ExternalCurveRecord,
     StoreConfig,
     fetch_curve_record,
     packaged_fixtures_dir,
+    selmer_rank_scenarios,
 )
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
@@ -210,19 +214,62 @@ class TestBounds:
             analyze(CURVE_1058D1, 5, record=record, label="1058d1")
 
 
+def corollary(record, p, assume_sha_finite=True):
+    scenario = selmer_rank_scenarios(record, p, True, assume_sha_finite)
+    return apply_corollary(record.mw_rank, scenario, assume_sha_finite)
+
+
+@st.composite
+def sha_records(draw):
+    """Records with mw_rank 0..3, #Sha a product of powers of 3, 5 and 7 or
+    unknown, and a consistent Sha structure or per-p Sha ranks."""
+    factors = draw(st.lists(st.sampled_from((3, 5, 7, 9, 15, 25, 35, 49, 105)), max_size=4))
+    order = math.prod(factors)
+    kind = draw(st.sampled_from(["order only", "structure", "p-ranks"]))
+    ranks = ()
+    if kind == "p-ranks":
+        primes = draw(st.lists(st.sampled_from((3, 5, 7)), unique=True))
+        ranks = tuple(sorted((q, draw(st.integers(0, valuation(order, q)))) for q in primes))
+    return ExternalCurveRecord(
+        label="x1a1",
+        ainvs=None,
+        mw_rank=draw(st.integers(0, 3)),
+        torsion_structure=draw(st.sampled_from([(), (3,), (5,), (7,), (3, 3)])),
+        sha_order=draw(st.sampled_from([None, order])),
+        sha_structure=tuple(factors) if kind == "structure" else None,
+        sha_p_ranks=ranks,
+    )
+
+
 class TestCorollary:
     def test_yes_by_sha_rank(self, tmp_path):
         record = record_for("1058d1", tmp_path)
-        assert apply_corollary(record, 5) == "Yes"
+        assert corollary(record, 5) == "Yes"
 
     def test_yes_by_mw_rank(self, tmp_path):
         record = record_for("1058c1", tmp_path)
         assert record.sha_p_rank(5) == 0 and record.mw_rank == 2
-        assert apply_corollary(record, 5) == "Yes"
+        assert corollary(record, 5) == "Yes"
 
     def test_unknown_when_no_clause_fires(self, tmp_path):
         record = record_for("37a1", tmp_path)  # rank 1, Sha[5]=0
-        assert apply_corollary(record, 5) == "Unknown"
+        assert corollary(record, 5) == "Unknown"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sha_records(),
+        st.sampled_from((3, 5, 7)),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_scenario_rule_matches_record_rule(self, record, p, irreducible, finite):
+        try:
+            scenario = selmer_rank_scenarios(record, p, irreducible, finite)
+        except InsufficientData:
+            return  # no scenario, so the Corollary is never asked
+        assert apply_corollary(record.mw_rank, scenario, finite) == corollary_from_record(
+            record, p, finite
+        )
 
 
 class TestCertificates:
@@ -259,6 +306,13 @@ class TestCertificates:
         one = certificate_to_json(analyze(CURVE_1058D1, 5, record=record, label="1058d1"))
         two = certificate_to_json(analyze(CURVE_1058D1, 5, record=record, label="1058d1"))
         assert one == two
+
+    @pytest.mark.parametrize("p", [1000003, 2**89 - 1])
+    def test_p_above_trial_division_bound_is_invalid_input(self, p, monkeypatch):
+        # refused before a_p is counted, by a pass over all of F_p
+        monkeypatch.setattr(engine, "classify_good_prime", None)
+        with pytest.raises(InvalidInput, match="at most 1000000"):
+            analyze(CURVE_11A1, p)
 
     def test_graceful_degradation_without_record(self):
         cert = analyze(CURVE_1058D1, 5, record=None)

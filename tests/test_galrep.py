@@ -19,7 +19,7 @@ from shaclass.curve import (
     minimal_model,
     trace_of_frobenius,
 )
-from shaclass.errors import BadReductionAtP, InvalidInput, NotOrdinary
+from shaclass.errors import BadReductionAtP, InvalidInput
 from shaclass.galrep import (
     ASSUMED_BY_USER,
     CM_CASE,
@@ -34,7 +34,6 @@ from shaclass.galrep import (
     certify_image,
     division_polynomial,
     exact_factor,
-    ordinary_shape,
     wild_ramification_status,
 )
 
@@ -400,35 +399,6 @@ class TestDivisionPolynomials:
         psi = division_polynomial(CURVE_11A1, 5)
         assert _horner(psi, 5) == 0
         assert _horner(psi, 16) == 0  # x(2P) for P = (5,5)
-
-
-class TestOrdinaryShape:
-    def test_1058d1(self):
-        prof = classify_good_prime(CURVE_1058D1, 5)
-        shape = ordinary_shape(prof)
-        # the source text lists psi(Frob) = 3 here, tied to its a_5 = -2
-        # misprint; the verified trace is +2, so the eigenvalue is 2
-        assert shape.psi_frobenius_eigenvalue == 2
-        assert shape.star_nonzero == "Unknown"
-        assert "C_p" in shape.kernel_character_note
-
-    def test_423801(self):
-        prof = classify_good_prime(
-            CurveModel(0, 0, 1, -17034726259173, -27061436852750306309), 5
-        )
-        assert ordinary_shape(prof).psi_frobenius_eigenvalue == 4
-
-    def test_supersingular_rejected(self):
-        prof = classify_good_prime(CurveModel(0, 0, 0, 0, 1), 5)
-        assert prof.reduction_kind == SUPERSINGULAR
-        with pytest.raises(NotOrdinary):
-            ordinary_shape(prof)
-
-    def test_star_from_config_only(self):
-        prof = classify_good_prime(CURVE_1058D1, 5)
-        assert ordinary_shape(prof, star_nonzero="True").star_nonzero == "True"
-        with pytest.raises(InvalidInput):
-            ordinary_shape(prof, star_nonzero="maybe")
 
 
 class TestWildRamification:

@@ -374,3 +374,16 @@ class TestScenarios:
         scenario = selmer_rank_scenarios(rec, 5, True)
         assert scenario.possible_dims == (1,)
         assert any("incompatible" in note for note in scenario.notes)
+
+    def test_sha_rank_behind_each_dim(self):
+        rec = self._record(mw_rank=1, sha_order=5**3, torsion_structure=(5,))
+        scenario = selmer_rank_scenarios(rec, 5, False, assume_sha_finite=False)
+        assert scenario.sha_ranks == (1, 2, 3)
+        assert scenario.possible_dims == (3, 4, 5)  # 1 + r + 1 from torsion
+        known = self._record(mw_rank=0, sha_order=25, sha_structure=(5, 5))
+        assert selmer_rank_scenarios(known, 5, True).sha_ranks == (2,)
+
+    def test_order_prime_to_p_without_rank_raises(self, monkeypatch):
+        monkeypatch.setattr(ExternalCurveRecord, "sha_p_rank", lambda self, p: None)
+        with pytest.raises(ArithmeticError, match="Sha order 9"):
+            selmer_rank_scenarios(self._record(sha_order=9), 5, True)
