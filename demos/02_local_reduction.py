@@ -3,7 +3,7 @@
 Run:  python3 demos/02_local_reduction.py
 """
 
-from shaclass import CurveModel, bad_primes, compute_t_set, local_data
+from shaclass import CurveModel, bad_primes, compute_t_set, local_data, tate_algorithm
 
 EXAMPLES = {
     "11a1 (split I5)": CurveModel(0, -1, 1, -10, -20),
@@ -26,7 +26,7 @@ for name, model in EXAMPLES.items():
 # walks through II, IV, IV*, II* as k = 1, 2, 4, 5.
 print("the y^2 = x^3 + 7^k family at v = 7:")
 for k in (1, 2, 4, 5):
-    d = local_data(CurveModel(0, 0, 0, 0, 7**k), 7)
+    d = tate_algorithm(CurveModel(0, 0, 0, 0, 7**k), 7)
     print(f"  k = {k}: {d.kodaira}, c = {d.c_v}")
 
 # The set T feeding the upper bound: multiplicative primes v with

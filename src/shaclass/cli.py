@@ -24,7 +24,7 @@ from .errors import (
     ShaclassError,
 )
 from .galrep import DEFAULT_SAMPLE_BOUND
-from .localred import local_data
+from .localred import local_data, tate_algorithm
 from .selmerdata import (
     OFFLINE_ONLY,
     REMOTE_FIRST,
@@ -201,12 +201,9 @@ def cmd_invariants(args):
 
 def cmd_tate(args):
     model, _record, label = _resolve_curve(args)
-    if args.v is not None:
-        data = {args.v: local_data(model, args.v)}
-    else:
-        data = local_data(model)
+    data = local_data(model) if args.v is None else {args.v: tate_algorithm(model, args.v)}
     print(f"curve {label or model}")
-    for q, d in sorted(data.items()):
+    for q, d in data.items():
         print(
             f"  v = {q}: {d.kodaira} ({d.reduction_class}), c_v = {d.c_v}, "
             f"v(disc_min) = {d.val_delta_min}, f = {d.conductor_exponent}"

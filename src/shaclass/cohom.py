@@ -181,10 +181,12 @@ def h1(group, twist=None):
                         if any(row):
                             relations.append(row)
         frontier = nxt
-    assert len(value) == len(group.elements)
+    if len(value) != len(group.elements):
+        raise ArithmeticError(f"cocycle reaches {len(value)} of {len(group.elements)} elements")
     dim_z1 = ncols - _rank_mod_p(relations, p)
     dim_b1 = 2 - h0(group, twist)
-    assert dim_z1 >= dim_b1
+    if dim_z1 < dim_b1:
+        raise ArithmeticError(f"dim Z^1 = {dim_z1} is below dim B^1 = {dim_b1}")
     return dim_z1 - dim_b1
 
 
@@ -199,12 +201,14 @@ def h1_cyclic(generator, order, p, twist=None):
     for _ in range(order):
         norm = [(n + a) % p for n, a in zip(norm, acc)]
         acc = mat_mul(acc, gt, p)
-    assert acc == identity_matrix() or twist is not None
+    if acc != identity_matrix() and twist is None:
+        raise ArithmeticError(f"g^{order} is not the identity")
     n_rows = [[norm[0], norm[1]], [norm[2], norm[3]]]
     gm1 = [[gt[0] - 1, gt[1]], [gt[2], gt[3] - 1]]
     dim_ker_norm = 2 - _rank_mod_p(n_rows, p)
     dim_im = _rank_mod_p(gm1, p)
-    assert dim_im <= dim_ker_norm
+    if dim_im > dim_ker_norm:
+        raise ArithmeticError(f"dim im(g - 1) = {dim_im} exceeds dim ker(norm) = {dim_ker_norm}")
     return dim_ker_norm - dim_im
 
 
@@ -255,4 +259,4 @@ def _primitive_root(p):
     for z in range(2, p):
         if all(pow(z, (p - 1) // q, p) != 1 for q in qs):
             return z
-    raise AssertionError("no primitive root found")
+    raise ArithmeticError(f"no primitive root mod {p}")

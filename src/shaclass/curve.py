@@ -12,7 +12,7 @@ from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 
-from .arith import exact_div, factor, is_prime, valuation
+from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, is_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 ORDINARY = "ordinary"
@@ -232,7 +232,9 @@ def trace_of_frobenius(model, p):
     1 + chi(g(x)) where g = 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square
     in y), so one pass with a quadratic-residue table suffices.
     """
-    if p == 2 or not _is_odd_prime(p):
+    if p > TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
+    if p % 2 == 0 or not is_prime(p):
         raise InvalidInput(f"p must be an odd prime, got {p}")
     m = minimal_model(model)
     inv = compute_invariants(m)
@@ -252,10 +254,6 @@ def trace_of_frobenius(model, p):
     if a_p * a_p > 4 * p:
         raise ArithmeticError(f"a_{p} = {a_p} breaks the Hasse bound")
     return a_p
-
-
-def _is_odd_prime(p):
-    return p % 2 == 1 and is_prime(p)
 
 
 def detect_cm(j):

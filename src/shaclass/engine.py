@@ -12,12 +12,10 @@ field.  Everything lands in a deterministic, schema-versioned certificate.
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import TRIAL_DIVISION_BOUND
 from .curve import classify_good_prime, minimal_model
-from .errors import InsufficientData, InvalidInput
+from .errors import InsufficientData
 from .galrep import ASSUMED_BY_USER, CM_CASE, SURJECTIVE_CERTIFIED, UNKNOWN, VACUOUS
 from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
-from .localred import bad_primes
 from .localred import compute_t_set, local_data, tamagawa_unit_check
 from .selmerdata import selmer_rank_scenarios
 
@@ -79,11 +77,11 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     """The certificate's ledgers: each theorem's printed conditions as
     Holds/Fails/Unknown/Assumed, in _LEDGER_TABLE order."""
     found = {}
-    bad = bad_primes(model)
+    bad = list(local_data(model))
     if p in bad:
-        found["a"] = (FAILS, f"p divides the minimal discriminant (bad primes {list(bad)})")
+        found["a"] = (FAILS, f"p divides the minimal discriminant (bad primes {bad})")
     else:
-        found["a"] = (HOLDS, f"p not among bad primes {list(bad)}")
+        found["a"] = (HOLDS, f"p not among bad primes {bad}")
 
     status_map = {
         VACUOUS: (HOLDS, "vacuous: supersingular or a_p != 1 mod p"),
@@ -148,10 +146,7 @@ def analyze(
     """Full pipeline for one curve and prime; record may be None (degraded).
 
     Returns the certificate as its JSON document: a dict of JSON-native values.
-    p is at most TRIAL_DIVISION_BOUND, since a_p is counted by one pass over F_p.
     """
-    if p > TRIAL_DIVISION_BOUND:
-        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
     profile = classify_good_prime(model, p)
     image_cert = certify_image(model, p, sample_bound)
     wild = wild_ramification_status(profile, assume_wild_ramification)
@@ -214,9 +209,9 @@ def analyze(
                 "val_delta_min": d.val_delta_min,
                 "conductor_exponent": d.conductor_exponent,
             }
-            for q, d in sorted(local.items())
+            for q, d in local.items()
         },
-        "tamagawa_unit_check": {str(q): v for q, v in sorted(tmap.items())},
+        "tamagawa_unit_check": {str(q): v for q, v in tmap.items()},
         "t_set": {
             "members": sorted(t_set),
             "provisional_members": [],

@@ -8,6 +8,7 @@ Silverman, Advanced Topics, IV.9), checked by raised errors, not asserts.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arith import (
     count_roots_mod,
@@ -113,7 +114,6 @@ def _cubic_structure(A, B, C, p):
     return ("double", (9 * C - A * B) * pow(2 * x, -1, p) % p)
 
 
-@lru_cache(maxsize=None)
 def tate_algorithm(model, v):
     """Kodaira type, Tamagawa number and local data of the curve at prime v."""
     if not is_prime(v):
@@ -213,27 +213,21 @@ def tate_algorithm(model, v):
     raise ArithmeticError(f"model is not minimal at {p}")
 
 
-@lru_cache(maxsize=None)
 def bad_primes(model):
     """Primes dividing the minimal discriminant, in increasing order."""
     disc = compute_invariants(minimal_model(model)).disc
     return tuple(sorted(factor(abs(disc))))
 
 
-def local_data(model, v=None):
-    """LocalReductionData at v, or at every bad prime when v is None."""
-    if v is not None:
-        return tate_algorithm(model, v)
-    return {q: tate_algorithm(model, q) for q in bad_primes(model)}
+@lru_cache(maxsize=None)
+def local_data(model):
+    """Read-only map from each bad prime, in increasing order, to its LocalReductionData."""
+    return MappingProxyType({q: tate_algorithm(model, q) for q in bad_primes(model)})
 
 
 def tamagawa_unit_check(model, p):
     """For each bad prime v != p: is c_v prime to p?"""
-    out = {}
-    for q in bad_primes(model):
-        if q != p:
-            out[q] = tate_algorithm(model, q).c_v % p != 0
-    return out
+    return {q: d.c_v % p != 0 for q, d in local_data(model).items() if q != p}
 
 
 def compute_t_set(model, p):

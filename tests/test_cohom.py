@@ -235,3 +235,35 @@ class TestTwists:
         assert h0(group) == 1
         assert h0(group, chi) == 1
         assert cohomology(group, twist=chi).module_descriptor.endswith("(twisted)")
+
+
+class TestRaisedChecks:
+    """Each internal consistency check raises ArithmeticError, so it still
+    runs under python -O."""
+
+    def test_cocycle_missing_elements_raises(self, monkeypatch):
+        group = close_group([(1, 1, 0, 1)], 5)
+        monkeypatch.setattr("shaclass.cohom.mat_mul", lambda m, n, p: identity_matrix())
+        with pytest.raises(ArithmeticError, match="cocycle reaches 1 of 5"):
+            h1(group)
+
+    def test_cocycles_below_coboundaries_raises(self, monkeypatch):
+        group = close_group([(1, 1, 0, 1)], 5)
+        monkeypatch.setattr("shaclass.cohom.h0", lambda group, twist=None: -1)
+        with pytest.raises(ArithmeticError, match="below dim B"):
+            h1(group)
+
+    def test_cyclic_power_not_identity_raises(self, monkeypatch):
+        monkeypatch.setattr("shaclass.cohom.mat_order", lambda m, p: 2)
+        with pytest.raises(ArithmeticError, match="not the identity"):
+            h1_cyclic((0, 4, 1, 4), 2, 5)  # of order 3
+
+    def test_cyclic_image_above_norm_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr("shaclass.cohom._rank_mod_p", lambda rows, p: len(rows))
+        with pytest.raises(ArithmeticError, match="exceeds dim ker"):
+            h1_cyclic((1, 1, 0, 1), 5, 5)
+
+    def test_no_primitive_root_raises(self, monkeypatch):
+        monkeypatch.setattr("shaclass.arith.factor", lambda n: {1: 1})
+        with pytest.raises(ArithmeticError, match="no primitive root mod 5"):
+            gl2_generators(5)

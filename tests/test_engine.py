@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shaclass
-from shaclass import engine
+from shaclass import engine, localred
 from conftest import DATA_DIR
 from oracles import corollary_from_record, unit_subgroup
 from shaclass.arith import primes_up_to, valuation
@@ -20,6 +20,7 @@ from shaclass.curve import (
     classify_good_prime,
     compute_invariants,
     minimal_model,
+    trace_of_frobenius,
     transform_model,
 )
 from shaclass.engine import (
@@ -308,11 +309,31 @@ class TestCertificates:
         assert one == two
 
     @pytest.mark.parametrize("p", [1000003, 2**89 - 1])
-    def test_p_above_trial_division_bound_is_invalid_input(self, p, monkeypatch):
-        # refused before a_p is counted, by a pass over all of F_p
-        monkeypatch.setattr(engine, "classify_good_prime", None)
-        with pytest.raises(InvalidInput, match="at most 1000000"):
-            analyze(CURVE_11A1, p)
+    def test_p_above_trial_division_bound_is_invalid_input(self, p):
+        # refused where a_p is counted, by a pass over all of F_p
+        for refuses in (analyze, classify_good_prime, trace_of_frobenius):
+            with pytest.raises(InvalidInput, match="at most 1000000"):
+                refuses(CURVE_11A1, p)
+
+    def test_tate_runs_once_per_bad_prime(self, monkeypatch):
+        """The local data block, (a), (c) and T all read one cached
+        mapping, so Tate's algorithm runs once per bad prime however many
+        good p the curve is analyzed at."""
+        calls = []
+        real = localred.tate_algorithm
+
+        def counted(model, v):
+            calls.append(v)
+            return real(model, v)
+
+        monkeypatch.setattr(localred, "tate_algorithm", counted)
+        localred.local_data.cache_clear()
+        model = CurveModel(*CORPUS["syn_in_32"])
+        bad = localred.bad_primes(model)
+        for p in primes_up_to(97):
+            if p > 2 and p not in bad:
+                analyze(model, p)
+        assert calls == [2, 5, 7, 79] == list(bad)
 
     def test_graceful_degradation_without_record(self):
         cert = analyze(CURVE_1058D1, 5, record=None)

@@ -195,7 +195,7 @@ def test_wrong_singular_point_raises(monkeypatch, model, v):
 
     monkeypatch.setattr("shaclass.localred._singular_point", shifted)
     with pytest.raises(ArithmeticError):
-        tate_algorithm.__wrapped__(model, v)
+        tate_algorithm(model, v)
 
 
 def test_multiplicative_j_valuation(tate_corpus):
@@ -390,7 +390,17 @@ class TestTSet:
 def test_local_data_all_primes():
     data = local_data(CURVE_1058D1)
     assert set(data) == {2, 23}
-    assert local_data(CURVE_1058D1, 23) == data[23]
+    assert tate_algorithm(CURVE_1058D1, 23) == data[23]
+
+
+def test_local_data_is_one_read_only_mapping():
+    """Every reader of a curve's local data gets the same cached mapping,
+    keyed by the bad primes in increasing order, and none can change it."""
+    data = local_data(CURVE_423801)
+    assert local_data(CURVE_423801) is data
+    assert list(data) == [3, 7, 31]
+    with pytest.raises(TypeError):
+        data[5] = tate_algorithm(CURVE_423801, 5)
 
 
 def test_nonminimal_input_handled():
