@@ -7,7 +7,7 @@ determined by its values on generators, so the linear system has
 edge of the Cayley graph.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GroupTooLarge, InvalidInput
 
@@ -41,18 +41,18 @@ def mat_order(m, p):
     return k
 
 
-@dataclass(frozen=True)
-class MatrixGroup:
+class MatrixGroup(NamedTuple):
     p: int
     elements: tuple
     generators: tuple
 
     def __len__(self):
+        # the group order; tuple's _make and _replace read len as the field
+        # count, so a MatrixGroup is only ever built by its constructor
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     h0_dim: int
     h1_dim: int
     module_descriptor: str

@@ -7,10 +7,9 @@ Models are long Weierstrass equations
 with integer coefficients.  All arithmetic is exact.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, is_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
@@ -19,21 +18,12 @@ ORDINARY = "ordinary"
 SUPERSINGULAR = "supersingular"
 
 # The thirteen j-invariants of elliptic curves over Q with complex
-# multiplication, keyed by j, valued by the CM order's discriminant.
+# multiplication, all integers, keyed by j, valued by the CM order's
+# discriminant.
 CM_J_INVARIANTS = {
-    Fraction(0): -3,
-    Fraction(1728): -4,
-    Fraction(-3375): -7,
-    Fraction(8000): -8,
-    Fraction(-32768): -11,
-    Fraction(54000): -12,
-    Fraction(287496): -16,
-    Fraction(-884736): -19,
-    Fraction(-12288000): -27,
-    Fraction(16581375): -28,
-    Fraction(-884736000): -43,
-    Fraction(-147197952000): -67,
-    Fraction(-262537412640768000): -163,
+    0: -3, 1728: -4, -3375: -7, 8000: -8, -32768: -11, 54000: -12, 287496: -16,
+    -884736: -19, -12288000: -27, 16581375: -28, -884736000: -43,
+    -147197952000: -67, -262537412640768000: -163,
 }
 
 
@@ -55,36 +45,35 @@ def discriminant_from_b(b2, b4, b6, b8):
     return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(NamedTuple("CurveModel", [(a, int) for a in ("a1", "a2", "a3", "a4", "a6")])):
     """Integral Weierstrass model; rejects singular equations."""
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            v = getattr(self, name)
+    def __new__(cls, a1, a2, a3, a4, a6):
+        self = super().__new__(cls, a1, a2, a3, a4, a6)
+        for name, v in zip(self._fields, self):
             if not isinstance(v, int):
                 raise InvalidInput(f"{name} must be an integer, got {v!r}")
         if self.discriminant() == 0:
             raise SingularModel(f"discriminant is zero for {self.ainvs()}")
+        return self
+
+    def _replace(self, **changes):
+        # tuple's _replace skips __new__, and with it the checks above
+        return CurveModel(**{**self._asdict(), **changes})
 
     def ainvs(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     def discriminant(self):
-        return discriminant_from_b(*b_invariants(*self.ainvs()))
+        return discriminant_from_b(*b_invariants(*self))
 
     def __str__(self):
-        return "[{},{},{},{},{}]".format(*self.ainvs())
+        return "[{},{},{},{},{}]".format(*self)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     b2: int
     b4: int
     b6: int
@@ -92,11 +81,21 @@ class Invariants:
     c4: int
     c6: int
     disc: int
-    j: Fraction
+
+    @property
+    def j(self):
+        """c4^3 / disc as a Fraction, built on each read; only j needs fractions."""
+        from fractions import Fraction
+
+        return Fraction(self.c4**3, self.disc)
+
+    def cm_discriminant(self):
+        """CM discriminant or None, by integers: a CM j is integral, i.e. disc | c4^3."""
+        j, rem = divmod(self.c4**3, self.disc)
+        return None if rem else detect_cm(j)
 
 
-@dataclass(frozen=True)
-class GoodPrimeProfile:
+class GoodPrimeProfile(NamedTuple):
     """Reduction data of a curve at an odd prime of good reduction."""
 
     p: int
@@ -116,7 +115,7 @@ def compute_invariants(model):
         raise SingularModel("discriminant is zero")
     if c4**3 - c6**2 != 1728 * disc or 4 * b8 != b2 * b6 - b4 * b4:
         raise ArithmeticError(f"{model}: c4^3 - c6^2 != 1728 disc or 4 b8 != b2 b6 - b4^2")
-    return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
+    return Invariants(b2, b4, b6, b8, c4, c6, disc)
 
 
 def translate(ai, r, s, t):
@@ -139,6 +138,8 @@ def transform_quintuple(ainvs, u, r, s, t):
 
     Works over the rationals; returns a 5-tuple of Fractions.
     """
+    from fractions import Fraction
+
     ai = tuple(Fraction(a) for a in ainvs)
     u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
     if u == 0:
@@ -220,7 +221,8 @@ def minimal_model(model):
     a6 = exact_div(b6 - a3, 4)
     a4 = exact_div(b4 - a1 * a3, 2)
     out = CurveModel(a1, a2, a3, a4, a6)
-    if compute_invariants(out).j != inv.j:
+    new = compute_invariants(out)
+    if new.c4**3 * disc != c4**3 * new.disc:  # j = c4^3 / disc, cross-multiplied
         raise ArithmeticError(f"minimal model {out} changes j")
     return out
 
@@ -257,17 +259,21 @@ def trace_of_frobenius(model, p):
 
 
 def detect_cm(j):
-    """CM discriminant for the thirteen rational CM j-invariants, else None."""
-    return CM_J_INVARIANTS.get(Fraction(j))
+    """CM discriminant for the thirteen rational CM j-invariants, else None.
+
+    j is an int or a Fraction; an integral Fraction hashes and compares
+    equal to its int.
+    """
+    return CM_J_INVARIANTS.get(j)
 
 
 def classify_good_prime(model, p):
     """Ordinary/supersingular profile at a good odd prime p."""
     a_p = trace_of_frobenius(model, p)
-    j = compute_invariants(model).j
+    cm = compute_invariants(model).cm_discriminant()
     if a_p % p == 0:
-        return GoodPrimeProfile(p, a_p, SUPERSINGULAR, None, detect_cm(j))
-    return GoodPrimeProfile(p, a_p, ORDINARY, a_p % p, detect_cm(j))
+        return GoodPrimeProfile(p, a_p, SUPERSINGULAR, None, cm)
+    return GoodPrimeProfile(p, a_p, ORDINARY, a_p % p, cm)
 
 
 def brute_force_point_count(model, p):

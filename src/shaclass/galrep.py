@@ -11,8 +11,8 @@ coefficient lists, lowest degree first.  The wild-ramification status of
 hypothesis (b) is read off curve.GoodPrimeProfile, the local picture at p.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre
 from .arith import TRIAL_DIVISION_BOUND, lift_rational_factor, primes_up_to, rational_factors
@@ -21,7 +21,6 @@ from .curve import (
     b_invariants,
     brute_force_point_count,
     compute_invariants,
-    detect_cm,
     minimal_model,
     trace_of_frobenius,
 )
@@ -48,8 +47,7 @@ DEFAULT_SAMPLE_BOUND = 1000
 SCAN_PREFIX = 10
 
 
-@dataclass(frozen=True)
-class ImageCertificate:
+class ImageCertificate(NamedTuple):
     p: int
     status: str
     witnesses: tuple
@@ -100,7 +98,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     inv = compute_invariants(m)
     if inv.disc % p == 0:
         raise BadReductionAtP(f"bad reduction at {p}")
-    if detect_cm(inv.j) is not None:
+    if inv.cm_discriminant() is not None:
         return ImageCertificate(p, SMALL_IMAGE_CERTIFIED, (), frozenset(), BOREL)
 
     ruled_out = set()

@@ -6,9 +6,9 @@ is a closed form (Cremona, Algorithms for Modular Elliptic Curves, 3.2;
 Silverman, Advanced Topics, IV.9), checked by raised errors, not asserts.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .arith import (
     count_roots_mod,
@@ -37,8 +37,7 @@ ADDITIVE_POT_GOOD = "additive potentially good"
 MULTIPLICATIVE_CLASSES = (SPLIT_MULTIPLICATIVE, NONSPLIT_MULTIPLICATIVE)
 
 
-@dataclass(frozen=True)
-class LocalReductionData:
+class LocalReductionData(NamedTuple):
     v: int
     kodaira: str
     reduction_class: str

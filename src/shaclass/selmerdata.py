@@ -11,8 +11,8 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import valuation
 from .errors import InsufficientData, InvalidInput, NetworkError, NotFound, SchemaDrift
@@ -40,8 +40,7 @@ def valid_label(label):
     return bool(CREMONA_LABEL_RE.match(label) or LMFDB_LABEL_RE.match(label))
 
 
-@dataclass(frozen=True)
-class ExternalCurveRecord:
+class _RecordFields(NamedTuple):
     label: str
     ainvs: tuple | None
     mw_rank: int
@@ -52,7 +51,12 @@ class ExternalCurveRecord:
     provenance: str = LOCAL_FIXTURE
     retrieved_at: str = ""
 
-    def __post_init__(self):
+
+class ExternalCurveRecord(_RecordFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mw_rank < 0:
             raise InvalidInput("mw_rank must be nonnegative")
         if self.sha_order is not None and self.sha_order <= 0:
@@ -71,6 +75,11 @@ class ExternalCurveRecord:
                 raise InvalidInput(
                     f"p^{r} does not divide recorded sha_order {self.sha_order}"
                 )
+        return self
+
+    def _replace(self, **changes):
+        # tuple's _replace skips __new__, and with it the checks above
+        return ExternalCurveRecord(**{**self._asdict(), **changes})
 
     def sha_p_rank(self, p):
         """F_p-rank of Sha[p] when determined by the record, else None."""
@@ -84,22 +93,21 @@ class ExternalCurveRecord:
         return None
 
 
-@dataclass(frozen=True)
-class SelmerScenario:
+class SelmerScenario(NamedTuple):
     possible_dims: tuple
     reasoning: tuple
     sha_ranks: tuple  # the F_p-rank of Sha[p] behind each of possible_dims
     notes: tuple = ()
 
 
-@dataclass(frozen=True)
 class StoreConfig:
-    fixtures_dir: Path
-    cache_dir: Path
-    base_url: str = DEFAULT_BASE_URL
-    # the error of the first remote fetch through this config that ended in
-    # NetworkError; later fetches through it fail at once with that error
-    unreachable: list = field(default_factory=list, init=False, compare=False, repr=False)
+    def __init__(self, fixtures_dir, cache_dir, base_url=DEFAULT_BASE_URL):
+        self.fixtures_dir = fixtures_dir
+        self.cache_dir = cache_dir
+        self.base_url = base_url
+        # the error of the first remote fetch through this config that ended
+        # in NetworkError; later fetches through it fail at once with that error
+        self.unreachable = []
 
 
 def packaged_fixtures_dir():
@@ -299,7 +307,7 @@ def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=Non
         changes["sha_p_ranks"] = ()
         if sha_order is None:
             changes["sha_order"] = math.prod(sha_structure)
-    return replace(record, **changes)
+    return record._replace(**changes)
 
 
 def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):

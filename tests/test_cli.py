@@ -191,6 +191,26 @@ class TestAnalyze:
         )
         assert proc.stdout.strip() == "False"
 
+    def test_import_and_run_load_no_dataclasses_or_fractions(self):
+        # records are NamedTuples and j is built only when read, so neither
+        # the import nor an analyze run pays for these modules
+        heavy = ("dataclasses", "fractions", "decimal", "inspect")
+        code = (
+            "import contextlib, io, sys\n"
+            f"heavy = {heavy!r}\n"
+            "import shaclass.cli\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    shaclass.cli.main(['analyze', '--label', '389a1', '-p', '5', '--offline'])\n"
+            "print(*[m for m in heavy if m in sys.modules])\n"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.splitlines() == ["", ""]
+
     def test_p3_surjective_run_imports_no_sympy(self):
         code = (
             "import sys; from shaclass.cli import main; "

@@ -1,9 +1,8 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from shaclass import curve
 from shaclass.arith import factor
@@ -119,6 +118,30 @@ class TestTransforms:
         assert all(type(a) is int for a in moved)
         assert moved == transform_quintuple(ai, 1, r, s, t)
 
+    @given(
+        st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+        st.integers(-4, 4).filter(bool),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+        st.integers(-9, 9),
+    )
+    def test_integral_change_and_its_inverse(self, ai, u, r, s, t):
+        try:
+            m = CurveModel(*ai)
+        except SingularModel:
+            assume(False)
+        inverse = (Fraction(1, u), Fraction(-r, u * u), Fraction(-s, u), Fraction(r * s - t, u**3))
+        # the rational inverse of an integral change lands on an integral
+        # model, and the change takes that model back to m
+        big = transform_model(m, *inverse)
+        assert big.discriminant() == m.discriminant() * u**12
+        assert transform_model(big, u, r, s, t) == m
+        if all(f.denominator == 1 for f in transform_quintuple(ai, u, r, s, t)):
+            assert transform_model(transform_model(m, u, r, s, t), *inverse) == m
+        else:
+            with pytest.raises(InvalidInput, match="integral"):
+                transform_model(m, u, r, s, t)
+
     def test_scaling_changes_disc_by_u12(self):
         big = transform_model(CURVE_1058D1, Fraction(1, 2), 0, 0, 0)
         assert big.discriminant() == CURVE_1058D1.discriminant() * 2**12
@@ -128,11 +151,41 @@ def _with_fake_invariants(monkeypatch, **changes):
     """A fresh 11a1 model whose invariants, and no other model's, read with
     the given fields changed; minimal_model.__wrapped__ bypasses its cache."""
     model = CurveModel(*CURVE_11A1.ainvs())
-    fake = dataclasses.replace(compute_invariants(model), **changes)
+    fake = compute_invariants(model)._replace(**changes)
     monkeypatch.setattr(
         curve, "compute_invariants", lambda m: fake if m is model else compute_invariants(m)
     )
     return model
+
+
+class TestRecords:
+    def test_fields_are_read_only(self):
+        model = CurveModel(*CURVE_11A1.ainvs())
+        inv = compute_invariants(model)
+        for record, name in ((model, "a4"), (inv, "disc"), (inv, "j")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_equal_models_hash_equal(self):
+        twin = CurveModel(*CURVE_11A1.ainvs())
+        assert twin == CURVE_11A1 and twin is not CURVE_11A1
+        assert hash(twin) == hash(CURVE_11A1)
+        assert len({twin, CURVE_11A1, CURVE_1058C1}) == 2
+
+    def test_j_is_built_on_demand(self):
+        for model in (CURVE_11A1, CURVE_1058D1, CURVE_423801):
+            inv = compute_invariants(model)
+            assert inv.j == Fraction(inv.c4**3, inv.disc)
+            assert inv.cm_discriminant() is None
+        inv = compute_invariants(CurveModel(1, -1, 0, -2, -1))  # 49a1, j = -3375
+        assert inv.j == -3375 and inv.cm_discriminant() == detect_cm(inv.j) == -7
+
+    def test_replace_validates(self):
+        assert CURVE_11A1._replace(a4=-11) == CurveModel(0, -1, 1, -11, -20)
+        with pytest.raises(SingularModel):
+            CurveModel(0, 0, 0, 1, 0)._replace(a4=0)  # y^2 = x^3
+        with pytest.raises(InvalidInput):
+            CURVE_11A1._replace(a6=0.5)
 
 
 class TestMinimalModel:
@@ -185,7 +238,9 @@ class TestMinimalModel:
             minimal_model.__wrapped__(model)
 
     def test_changed_j_raises(self, monkeypatch):
-        model = _with_fake_invariants(monkeypatch, j=compute_invariants(CURVE_11A1).j + 1)
+        # a disc that is not the model's moves j = c4^3 / disc, and nothing
+        # else minimal_model reads: 11a1 has no scaling to strip either way
+        model = _with_fake_invariants(monkeypatch, disc=2 * compute_invariants(CURVE_11A1).disc)
         with pytest.raises(ArithmeticError, match="changes j"):
             minimal_model.__wrapped__(model)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -415,7 +414,7 @@ class TestWildRamification:
         assert wild_ramification_status(prof) == VACUOUS
 
     def test_cm_case(self):
-        prof = dataclasses.replace(self._profile(7, 8), cm_discriminant=-3)  # a_p = 8 = 1 mod 7
+        prof = self._profile(7, 8)._replace(cm_discriminant=-3)  # a_p = 8 = 1 mod 7
         assert wild_ramification_status(prof) == CM_CASE
 
     def test_assumed_by_user(self):

@@ -300,6 +300,14 @@ class TestRecordValidation:
         assert rec.sha_p_rank(5) == 2  # from the invariant factors
         assert rec.sha_p_rank(7) == 0  # order coprime to 7
 
+    def test_replace_validates(self):
+        rec = ExternalCurveRecord("x1a1", None, 0, (), 25, (5, 5))
+        assert rec._replace(mw_rank=2).mw_rank == 2
+        with pytest.raises(InvalidInput):
+            rec._replace(mw_rank=-1)
+        with pytest.raises(InvalidInput):
+            rec._replace(sha_structure=(0, 7))
+
 
 class TestOverrides:
     def test_user_overrides_win(self, tmp_path):
