@@ -63,6 +63,8 @@ def is_prime(n):
             return True
         if n % p == 0:
             return False
+    if n < 43 * 43:  # a composite below 43^2 has a prime factor <= 41
+        return True
     if n < _MR_DETERMINISTIC_BOUND:
         return all(_miller_rabin(n, b) for b in _MR_BASES)
     import sympy

@@ -61,10 +61,12 @@ _COROLLARY_NOTE = "conclusion clause (Sha[p] rank / Mordell-Weil rank) evaluated
 # them as (theorem, conditions, notes): the Corollary has Main's conditions,
 # and the finiteness lemma is the converse theorem without (d).
 _A = ("a", "(a) good reduction at p")
+_B_MAIN = ("b", _B_TEXT_MAIN)
+_B_CONVERSE = ("b", _B_TEXT_CONVERSE)
 _C = ("c", "(c) every Tamagawa number c_v, v != p, is prime to p")
 _D = ("d", "(d) E[p] is an irreducible Galois module")
-_MAIN_CONDITIONS = (_A, ("b", _B_TEXT_MAIN), _C, _D)
-_CONVERSE_CONDITIONS = (_A, ("b", _B_TEXT_CONVERSE), _C, _D)
+_MAIN_CONDITIONS = (_A, _B_MAIN, _C, _D)
+_CONVERSE_CONDITIONS = (_A, _B_CONVERSE, _C, _D)
 _LEDGER_TABLE = (
     (MAIN, _MAIN_CONDITIONS, ()),
     (COROLLARY, _MAIN_CONDITIONS, (_COROLLARY_NOTE,)),
@@ -75,7 +77,12 @@ _LEDGER_TABLE = (
 
 def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     """The certificate's ledgers: each theorem's printed conditions as
-    Holds/Fails/Unknown/Assumed, in _LEDGER_TABLE order."""
+    Holds/Fails/Unknown/Assumed, in _LEDGER_TABLE order.
+
+    Each printed statement has one row dict, shared by every ledger that
+    lists it, so Main and the Corollary hold the same rows.  The returned
+    document is read-only.
+    """
     found = {}
     bad = list(local_data(model))
     if p in bad:
@@ -103,20 +110,21 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     else:
         found["d"] = (UNKNOWN_STATUS, f"image certificate status: {image_status}")
 
+    rows = {}
+    for condition in (_A, _B_MAIN, _B_CONVERSE, _C, _D):
+        cid, statement = condition
+        status, evidence = found[cid]
+        rows[condition] = {
+            "id": cid,
+            "statement": statement,
+            "status": status,
+            "evidence": evidence,
+        }
     ledgers = {}
     for theorem, conditions, notes in _LEDGER_TABLE:
-        rows = [
-            {
-                "id": cid,
-                "statement": statement,
-                "status": found[cid][0],
-                "evidence": found[cid][1],
-            }
-            for cid, statement in conditions
-        ]
         ledgers[theorem] = {
-            "applicable": all(c["status"] in (HOLDS, ASSUMED) for c in rows),
-            "conditions": rows,
+            "applicable": all(found[cid][0] in (HOLDS, ASSUMED) for cid, _ in conditions),
+            "conditions": [rows[condition] for condition in conditions],
             "notes": list(notes),
         }
     return ledgers
@@ -248,16 +256,60 @@ def certificate_to_json(doc):
     pure-Python encoder that indent makes CPython fall back to.
 
     Only dict (str keys), list, str, int, bool and None are written; any other
-    value, a float or tuple among them, raises TypeError.
+    value, a float or tuple among them, raises TypeError.  A container that
+    the document lists more than once at one depth, such as a ledger row, is
+    written once and its pieces copied after that.
     """
     out = []
-    _write(doc, "\n", out.append)
+    _write(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, newline, add):
-    if isinstance(value, str):
+def _write(value, newline, out, written):
+    """Append value's pieces to out.  written maps (id, indentation) of each
+    container already written as a list item to its slice of out."""
+    add = out.append
+    if isinstance(value, list):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            add(sep)
+            sep = "," + inner
+            kind = type(item)
+            if kind is str:
+                add(_quote(item))
+            elif kind is int:
+                add(int.__repr__(item))
+            elif kind is dict or kind is list:
+                key = (id(item), len(inner))
+                piece = written.get(key)
+                if piece is None:
+                    start = len(out)
+                    _write(item, inner, out, written)
+                    written[key] = (start, len(out))
+                else:
+                    out.extend(out[piece[0] : piece[1]])
+            else:
+                _write(item, inner, out, written)
+        add(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"certificate key {key!r} is not a str")
+            kind = type(item)
+            if kind is str:
+                add(sep + _quote(key) + ": " + _quote(item))
+            elif kind is int:
+                add(sep + _quote(key) + ": " + int.__repr__(item))
+            else:
+                add(sep + _quote(key) + ": ")
+                _write(item, inner, out, written)
+            sep = "," + inner
+        add(newline + "}" if value else "{}")
+    elif isinstance(value, str):
         add(_quote(value))
     elif value is None:
         add("null")
@@ -267,24 +319,6 @@ def _write(value, newline, add):
         add("false")
     elif isinstance(value, int):
         add(int.__repr__(value))
-    elif isinstance(value, list):
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            add(sep)
-            _write(item, inner, add)
-            sep = "," + inner
-        add(newline + "]" if value else "[]")
-    elif isinstance(value, dict):
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"certificate key {key!r} is not a str")
-            add(sep + _quote(key) + ": ")
-            _write(item, inner, add)
-            sep = "," + inner
-        add(newline + "}" if value else "{}")
     else:
         raise TypeError(f"{type(value).__name__} is not a certificate value")
 

@@ -61,6 +61,8 @@ class ExternalCurveRecord(_RecordFields):
             raise InvalidInput("mw_rank must be nonnegative")
         if self.sha_order is not None and self.sha_order <= 0:
             raise InvalidInput("sha_order must be positive")
+        if min(self.torsion_structure, default=1) < 1:
+            raise InvalidInput(f"torsion_structure {self.torsion_structure} has a factor below 1")
         if self.sha_structure is not None and min(self.sha_structure, default=1) < 1:
             raise InvalidInput(f"sha_structure {self.sha_structure} has a factor below 1")
         if self.sha_structure is not None and self.sha_order is not None:
@@ -192,7 +194,11 @@ def _load_local(label, config):
     for base in (config.fixtures_dir, config.cache_dir):
         path = Path(base) / f"{label}.txt"
         if path.is_file():
-            return parse_record_text(path.read_text(), LOCAL_FIXTURE)
+            try:
+                text = path.read_text()
+            except UnicodeDecodeError as err:
+                raise SchemaDrift(f"record file for {label} is not text: {err}") from err
+            return parse_record_text(text, LOCAL_FIXTURE)
     return None
 
 

@@ -42,6 +42,10 @@ def _plain_sieve(limit):
     return [i for i, prime in enumerate(flags) if prime]
 
 
+def test_is_prime_matches_sieve():
+    assert [n for n in range(-2, 10_001) if is_prime(n)] == _plain_sieve(10_000)
+
+
 def _reference_factor(n, table):
     """factor's policy, written plainly: trial division by the whole table of
     primes up to 10^6, then sympy on a cofactor of at most 2^128."""

@@ -142,6 +142,29 @@ class TestAnalyze:
         assert [first["label"], second["label"]] == ["1058d1", "1058c1"]
         assert "error: 12345a1:" in err
 
+    def test_record_file_not_utf8_is_invalid_input(self, capsys, tmp_path):
+        # exit 2 on its own; in a batch the next label still runs
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "99a1.txt").write_bytes(
+            b"label = 99a1\nainvs = 0,1,1,-2,0\nmw_rank = 2\xff\n"
+        )
+        code, out, err = run(
+            capsys, "analyze", "--label", "99a1", "-p", "5", "--offline",
+            "--cache-dir", str(cache),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: record file for 99a1") and "Traceback" not in err
+        batch = tmp_path / "labels.txt"
+        batch.write_text("99a1\n1058d1\n")
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(batch), "-p", "5", "--offline",
+            "--cache-dir", str(cache), "--format", "json",
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert json.loads(out)["label"] == "1058d1"
+        assert err.startswith("error: 99a1: record file for 99a1")
+
     def test_missing_batch_file(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "analyze", "--batch", str(tmp_path / "nope.txt"), "-p", "5", "--offline",

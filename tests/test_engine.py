@@ -473,11 +473,42 @@ _DOCUMENTS = st.recursive(
     max_leaves=40,
 )
 
+# a nonempty container to list twice: its text depends on its indentation
+_SHARED = st.lists(_DOCUMENTS, min_size=1, max_size=3) | st.dictionaries(
+    _TEXT, _DOCUMENTS, min_size=1, max_size=3
+)
+
+
+def _bury(value, wrappers):
+    """value as an item of a list, once per wrapper: a bare list, or a list
+    that is a dict's value."""
+    for in_dict in wrappers:
+        value = {"k": [value]} if in_dict else [value]
+    return value
+
 
 class TestCertificateJson:
     @settings(max_examples=300)
     @given(_DOCUMENTS)
     def test_writes_the_bytes_of_json_dumps(self, doc):
+        assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=150)
+    @given(_SHARED, st.lists(st.booleans(), max_size=3), _DOCUMENTS)
+    def test_container_listed_twice_at_one_depth(self, shared, wrappers, other):
+        doc = [_bury(shared, wrappers), other, _bury(shared, wrappers), [shared, shared]]
+        assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=150)
+    @given(
+        _SHARED,
+        st.lists(st.booleans(), max_size=3),
+        st.lists(st.booleans(), min_size=1, max_size=3),
+    )
+    def test_container_listed_at_two_depths(self, shared, wrappers, deeper):
+        doc = {"near": [_bury(shared, wrappers)], "far": [_bury(shared, wrappers + deeper)]}
+        assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"
+        doc = [_bury(shared, wrappers + deeper), _bury(shared, wrappers)]
         assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize(

@@ -189,6 +189,14 @@ class TestRemote:
         with pytest.raises(SchemaDrift):
             fetch_curve_record("37a1", OFFLINE_ONLY, config)
 
+    @pytest.mark.parametrize("where", ["fixtures", "cache"])
+    def test_record_file_not_utf8_is_schema_drift(self, tmp_path, where):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "99a1.txt").write_bytes(b"label = 99a1\nmw_rank = 0\xff\n")
+        config = StoreConfig(fixtures_dir=tmp_path / "fixtures", cache_dir=tmp_path / "cache")
+        with pytest.raises(SchemaDrift):
+            fetch_curve_record("99a1", OFFLINE_ONLY, config)
+
     def test_body_not_utf8_is_network_error(self, tmp_path, monkeypatch):
         class Garbled(_FakeResponse):
             def read(self):
@@ -291,6 +299,16 @@ class TestRecordValidation:
             text = f"label = x1a1\nmw_rank = 0\nsha_order = 5\nsha_rank_{p} = 1\n"
             with pytest.raises(InvalidInput):
                 parse_record_text(text, LOCAL_FIXTURE)
+
+    @pytest.mark.parametrize("torsion", [(0,), (0, -5), (-5,), (2, 0)])
+    def test_torsion_factor_below_one_rejected(self, torsion):
+        # scenarios would count each such entry as p-torsion (0 % 5 == -5 % 5 == 0)
+        with pytest.raises(InvalidInput):
+            ExternalCurveRecord("27a1", (0, 0, 1, 0, -7), 0, torsion, 1, None)
+        text = "label = 27a1\nainvs = 0,0,1,0,-7\nmw_rank = 0\nsha_order = 1\n"
+        text += "torsion_structure = " + ",".join(map(str, torsion)) + "\n"
+        with pytest.raises(InvalidInput):
+            parse_record_text(text, LOCAL_FIXTURE)
 
     def test_sha_p_rank_resolution_order(self):
         rec = ExternalCurveRecord(
