@@ -34,11 +34,9 @@ from .galrep import (
     wild_ramification_status,
 )
 from .cohom import (
-    CohomologyResult,
     MatrixGroup,
     central_scalar_shortcut,
     close_group,
-    cohomology,
     h0,
     h1,
     h1_cyclic,
@@ -76,11 +74,9 @@ __all__ = [
     "certify_image",
     "division_polynomial",
     "wild_ramification_status",
-    "CohomologyResult",
     "MatrixGroup",
     "central_scalar_shortcut",
     "close_group",
-    "cohomology",
     "h0",
     "h1",
     "h1_cyclic",

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .arith import is_prime
-from .cohom import central_scalar_shortcut, close_group, cohomology
+from .cohom import central_scalar_shortcut, close_group, h0, h1
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
 from .errors import (
@@ -225,11 +225,10 @@ def cmd_cohomology(args):
             raise InvalidInput(f"matrix needs 4 entries: {part!r}")
         gens.append(tuple(entries))
     group = close_group(gens, p, cap=args.cap)
-    result = cohomology(group, use_shortcut=False)
     scalar = central_scalar_shortcut(group)
     print(f"group order = {len(group)}")
-    print(f"h0 = {result.h0_dim}")
-    print(f"h1 = {result.h1_dim}")
+    print(f"h0 = {h0(group)}")
+    print(f"h1 = {h1(group)}")
     if scalar is not None:
         print(f"central scalar {scalar} present: vanishing also follows without elimination")
     return EXIT_OK

@@ -13,8 +13,6 @@ from .errors import GroupTooLarge, InvalidInput
 
 DEFAULT_GROUP_CAP = 5000
 
-STANDARD_MODULE = "standard module E[p] = F_p + F_p"
-
 
 def mat_mul(m, n, p):
     a, b, c, d = m
@@ -31,13 +29,14 @@ def identity_matrix():
 
 
 def mat_order(m, p):
+    """Order of m in GL_2(F_p), which is at most p^2 - 1."""
+    if mat_det(m, p) == 0:
+        raise InvalidInput("matrix is not invertible mod p")
     k, acc = 1, m
     ident = identity_matrix()
     while acc != ident:
         acc = mat_mul(acc, m, p)
         k += 1
-        if k > p * p * p * p:
-            raise InvalidInput("matrix is not invertible mod p")
     return k
 
 
@@ -50,12 +49,6 @@ class MatrixGroup(NamedTuple):
         # the group order; tuple's _make and _replace read len as the field
         # count, so a MatrixGroup is only ever built by its constructor
         return len(self.elements)
-
-
-class CohomologyResult(NamedTuple):
-    h0_dim: int
-    h1_dim: int
-    module_descriptor: str
 
 
 def close_group(generators, p, cap=DEFAULT_GROUP_CAP):
@@ -108,26 +101,19 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def _apply(m, twist, p):
-    if twist is None:
-        return m
-    lam = twist(m) % p
-    return tuple(lam * x % p for x in m)
-
-
-def h0(group, twist=None):
+def h0(group):
     """Dimension of the common fixed space of the group action."""
     p = group.p
     rows = []
     for g in group.generators:
-        a, b, c, d = _apply(g, twist, p)
+        a, b, c, d = g
         rows.append([a - 1, b])
         rows.append([c, d - 1])
     return 2 - _rank_mod_p(rows, p)
 
 
-def h1(group, twist=None):
-    """dim Z^1 - dim B^1 on F_p^2 (or a character twist of it).
+def h1(group):
+    """dim Z^1 - dim B^1 on F_p^2.
 
     Cocycle values on generators are the unknowns; BFS over the
     multiplication table expresses f(e) for every element e as a linear
@@ -165,10 +151,9 @@ def h1(group, twist=None):
     while frontier:
         nxt = []
         for e in frontier:
-            rho_e = _apply(e, twist, p)
             for j, g in enumerate(gens):
                 target = mat_mul(e, g, p)
-                expected = add_maps(value[e], act(rho_e, unit_map(j)))
+                expected = add_maps(value[e], act(e, unit_map(j)))
                 if target not in value:
                     value[target] = expected
                     nxt.append(target)
@@ -184,27 +169,26 @@ def h1(group, twist=None):
     if len(value) != len(group.elements):
         raise ArithmeticError(f"cocycle reaches {len(value)} of {len(group.elements)} elements")
     dim_z1 = ncols - _rank_mod_p(relations, p)
-    dim_b1 = 2 - h0(group, twist)
+    dim_b1 = 2 - h0(group)
     if dim_z1 < dim_b1:
         raise ArithmeticError(f"dim Z^1 = {dim_z1} is below dim B^1 = {dim_b1}")
     return dim_z1 - dim_b1
 
 
-def h1_cyclic(generator, order, p, twist=None):
+def h1_cyclic(generator, order, p):
     """H^1 of the cyclic group <g> via ker(norm) / im(g - 1)."""
     g = tuple(x % p for x in generator)
     if mat_order(g, p) != order:
         raise InvalidInput(f"generator does not have order {order}")
-    gt = _apply(g, twist, p)
     acc = identity_matrix()
     norm = [0, 0, 0, 0]
     for _ in range(order):
         norm = [(n + a) % p for n, a in zip(norm, acc)]
-        acc = mat_mul(acc, gt, p)
-    if acc != identity_matrix() and twist is None:
+        acc = mat_mul(acc, g, p)
+    if acc != identity_matrix():
         raise ArithmeticError(f"g^{order} is not the identity")
     n_rows = [[norm[0], norm[1]], [norm[2], norm[3]]]
-    gm1 = [[gt[0] - 1, gt[1]], [gt[2], gt[3] - 1]]
+    gm1 = [[g[0] - 1, g[1]], [g[2], g[3] - 1]]
     dim_ker_norm = 2 - _rank_mod_p(n_rows, p)
     dim_im = _rank_mod_p(gm1, p)
     if dim_im > dim_ker_norm:
@@ -222,23 +206,6 @@ def central_scalar_shortcut(group):
         if (lam, 0, 0, lam) in elements:
             return lam
     return None
-
-
-def cohomology(group, twist=None, use_shortcut=True):
-    """H^0 and H^1 dimensions, optionally via the central-scalar shortcut."""
-    descriptor = STANDARD_MODULE if twist is None else STANDARD_MODULE + " (twisted)"
-    if use_shortcut and twist is None and central_scalar_shortcut(group) is not None:
-        return CohomologyResult(0, 0, descriptor)
-    return CohomologyResult(h0(group, twist), h1(group, twist), descriptor)
-
-
-def det_power_twist(k, p):
-    """The character g -> det(g)^k, usable as a twist."""
-
-    def chi(m):
-        return pow(mat_det(m, p), k, p)
-
-    return chi
 
 
 def gl2_generators(p):

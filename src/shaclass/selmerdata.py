@@ -196,8 +196,8 @@ def _load_local(label, config):
         if path.is_file():
             try:
                 text = path.read_text()
-            except UnicodeDecodeError as err:
-                raise SchemaDrift(f"record file for {label} is not text: {err}") from err
+            except (OSError, UnicodeDecodeError) as err:
+                raise SchemaDrift(f"record file for {label} cannot be read: {err}") from err
             return parse_record_text(text, LOCAL_FIXTURE)
     return None
 
@@ -217,16 +217,21 @@ def _remote_get(label, config):
             time.sleep(1.0 * 2 ** (attempt - 1))
         try:
             with urllib.request.urlopen(url, timeout=DEFAULT_TIMEOUT) as resp:
-                payload = json.loads(resp.read().decode("utf-8"))
-            break
+                body = resp.read()
         except urllib.error.HTTPError as err:
             if err.code == 404:
                 raise NotFound(f"no remote record for {label}") from err
             last_err = err
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:  # down, or not JSON
+        except OSError as err:  # down
             last_err = err
         except ValueError as err:  # urlopen's "unknown url type"
             raise InvalidInput(f"bad base URL {config.base_url!r}: {err}") from err
+        else:
+            try:
+                payload = json.loads(body.decode("utf-8"))
+                break
+            except ValueError as err:  # not UTF-8, not JSON, or an integer too long for json
+                last_err = err
     else:
         config.unreachable.append(last_err)
         raise NetworkError(f"remote fetch failed for {label}: {last_err}")

@@ -5,7 +5,6 @@ import pytest
 from shaclass.cohom import (
     central_scalar_shortcut,
     close_group,
-    cohomology,
     gl2_generators,
     h0,
     h1,
@@ -165,6 +164,24 @@ class TestCyclic:
         with pytest.raises(InvalidInput):
             h1_cyclic((1, 1, 0, 1), 3, 5)
 
+    def test_singular_generator_rejected(self):
+        with pytest.raises(InvalidInput, match="not invertible"):
+            h1_cyclic((1, 0, 0, 0), 1, 5)
+
+    def test_singular_order_refused_before_any_product(self, monkeypatch):
+        # refused by its determinant: powering a singular matrix never
+        # reaches the identity, so no bound on the products is safe at large p
+        products = []
+
+        def counted_mul(m, n, p):
+            products.append(1)
+            return mat_mul(m, n, p)
+
+        monkeypatch.setattr("shaclass.cohom.mat_mul", counted_mul)
+        with pytest.raises(InvalidInput, match="not invertible"):
+            mat_order((1, 0, 0, 0), 31)
+        assert products == []
+
     def test_agrees_with_closure_on_random_cyclic(self):
         rng = random.Random(101)
         checked = 0
@@ -205,37 +222,6 @@ class TestShortcut:
             assert h0(group) == 0
             assert h1(group) == 0
 
-    def test_cohomology_wrapper(self):
-        group = close_group(gl2_generators(5), 5)
-        via_shortcut = cohomology(group, use_shortcut=True)
-        direct = cohomology(group, use_shortcut=False)
-        assert (via_shortcut.h0_dim, via_shortcut.h1_dim) == (0, 0)
-        assert (direct.h0_dim, direct.h1_dim) == (0, 0)
-
-
-class TestTwists:
-    def test_det_twist_kills_invariants(self):
-        from shaclass.cohom import det_power_twist
-
-        # the scalar -1 acts trivially on the standard module after twisting
-        # by det (det(-I) = 1, scalar action -1): H^* of <-I> still vanishes
-        group = close_group([(4, 0, 0, 4)], 5)
-        chi = det_power_twist(1, 5)
-        assert h0(group, chi) == 0
-        assert h1(group, chi) == 0
-
-    def test_twist_changes_fixed_space(self):
-        # diagonal (2, 1): untwisted fixed space is the second axis; after
-        # twisting by det^-1 = 1/2 the fixed space moves to the first axis
-        group = close_group([(2, 0, 0, 1)], 5)
-
-        def chi(m):
-            return pow(mat_det(m, 5), -1, 5)
-
-        assert h0(group) == 1
-        assert h0(group, chi) == 1
-        assert cohomology(group, twist=chi).module_descriptor.endswith("(twisted)")
-
 
 class TestRaisedChecks:
     """Each internal consistency check raises ArithmeticError, so it still
@@ -249,7 +235,7 @@ class TestRaisedChecks:
 
     def test_cocycles_below_coboundaries_raises(self, monkeypatch):
         group = close_group([(1, 1, 0, 1)], 5)
-        monkeypatch.setattr("shaclass.cohom.h0", lambda group, twist=None: -1)
+        monkeypatch.setattr("shaclass.cohom.h0", lambda group: -1)
         with pytest.raises(ArithmeticError, match="below dim B"):
             h1(group)
 

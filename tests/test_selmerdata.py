@@ -208,6 +208,26 @@ class TestRemote:
         with pytest.raises(NetworkError):
             fetch_curve_record("37a1", REMOTE_FIRST, config)
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"<html>busy</html>", b'{"label": "11a1", "rank": ' + b"1" * 5000 + b"}"],
+        ids=["not-json", "integer-too-long-for-json"],
+    )
+    def test_body_not_json_is_a_network_fault(self, tmp_path, monkeypatch, body):
+        # a bad body is the server's fault, never the base URL's: the fixture
+        # covers it when one exists, and NetworkError reports it when none does
+        class Raw(_FakeResponse):
+            def read(self):
+                return body
+
+        monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout: Raw(None))
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        record = fetch_curve_record("11a1", REMOTE_FIRST, offline_config(tmp_path))
+        assert record.provenance == LOCAL_FIXTURE
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
+        with pytest.raises(NetworkError):
+            fetch_curve_record("11a1", REMOTE_FIRST, config)
+
     def test_bad_base_url_is_invalid_input(self, tmp_path, monkeypatch):
         def no_retry(seconds):
             raise AssertionError("a bad base URL was retried")
