@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from shaclass import (
     CurveModel,
-    classify_good_prime,
+    analyze,
     compute_invariants,
     detect_cm,
     minimal_model,
@@ -38,9 +38,11 @@ print("\ntraces of Frobenius:")
 for p in (3, 5, 7, 11, 13, 97):
     print(f"  a_{p} =", trace_of_frobenius(E, p))
 
-profile = classify_good_prime(E, 5)
-print("\nreduction at 5:", profile.reduction_kind)
-print("  a_5 =", profile.a_p, " unit root mod 5 =", profile.alpha_p_mod_p)
+# The certificate at 5 reads the reduction type off a_5: ordinary when p
+# does not divide a_p, with unit root a_p mod p.
+cert = analyze(E, 5)
+print("\nreduction at 5:", cert["reduction_kind"])
+print("  a_5 =", cert["a_p"], " unit root mod 5 =", cert["alpha_p_mod_p"])
 
 # The thirteen rational CM j-invariants are recognized exactly.
 print("\nCM detection:")
@@ -49,4 +51,4 @@ for j in (0, 1728, -3375, inv.j):
 
 # A supersingular example at 5: y^2 = x^3 + 1 has exactly 6 points over F_5.
 SS = CurveModel(0, 0, 0, 0, 1)
-print("\ny^2 = x^3 + 1 at p = 5:", classify_good_prime(SS, 5).reduction_kind)
+print("\ny^2 = x^3 + 1 at p = 5:", analyze(SS, 5)["reduction_kind"])

@@ -9,10 +9,8 @@ SmallImageCertified, never as surjective.
 Run:  python3 demos/03_mod_p_images.py
 """
 
-from shaclass import CurveModel, certify_image, division_polynomial
+from shaclass import CurveModel, analyze, certify_image, division_polynomial
 from shaclass.arith import rational_factors
-from shaclass.curve import classify_good_prime
-from shaclass.galrep import wild_ramification_status
 
 E = CurveModel(1, -1, 0, -332311, -73733731)  # 1058d1
 cert = certify_image(E, 5, sample_bound=1000)
@@ -39,9 +37,9 @@ cert389 = certify_image(CurveModel(0, 1, 1, -2, 0), 3)
 print("\n389a1, p = 3:", cert389.status, "- 3-cycle witness ell =", cert389.witnesses[-1][0])
 
 # The local picture at p: the unit root of Frobenius mod p on the
-# unramified quotient, and the wild-ramification ledger entry.
-profile = classify_good_prime(E, 5)
-print("\n1058d1 at 5:", profile.reduction_kind, "reduction, a_5 =", profile.a_p)
-print("  unit root alpha_5 mod 5:", profile.alpha_p_mod_p)
-wild = wild_ramification_status(profile)
-print("  wild ramification hypothesis:", wild, "(a_5 = 2 != 1 mod 5)")
+# unramified quotient, and the wild-ramification ledger entry, as the
+# certificate records them.
+doc = analyze(E, 5)
+print("\n1058d1 at 5:", doc["reduction_kind"], "reduction, a_5 =", doc["a_p"])
+print("  unit root alpha_5 mod 5:", doc["alpha_p_mod_p"])
+print("  wild ramification hypothesis:", doc["wild_ramification"], "(a_5 = 2 != 1 mod 5)")

@@ -2,17 +2,15 @@
 the class group of its p-division field.
 
 The pipeline: exact Weierstrass arithmetic (curve), Tate's algorithm and
-the rank-one prime set T (localred), mod-p image certification and the
-wild-ramification status at p (galrep), finite group cohomology over F_p
-(cohom), external rank/Sha data (selmerdata), and the hypothesis ledgers with the
-two-sided bound on dim Hom_G(Cl_K/pCl_K, E[p]) (engine).
+the rank-one prime set T (localred), mod-p image certification (galrep),
+finite group cohomology over F_p (cohom), external rank/Sha data
+(selmerdata), and the hypothesis ledgers, wild ramification at p among
+them, with the two-sided bound on dim Hom_G(Cl_K/pCl_K, E[p]) (engine).
 """
 
 from .curve import (
     CurveModel,
-    GoodPrimeProfile,
     Invariants,
-    classify_good_prime,
     compute_invariants,
     detect_cm,
     minimal_model,
@@ -27,12 +25,7 @@ from .localred import (
     tamagawa_unit_check,
     tate_algorithm,
 )
-from .galrep import (
-    ImageCertificate,
-    certify_image,
-    division_polynomial,
-    wild_ramification_status,
-)
+from .galrep import ImageCertificate, certify_image, division_polynomial
 from .cohom import (
     MatrixGroup,
     central_scalar_shortcut,
@@ -52,13 +45,12 @@ from .engine import (
     certificate_to_json,
     certificate_to_text,
     evaluate_hypotheses,
+    wild_ramification_status,
 )
 
 __all__ = [
     "CurveModel",
-    "GoodPrimeProfile",
     "Invariants",
-    "classify_good_prime",
     "compute_invariants",
     "detect_cm",
     "minimal_model",
@@ -73,7 +65,6 @@ __all__ = [
     "ImageCertificate",
     "certify_image",
     "division_polynomial",
-    "wild_ramification_status",
     "MatrixGroup",
     "central_scalar_shortcut",
     "close_group",
@@ -88,6 +79,7 @@ __all__ = [
     "certificate_to_json",
     "certificate_to_text",
     "evaluate_hypotheses",
+    "wild_ramification_status",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import compress, islice
 from math import comb, gcd, isqrt
 
-from .errors import FactorizationTooHard
+from .errors import FactorizationTooHard, InvalidInput
 
 TRIAL_DIVISION_BOUND = 10**6
 _TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
@@ -166,15 +166,23 @@ def exact_div(x, q):
 
 
 def valuation(n, p):
-    """Exponent of p in n (n nonzero)."""
+    """Exponent of p in n (n nonzero, p at least 2)."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p < 2:
+        raise InvalidInput(f"valuation needs p >= 2, got {p}")
     v = 0
     n = abs(n)
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def require_odd_prime(p):
+    """Raise InvalidInput unless p is an odd prime."""
+    if p % 2 == 0 or not is_prime(p):
+        raise InvalidInput(f"p must be an odd prime, got {p}")
 
 
 def legendre(a, p):

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .arith import is_prime
+from .arith import require_odd_prime
 from .cohom import central_scalar_shortcut, close_group, h0, h1
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
@@ -162,8 +162,7 @@ def _analyze_one(args, label=None, config=None):
 
 
 def cmd_analyze(args):
-    if not is_prime(args.p) or args.p == 2:
-        raise InvalidInput(f"p must be an odd prime, got {args.p}")
+    require_odd_prime(args.p)
     if args.batch is None:
         sys.stdout.write(_analyze_one(args))
         return EXIT_OK
@@ -213,8 +212,7 @@ def cmd_tate(args):
 
 def cmd_cohomology(args):
     p = args.p
-    if not is_prime(p) or p == 2:
-        raise InvalidInput(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     gens = []
     for part in args.generators.split(";"):
         try:

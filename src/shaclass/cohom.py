@@ -29,7 +29,8 @@ def identity_matrix():
 
 
 def mat_order(m, p):
-    """Order of m in GL_2(F_p), which is at most p^2 - 1."""
+    """Order of m mod p in GL_2(F_p), which is at most p^2 - 1."""
+    m = tuple(x % p for x in m)
     if mat_det(m, p) == 0:
         raise InvalidInput("matrix is not invertible mod p")
     k, acc = 1, m
@@ -199,13 +200,10 @@ def h1_cyclic(generator, order, p):
 def central_scalar_shortcut(group):
     """A scalar lambda != 1 with lambda*Id in the group, or None.
 
-    When present, all H^i vanish without solving any linear system.
+    When present, all H^i vanish without solving any linear system.  The
+    least such lambda is returned, read off the elements in O(|G|).
     """
-    elements = set(group.elements)
-    for lam in range(2, group.p):
-        if (lam, 0, 0, lam) in elements:
-            return lam
-    return None
+    return min((a for a, b, c, d in group.elements if a == d != 1 and b == c == 0), default=None)
 
 
 def gl2_generators(p):

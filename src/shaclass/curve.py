@@ -11,11 +11,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, is_prime, valuation
+from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, require_odd_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
-
-ORDINARY = "ordinary"
-SUPERSINGULAR = "supersingular"
 
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
@@ -93,16 +90,6 @@ class Invariants(NamedTuple):
         """CM discriminant or None, by integers: a CM j is integral, i.e. disc | c4^3."""
         j, rem = divmod(self.c4**3, self.disc)
         return None if rem else detect_cm(j)
-
-
-class GoodPrimeProfile(NamedTuple):
-    """Reduction data of a curve at an odd prime of good reduction."""
-
-    p: int
-    a_p: int
-    reduction_kind: str
-    alpha_p_mod_p: int | None
-    cm_discriminant: int | None
 
 
 @lru_cache(maxsize=None)
@@ -236,8 +223,7 @@ def trace_of_frobenius(model, p):
     """
     if p > TRIAL_DIVISION_BOUND:
         raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
-    if p % 2 == 0 or not is_prime(p):
-        raise InvalidInput(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:
@@ -265,15 +251,6 @@ def detect_cm(j):
     equal to its int.
     """
     return CM_J_INVARIANTS.get(j)
-
-
-def classify_good_prime(model, p):
-    """Ordinary/supersingular profile at a good odd prime p."""
-    a_p = trace_of_frobenius(model, p)
-    cm = compute_invariants(model).cm_discriminant()
-    if a_p % p == 0:
-        return GoodPrimeProfile(p, a_p, SUPERSINGULAR, None, cm)
-    return GoodPrimeProfile(p, a_p, ORDINARY, a_p % p, cm)
 
 
 def brute_force_point_count(model, p):

@@ -12,10 +12,9 @@ field.  Everything lands in a deterministic, schema-versioned certificate.
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .curve import classify_good_prime, minimal_model
+from .curve import compute_invariants, minimal_model, trace_of_frobenius
 from .errors import InsufficientData
-from .galrep import ASSUMED_BY_USER, CM_CASE, SURJECTIVE_CERTIFIED, UNKNOWN, VACUOUS
-from .galrep import DEFAULT_SAMPLE_BOUND, certify_image, wild_ramification_status
+from .galrep import DEFAULT_SAMPLE_BOUND, SURJECTIVE_CERTIFIED, certify_image
 from .localred import compute_t_set, local_data, tamagawa_unit_check
 from .selmerdata import selmer_rank_scenarios
 
@@ -34,6 +33,14 @@ ASSUMED = "Assumed"
 
 YES = "Yes"
 UNKNOWN_ANSWER = "Unknown"
+
+ORDINARY = "ordinary"
+SUPERSINGULAR = "supersingular"
+
+# the status of (b), wild ramification at p; the fourth is UNKNOWN_STATUS
+VACUOUS = "Vacuous"
+CM_CASE = "CMCase"
+ASSUMED_BY_USER = "AssumedByUser"
 
 # Condition (b) is printed with a_p = 1 mod p in the direct theorem but with
 # a_p != 1 mod p in the finiteness lemma and the converse theorem.  Those two
@@ -74,6 +81,28 @@ _LEDGER_TABLE = (
     (MAIN_CONV, _CONVERSE_CONDITIONS, (B_DISCREPANCY_NOTE,)),
 )
 
+# (status, evidence) of the (b) row for each wild-ramification status
+_B_ROW = {
+    VACUOUS: (HOLDS, "vacuous: supersingular or a_p != 1 mod p"),
+    CM_CASE: (HOLDS, "curve has CM; wild ramification need not be assumed"),
+    ASSUMED_BY_USER: (ASSUMED, "asserted via galrep.assume_wild_ramification"),
+    UNKNOWN_STATUS: (UNKNOWN_STATUS, "a_p = 1 mod p, no CM, and no certificate for wild ramification"),
+}
+
+
+def wild_ramification_status(a_p, p, cm_discriminant, assume_wild_ramification=False):
+    """Status of (b), wild ramification at the odd good prime p.
+
+    Vacuous unless a_p = 1 mod p (a supersingular a_p = 0 mod p is not);
+    CMCase when the curve has complex multiplication; AssumedByUser only
+    under the explicit flag; otherwise Unknown, and (b) stays unestablished.
+    """
+    if a_p % p != 1:
+        return VACUOUS
+    if cm_discriminant is not None:
+        return CM_CASE
+    return ASSUMED_BY_USER if assume_wild_ramification else UNKNOWN_STATUS
+
 
 def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     """The certificate's ledgers: each theorem's printed conditions as
@@ -90,13 +119,7 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     else:
         found["a"] = (HOLDS, f"p not among bad primes {bad}")
 
-    status_map = {
-        VACUOUS: (HOLDS, "vacuous: supersingular or a_p != 1 mod p"),
-        CM_CASE: (HOLDS, "curve has CM; wild ramification need not be assumed"),
-        ASSUMED_BY_USER: (ASSUMED, "asserted via galrep.assume_wild_ramification"),
-        UNKNOWN: (UNKNOWN_STATUS, "a_p = 1 mod p, no CM, and no certificate for wild ramification"),
-    }
-    found["b"] = status_map[wild_status]
+    found["b"] = _B_ROW[wild_status]
 
     if all(tamagawa_map.values()):
         detail = ", ".join(f"c_{q} prime to {p}" for q in sorted(tamagawa_map))
@@ -155,9 +178,10 @@ def analyze(
 
     Returns the certificate as its JSON document: a dict of JSON-native values.
     """
-    profile = classify_good_prime(model, p)
+    a_p = trace_of_frobenius(model, p)
+    cm = compute_invariants(model).cm_discriminant()
     image_cert = certify_image(model, p, sample_bound)
-    wild = wild_ramification_status(profile, assume_wild_ramification)
+    wild = wild_ramification_status(a_p, p, cm, assume_wild_ramification)
     local = local_data(model)
     tmap = tamagawa_unit_check(model, p)
     t_set = compute_t_set(model, p)
@@ -203,9 +227,9 @@ def analyze(
         "ainvs": list(model.ainvs()),
         "minimal_ainvs": list(minimal_model(model).ainvs()),
         "p": p,
-        "a_p": profile.a_p,
-        "reduction_kind": profile.reduction_kind,
-        "alpha_p_mod_p": profile.alpha_p_mod_p,
+        "a_p": a_p,
+        "reduction_kind": ORDINARY if a_p % p else SUPERSINGULAR,
+        "alpha_p_mod_p": a_p % p or None,
         "image_status": image_cert.status,
         "image_witnesses": [list(w) for w in image_cert.witnesses],
         "wild_ramification": wild,

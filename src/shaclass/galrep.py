@@ -1,4 +1,4 @@
-"""Mod-p Galois image certification and the wild-ramification status at p.
+"""Mod-p Galois image certification.
 
 Surjectivity is certified one-sidedly from Frobenius data (a_ell, ell mod p):
 a proper subgroup of GL_2(F_p) with full determinant lies in a Borel, the
@@ -7,23 +7,15 @@ image A4/S4/A5; each class is ruled out by an explicit witness prime.  The
 certificate is sound: SurjectiveCertified is only emitted with witnesses
 against all four classes plus determinant surjectivity.  CM curves are
 decided from j alone, before any scan.  Division polynomials are integer
-coefficient lists, lowest degree first.  The wild-ramification status of
-hypothesis (b) is read off curve.GoodPrimeProfile, the local picture at p.
+coefficient lists, lowest degree first.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre
+from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, require_odd_prime
 from .arith import TRIAL_DIVISION_BOUND, lift_rational_factor, primes_up_to, rational_factors
-from .curve import (
-    SUPERSINGULAR,
-    b_invariants,
-    brute_force_point_count,
-    compute_invariants,
-    minimal_model,
-    trace_of_frobenius,
-)
+from .curve import brute_force_point_count, compute_invariants, minimal_model, trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
 
 SURJECTIVE_CERTIFIED = "SurjectiveCertified"
@@ -35,11 +27,6 @@ SPLIT_CARTAN_NORMALIZER = "SplitCartanNormalizer"
 NONSPLIT_CARTAN_NORMALIZER = "NonsplitCartanNormalizer"
 EXCEPTIONAL = "Exceptional"
 ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEPTIONAL)
-
-VACUOUS = "Vacuous"
-CM_CASE = "CMCase"
-ASSUMED_BY_USER = "AssumedByUser"
-UNKNOWN = "Unknown"
 
 DEFAULT_SAMPLE_BOUND = 1000
 # good primes scanned before a standing Borel class sends the scan to
@@ -90,8 +77,14 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     with the witnesses of those primes only; witnesses a full scan would
     find at later primes are not listed.  After a scan of any length that
     certifies nothing, exact_factor on all the primes scanned and then
-    sympy's factorization of psi_p are the last resort.
+    sympy's factorization of psi_p are the last resort.  p must be an odd
+    prime, where the class list and witness rules hold, and at most
+    TRIAL_DIVISION_BOUND: the exceptional traces and the determinant are
+    found by passes over F_p.
     """
+    if p > TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
+    require_odd_prime(p)
     if not 10 <= sample_bound <= TRIAL_DIVISION_BOUND:
         raise InvalidInput(f"sample_bound must be between 10 and {TRIAL_DIVISION_BOUND}")
     m = minimal_model(model)
@@ -180,7 +173,7 @@ def _x_multiple(model, c):
     """
     if c == 1:
         return [0, 1], [1]
-    b2, b4, b6, _ = b_invariants(*model.ainvs())
+    b2, b4, b6 = compute_invariants(model)[:3]
     S = [b6, 2 * b4, b2, 4]
     f = {m: list(_division_polynomial(model, m)) for m in (c - 1, c, c + 1)}
     if c % 2:
@@ -253,7 +246,7 @@ def _division_polynomial(model, m):
     The doubling recurrence on psi_m, rewritten on f_k so that only
     S = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 appears.
     """
-    b2, b4, b6, b8 = b_invariants(*model.ainvs())
+    b2, b4, b6, b8 = compute_invariants(model)[:4]
     S = [b6, 2 * b4, b2, 4]
     f = {
         1: [1],
@@ -280,19 +273,3 @@ def _division_polynomial(model, m):
 
     return tuple(get(m))
 
-
-def wild_ramification_status(profile, assume_wild_ramification=False):
-    """Status string of the wild-ramification hypothesis at p.
-
-    Vacuous when supersingular or a_p != 1 mod p; CMCase when the curve has
-    complex multiplication; AssumedByUser only under the explicit flag;
-    otherwise Unknown and the hypothesis stays unestablished.
-    """
-    p = profile.p
-    if profile.reduction_kind == SUPERSINGULAR or profile.a_p % p != 1:
-        return VACUOUS
-    if profile.cm_discriminant is not None:
-        return CM_CASE
-    if assume_wild_ramification:
-        return ASSUMED_BY_USER
-    return UNKNOWN

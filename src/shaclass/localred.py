@@ -18,14 +18,7 @@ from .arith import (
     quadratic_roots,
     valuation,
 )
-from .curve import (
-    b_invariants,
-    c_invariants,
-    compute_invariants,
-    discriminant_from_b,
-    minimal_model,
-    translate,
-)
+from .curve import b_invariants, c_invariants, compute_invariants, minimal_model, translate
 from .errors import InvalidInput
 
 GOOD = "good"
@@ -118,11 +111,10 @@ def tate_algorithm(model, v):
     if not is_prime(v):
         raise InvalidInput(f"v must be prime, got {v}")
     p = v
-    ai = minimal_model(model).ainvs()
-
-    b2, b4, b6, b8 = b_invariants(*ai)
-    c4, _c6 = c_invariants(b2, b4, b6)
-    disc = discriminant_from_b(b2, b4, b6, b8)
+    m = minimal_model(model)
+    ai = m.ainvs()
+    inv = compute_invariants(m)
+    c4, disc = inv.c4, inv.disc
     if disc % p != 0:
         return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0)
     n = valuation(disc, p)

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import valuation
+from .arith import require_odd_prime, valuation
 from .errors import InsufficientData, InvalidInput, NetworkError, NotFound, SchemaDrift
 
 REMOTE_DATABASE = "RemoteDatabase"
@@ -205,6 +205,7 @@ def _load_local(label, config):
 def _remote_get(label, config):
     # imported here: urllib.request pulls in http.client and ssl, which
     # offline runs never use
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -222,7 +223,7 @@ def _remote_get(label, config):
             if err.code == 404:
                 raise NotFound(f"no remote record for {label}") from err
             last_err = err
-        except OSError as err:  # down
+        except (OSError, http.client.HTTPException) as err:  # down, or a body cut short
             last_err = err
         except ValueError as err:  # urlopen's "unknown url type"
             raise InvalidInput(f"bad base URL {config.base_url!r}: {err}") from err
@@ -328,6 +329,7 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     ranks consistent with the record; sha_ranks lists each dim's r.  With
     the finiteness flag (default), a nonzero Sha[p] must have even rank.
     """
+    require_odd_prime(p)
     notes = []
     if irreducible:
         torsion_dim = 0

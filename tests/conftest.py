@@ -1,5 +1,7 @@
 import json
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,23 @@ TESTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(TESTS_DIR))
 
 DATA_DIR = TESTS_DIR / "data"
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once seconds have passed, by SIGALRM,
+    so that a loop that never ends fails its test instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,9 @@ from shaclass.arith import (
     quadratic_roots,
     valuation,
 )
-from shaclass.errors import FactorizationTooHard
+from shaclass.errors import FactorizationTooHard, InvalidInput
+
+from conftest import time_limit
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 1009, 104729]
 SMALL_COMPOSITES = [1, 4, 6, 91, 561, 1105, 104728, 2**31 - 2]
@@ -168,6 +170,13 @@ def test_valuation():
     assert valuation(48, 2) == 4
     assert valuation(48, 3) == 1
     assert valuation(-2**12, 2) == 12
+
+
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_valuation_refuses_p_below_two(p):
+    # 1 and -1 divide everything, so the count would never end
+    with time_limit(2), pytest.raises(InvalidInput, match="p >= 2"):
+        valuation(48, p)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -17,6 +17,7 @@ from shaclass.cohom import (
 )
 from shaclass.errors import GroupTooLarge, InvalidInput
 
+from conftest import time_limit
 from oracles import brute_h0, brute_h1, cyclic_h1_by_counting
 
 
@@ -182,6 +183,14 @@ class TestCyclic:
             mat_order((1, 0, 0, 0), 31)
         assert products == []
 
+    def test_order_of_an_unreduced_matrix(self):
+        # 6 = 1 and -4 = 1 mod 5: each is the identity, of order 1
+        assert mat_order((6, 0, 0, 6), 5) == 1
+        assert mat_order((-4, 5, 10, 1), 5) == 1
+        assert mat_order((9, 0, 0, 9), 5) == mat_order((4, 0, 0, 4), 5) == 2
+        with pytest.raises(InvalidInput, match="not invertible"):
+            mat_order((6, 5, 0, 5), 5)
+
     def test_agrees_with_closure_on_random_cyclic(self):
         rng = random.Random(101)
         checked = 0
@@ -207,6 +216,21 @@ class TestShortcut:
 
     def test_unipotent_has_none(self):
         assert central_scalar_shortcut(close_group([(1, 1, 0, 1)], 5)) is None
+
+    def test_least_scalar(self):
+        # the scalars of GL_2(F_7) are all of F_7^x; those of <3 I> are 3, 2, 6, 4, 5
+        assert central_scalar_shortcut(close_group(gl2_generators(7), 7)) == 2
+        assert central_scalar_shortcut(close_group([(3, 0, 0, 3)], 7)) == 2
+        assert central_scalar_shortcut(close_group([(6, 0, 0, 6), (1, 1, 0, 1)], 7)) == 6
+
+    def test_large_p_costs_the_group_not_p(self):
+        # {I, -I} has two elements whatever p is, so finding -I must not
+        # cost a pass over F_p
+        p = 100000007
+        group = close_group([(p - 1, 0, 0, p - 1)], p)
+        assert len(group) == 2
+        with time_limit(2):
+            assert central_scalar_shortcut(group) == p - 1
 
     def test_soundness_on_random_scalar_groups(self):
         # whenever a non-identity scalar is present, the full linear system

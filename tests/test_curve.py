@@ -8,12 +8,9 @@ from shaclass import curve
 from shaclass.arith import factor
 from shaclass.curve import (
     CurveModel,
-    ORDINARY,
-    SUPERSINGULAR,
     b_invariants,
     brute_force_point_count,
     c_invariants,
-    classify_good_prime,
     compute_invariants,
     detect_cm,
     discriminant_from_b,
@@ -305,25 +302,6 @@ class TestPointCounting:
             trace_of_frobenius(CURVE_1058D1, 23)
         with pytest.raises(InvalidInput):
             trace_of_frobenius(CURVE_1058D1, 9)
-
-
-class TestClassification:
-    def test_ordinary_1058d1(self):
-        prof = classify_good_prime(CURVE_1058D1, 5)
-        assert prof.reduction_kind == ORDINARY
-        assert prof.alpha_p_mod_p == prof.a_p % 5 == 2
-        assert prof.cm_discriminant is None
-
-    def test_supersingular(self):
-        prof = classify_good_prime(CurveModel(0, 0, 0, 0, 1), 5)
-        assert prof.reduction_kind == SUPERSINGULAR
-        assert prof.alpha_p_mod_p is None
-
-    def test_ordinary_alpha_nonzero(self):
-        for p in (7, 13, 97):
-            prof = classify_good_prime(CURVE_1058C1, p)
-            if prof.reduction_kind == ORDINARY:
-                assert prof.alpha_p_mod_p != 0
 
 
 class TestCM:

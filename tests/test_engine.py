@@ -8,17 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import shaclass
 from shaclass import engine, localred
-from conftest import DATA_DIR
+from conftest import DATA_DIR, time_limit
 from oracles import corollary_from_record, unit_subgroup
 from shaclass.arith import primes_up_to, valuation
 from shaclass.curve import (
     CurveModel,
-    classify_good_prime,
+    brute_force_point_count,
     compute_invariants,
+    detect_cm,
     minimal_model,
     trace_of_frobenius,
     transform_model,
@@ -37,9 +38,10 @@ from shaclass.engine import (
     certificate_to_json,
     certificate_to_text,
     evaluate_hypotheses,
+    wild_ramification_status,
 )
-from shaclass.errors import InsufficientData, InvalidInput
-from shaclass.galrep import certify_image, wild_ramification_status
+from shaclass.errors import InsufficientData, InvalidInput, SingularModel
+from shaclass.galrep import certify_image
 from shaclass.localred import tamagawa_unit_check
 from shaclass.selmerdata import (
     OFFLINE_ONLY,
@@ -66,12 +68,15 @@ def record_for(label, tmp_path):
     return fetch_curve_record(label, OFFLINE_ONLY, config)
 
 
+def wild_for(model, p, assume_wild_ramification=False):
+    cm = compute_invariants(model).cm_discriminant()
+    return wild_ramification_status(trace_of_frobenius(model, p), p, cm, assume_wild_ramification)
+
+
 def ledgers_for(model, p):
-    profile = classify_good_prime(model, p)
     cert = certify_image(model, p, 1000)
-    wild = wild_ramification_status(profile)
     tmap = tamagawa_unit_check(model, p)
-    return evaluate_hypotheses(model, p, cert.status, wild, tmap)
+    return evaluate_hypotheses(model, p, cert.status, wild_for(model, p), tmap)
 
 
 class TestLedgers:
@@ -108,28 +113,51 @@ class TestLedgers:
         # condition (b) is genuinely unknown, then assert the flag only moves
         # Unknown -> Assumed
         model, p = CurveModel(0, 1, 1, 0, 0), 5  # 43a1 has a_5 = -4 = 1 mod 5
-        prof = classify_good_prime(model, p)
-        from shaclass.curve import ORDINARY
-
-        assert prof.reduction_kind == ORDINARY and prof.a_p % p == 1
+        assert trace_of_frobenius(model, p) % p == 1
         cert = certify_image(model, p, 1000)
         tmap = tamagawa_unit_check(model, p)
-        plain = evaluate_hypotheses(
-            model, p, cert.status, wild_ramification_status(prof), tmap
-        )
-        flagged = evaluate_hypotheses(
-            model,
-            p,
-            cert.status,
-            wild_ramification_status(prof, assume_wild_ramification=True),
-            tmap,
-        )
+        plain = evaluate_hypotheses(model, p, cert.status, wild_for(model, p), tmap)
+        flagged = evaluate_hypotheses(model, p, cert.status, wild_for(model, p, True), tmap)
         for tid in plain:
             for before, after in zip(plain[tid]["conditions"], flagged[tid]["conditions"]):
                 if before["status"] == UNKNOWN_STATUS and before["id"] == "b":
                     assert after["status"] == ASSUMED
                 else:
                     assert after["status"] == before["status"]
+
+
+class TestReductionAtP:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(0, 1), st.integers(-1, 1), st.integers(0, 1),
+            st.integers(-30, 30), st.integers(-30, 30),
+        ),
+        st.sampled_from((3, 5, 7, 11)),
+        st.booleans(),
+    )
+    def test_fields_follow_the_point_count(self, ainvs, p, flag):
+        """a_p, the reduction kind, the unit root mod p and the status of
+        (b) in the certificate agree with a_p = p + 1 - #E(F_p), counted by
+        the double loop over F_p x F_p on a model that is good at p."""
+        try:
+            model = CurveModel(*ainvs)
+        except SingularModel:
+            assume(False)
+        assume(compute_invariants(model).disc % p)
+        a_p = p + 1 - brute_force_point_count(model, p)
+        if a_p % p != 1:
+            wild = "Vacuous"  # supersingular a_p = 0 mod p included
+        elif detect_cm(compute_invariants(model).j) is not None:
+            wild = "CMCase"
+        else:
+            wild = "AssumedByUser" if flag else "Unknown"
+        doc = analyze(model, p, assume_wild_ramification=flag)
+        fields = (doc["a_p"], doc["reduction_kind"], doc["alpha_p_mod_p"], doc["wild_ramification"])
+        if a_p % p:
+            assert fields == (a_p, "ordinary", a_p % p, wild)
+        else:
+            assert fields == (a_p, "supersingular", None, wild)
 
 
 class TestBounds:
@@ -310,9 +338,10 @@ class TestCertificates:
 
     @pytest.mark.parametrize("p", [1000003, 2**89 - 1])
     def test_p_above_trial_division_bound_is_invalid_input(self, p):
-        # refused where a_p is counted, by a pass over all of F_p
-        for refuses in (analyze, classify_good_prime, trace_of_frobenius):
-            with pytest.raises(InvalidInput, match="at most 1000000"):
+        # refused where a_p is counted, and where the image scan would pass
+        # over all of F_p
+        for refuses in (analyze, certify_image, trace_of_frobenius):
+            with time_limit(5), pytest.raises(InvalidInput, match="at most 1000000"):
                 refuses(CURVE_11A1, p)
 
     def test_tate_runs_once_per_bad_prime(self, monkeypatch):

@@ -9,31 +9,23 @@ from conftest import DATA_DIR
 from oracles import duplication_fixed_x_count
 from shaclass.arith import legendre, primes_up_to, rational_factors
 from shaclass.curve import (
-    GoodPrimeProfile,
     CurveModel,
-    ORDINARY,
-    SUPERSINGULAR,
-    classify_good_prime,
     compute_invariants,
     minimal_model,
     trace_of_frobenius,
 )
+from shaclass.engine import ASSUMED_BY_USER, CM_CASE, UNKNOWN_STATUS, VACUOUS, wild_ramification_status
 from shaclass.errors import BadReductionAtP, InvalidInput
 from shaclass.galrep import (
-    ASSUMED_BY_USER,
-    CM_CASE,
     INCONCLUSIVE,
     SMALL_IMAGE_CERTIFIED,
     SURJECTIVE_CERTIFIED,
-    UNKNOWN,
-    VACUOUS,
     NONSPLIT_CARTAN_NORMALIZER,
     SCAN_PREFIX,
     a_ell,
     certify_image,
     division_polynomial,
     exact_factor,
-    wild_ramification_status,
 )
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
@@ -201,6 +193,14 @@ class TestCertifyImage:
             certify_image(CURVE_1058D1, 5, 5)
         with pytest.raises(BadReductionAtP):
             certify_image(CURVE_11A1, 11, 1000)
+
+    @pytest.mark.parametrize("p", [2, 9, 15, 25, -5, 1, 0])
+    def test_p_not_an_odd_prime_is_invalid_input(self, p):
+        # at 2, 37a1's 2-division cubic 4x^3 - 4x + 1 is irreducible with
+        # discriminant 592, not a square, so its image is all of GL_2(F_2):
+        # a small-image verdict there would be unsound
+        with pytest.raises(InvalidInput, match="odd prime"):
+            certify_image(CurveModel(0, 0, 1, -1, 0), p)
 
     def test_p3_certification(self):
         # 37a1 has full mod-3 image as well; the determinant rule closes the
@@ -401,27 +401,31 @@ class TestDivisionPolynomials:
 
 
 class TestWildRamification:
-    def _profile(self, p, a_p, kind=ORDINARY):
-        alpha = a_p % p if kind == ORDINARY else None
-        return GoodPrimeProfile(p, a_p, kind, alpha, None)
+    """engine.wild_ramification_status(a_p, p, cm_discriminant, flag): the
+    status of (b), which the engine decides beside its ledger row."""
 
     def test_vacuous_when_ap_not_one(self):
-        prof = classify_good_prime(CURVE_1058D1, 5)  # a_5 = 2
-        assert wild_ramification_status(prof) == VACUOUS
+        a_5 = trace_of_frobenius(CURVE_1058D1, 5)
+        assert a_5 == 2
+        assert wild_ramification_status(a_5, 5, None) == VACUOUS
+        assert wild_ramification_status(a_5, 5, None, assume_wild_ramification=True) == VACUOUS
 
     def test_vacuous_when_supersingular(self):
-        prof = self._profile(5, 0, SUPERSINGULAR)
-        assert wild_ramification_status(prof) == VACUOUS
+        # a_p = 0 mod p, with or without CM or the flag: a_p = 0, and at
+        # p = 3 also a_3 = +-3, which the Hasse bound |a_3| <= 2 sqrt(3) allows
+        for a_p, p in ((0, 5), (0, 3), (3, 3), (-3, 3)):
+            for cm in (None, -3):
+                for flag in (False, True):
+                    assert wild_ramification_status(a_p, p, cm, flag) == VACUOUS
 
     def test_cm_case(self):
-        prof = self._profile(7, 8)._replace(cm_discriminant=-3)  # a_p = 8 = 1 mod 7
-        assert wild_ramification_status(prof) == CM_CASE
+        assert wild_ramification_status(1, 7, -3) == CM_CASE
+        assert wild_ramification_status(-6, 7, -3, assume_wild_ramification=True) == CM_CASE
 
     def test_assumed_by_user(self):
-        prof = self._profile(7, 8)
-        status = wild_ramification_status(prof, assume_wild_ramification=True)
+        status = wild_ramification_status(1, 7, None, assume_wild_ramification=True)
         assert status == ASSUMED_BY_USER
 
     def test_unknown_without_certificate(self):
-        prof = self._profile(7, 8)
-        assert wild_ramification_status(prof) == UNKNOWN
+        assert wild_ramification_status(1, 7, None) == UNKNOWN_STATUS
+        assert wild_ramification_status(-4, 5, None) == UNKNOWN_STATUS  # 43a1's a_5

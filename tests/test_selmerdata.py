@@ -1,7 +1,10 @@
+import http.client
 import json
 import urllib.error
 
 import pytest
+
+from conftest import time_limit
 
 from shaclass.errors import (
     InsufficientData,
@@ -228,6 +231,27 @@ class TestRemote:
         with pytest.raises(NetworkError):
             fetch_curve_record("11a1", REMOTE_FIRST, config)
 
+    def test_truncated_body_is_a_network_fault(self, tmp_path, monkeypatch):
+        # IncompleteRead is an http.client.HTTPException, neither an OSError
+        # nor a ValueError: it is retried, then the fixture covers it when one
+        # exists, and NetworkError reports it when none does
+        reads = []
+
+        class Truncated(_FakeResponse):
+            def read(self):
+                reads.append(1)
+                raise http.client.IncompleteRead(b"{", 100)
+
+        monkeypatch.setattr("urllib.request.urlopen", lambda url, timeout: Truncated(None))
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        record = fetch_curve_record("11a1", REMOTE_FIRST, offline_config(tmp_path))
+        assert record.provenance == LOCAL_FIXTURE
+        assert len(reads) == 2
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
+        with pytest.raises(NetworkError, match="100 more expected"):
+            fetch_curve_record("11a1", REMOTE_FIRST, config)
+        assert len(reads) == 4
+
     def test_bad_base_url_is_invalid_input(self, tmp_path, monkeypatch):
         def no_retry(seconds):
             raise AssertionError("a bad base URL was retried")
@@ -428,6 +452,13 @@ class TestScenarios:
         assert scenario.possible_dims == (3, 4, 5)  # 1 + r + 1 from torsion
         known = self._record(mw_rank=0, sha_order=25, sha_structure=(5, 5))
         assert selmer_rank_scenarios(known, 5, True).sha_ranks == (2,)
+
+    @pytest.mark.parametrize("p", [1, 2, 9])
+    def test_p_not_an_odd_prime_is_invalid_input(self, p):
+        # 1 divides the order infinitely often, 2 is not odd, and 9 is no
+        # prime, so an "F_9-rank of Sha[9]" would mean nothing
+        with time_limit(2), pytest.raises(InvalidInput, match="odd prime"):
+            selmer_rank_scenarios(self._record(sha_order=81), p, True)
 
     def test_order_prime_to_p_without_rank_raises(self, monkeypatch):
         monkeypatch.setattr(ExternalCurveRecord, "sha_p_rank", lambda self, p: None)
