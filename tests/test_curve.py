@@ -21,6 +21,7 @@ from shaclass.curve import (
     transform_quintuple,
     translate,
 )
+from shaclass.engine import ORDINARY, SUPERSINGULAR, analyze
 from shaclass.errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
@@ -302,6 +303,27 @@ class TestPointCounting:
             trace_of_frobenius(CURVE_1058D1, 23)
         with pytest.raises(InvalidInput):
             trace_of_frobenius(CURVE_1058D1, 9)
+
+
+class TestClassification:
+    """The reduction fields of the certificate at a good odd prime."""
+
+    def test_ordinary_1058d1(self):
+        doc = analyze(CURVE_1058D1, 5)
+        assert doc["reduction_kind"] == ORDINARY
+        assert doc["alpha_p_mod_p"] == doc["a_p"] % 5 == 2
+        assert compute_invariants(CURVE_1058D1).cm_discriminant() is None
+
+    def test_supersingular(self):
+        doc = analyze(CurveModel(0, 0, 0, 0, 1), 5)
+        assert doc["reduction_kind"] == SUPERSINGULAR
+        assert doc["alpha_p_mod_p"] is None
+
+    def test_ordinary_alpha_nonzero(self):
+        for p in (7, 13, 97):
+            doc = analyze(CURVE_1058C1, p)
+            if doc["reduction_kind"] == ORDINARY:
+                assert doc["alpha_p_mod_p"] != 0
 
 
 class TestCM:
