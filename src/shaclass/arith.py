@@ -18,6 +18,7 @@ from .errors import FactorizationTooHard, InvalidInput
 
 TRIAL_DIVISION_BOUND = 10**6
 _TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
+PRIME_TABLE_CACHE_SIZE = 8  # the five tables of _TABLE_LIMITS and a few sample bounds
 RHO_CUTOFF = 2**128
 
 # Deterministic Miller-Rabin base set, valid for n < 3,317,044,064,679,887,385,961,981.
@@ -25,7 +26,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_TABLE_CACHE_SIZE)
 def primes_up_to(limit):
     """Primes up to limit (inclusive), as a tuple."""
     if limit < 2:

@@ -14,6 +14,8 @@ from typing import NamedTuple
 from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, require_odd_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
+CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
+
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
 # discriminant.
@@ -92,7 +94,7 @@ class Invariants(NamedTuple):
         return None if rem else detect_cm(j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def compute_invariants(model):
     """All standard invariants of the model.  Raises SingularModel on disc 0."""
     b2, b4, b6, b8 = b_invariants(*model.ainvs())
@@ -152,7 +154,7 @@ def _kraus_ok_at_3(c6):
     return c6 == 0 or valuation(c6, 3) != 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def minimal_model(model):
     """Global minimal model, in the reduced form a1,a3 in {0,1}, a2 in {-1,0,1}.
 

@@ -11,11 +11,13 @@ coefficient lists, lowest degree first.
 """
 
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, require_odd_prime
-from .arith import TRIAL_DIVISION_BOUND, lift_rational_factor, primes_up_to, rational_factors
-from .curve import brute_force_point_count, compute_invariants, minimal_model, trace_of_frobenius
+from .arith import TRIAL_DIVISION_BOUND, factor, lift_rational_factor, primes_up_to, rational_factors
+from .curve import CURVE_CACHE_SIZE, brute_force_point_count, compute_invariants, minimal_model
+from .curve import trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
 
 SURJECTIVE_CERTIFIED = "SurjectiveCertified"
@@ -40,16 +42,6 @@ class ImageCertificate(NamedTuple):
     witnesses: tuple
     ruled_out: frozenset
     first_unruled: str | None = None
-
-
-@lru_cache(maxsize=None)
-def _exceptional_trace_set(p):
-    """u = tr^2/det values of elements of projective order <= 5 (or p)."""
-    bad = {0 % p, 1 % p, 2 % p, 4 % p}
-    for u in range(p):
-        if (u * u - 3 * u + 1) % p == 0:  # projective order 5
-            bad.add(u)
-    return frozenset(bad)
 
 
 def a_ell(model, ell):
@@ -79,8 +71,8 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     certifies nothing, exact_factor on all the primes scanned and then
     sympy's factorization of psi_p are the last resort.  p must be an odd
     prime, where the class list and witness rules hold, and at most
-    TRIAL_DIVISION_BOUND: the exceptional traces and the determinant are
-    found by passes over F_p.
+    TRIAL_DIVISION_BOUND, as analyze asks of p for its point count of a_p;
+    p - 1 is then factored by trial division alone.
     """
     if p > TRIAL_DIVISION_BOUND:
         raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
@@ -98,7 +90,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     witnesses = []
     frobenius = []
     det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
-    bad_u = _exceptional_trace_set(p)
+    unit_primes = factor(p - 1)
 
     for ell in primes_up_to(sample_bound):
         if ell == p or inv.disc % ell == 0:
@@ -108,10 +100,10 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
         frobenius.append((ell, a_mod, d_mod))
         before = (len(ruled_out), det_order)
 
-        # (Z/p)^x is cyclic: its subgroup of order n is {x : x^n = 1}, and
-        # adding d_mod gives the least multiple of n that kills d_mod
+        # (Z/p)^x is cyclic, so adding d_mod to a subgroup of order n gives
+        # one of order lcm(n, ord(d_mod))
         if pow(d_mod, det_order, p) != 1:
-            det_order = next(n for n in range(det_order, p, det_order) if pow(d_mod, n, p) == 1)
+            det_order = lcm(det_order, _unit_order(d_mod, p, unit_primes))
             if det_order == p - 1 and p == 3:
                 # projective image A4 = PSL_2(F_3) forces determinant 1,
                 # so full determinant already excludes the exceptional class
@@ -123,8 +115,9 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
                 ruled_out.update((BOREL, SPLIT_CARTAN_NORMALIZER))
             if chi == 1:
                 ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
+            # u = tr^2/det: in {0, 1, 2, 4} at projective order <= 4 (or p), u^2 = 3u - 1 at order 5
             u = a_mod * a_mod * pow(d_mod, -1, p) % p
-            if u not in bad_u:
+            if u not in (0, 1, 2, 4 % p) and (u * u - 3 * u + 1) % p:
                 ruled_out.add(EXCEPTIONAL)
 
         if p == 3 and BOREL in ruled_out and NONSPLIT_CARTAN_NORMALIZER not in ruled_out:
@@ -157,6 +150,15 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     if p <= 13 and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
         status = SMALL_IMAGE_CERTIFIED
     return _unsurjective(p, status, witnesses, ruled_out)
+
+
+def _unit_order(d, p, primes):
+    """Order of d in (Z/p)^x: from n = p - 1, divide by each prime q of p - 1 while d^(n/q) = 1."""
+    n = p - 1
+    for q in primes:
+        while n % q == 0 and pow(d, n // q, p) == 1:
+            n //= q
+    return n
 
 
 def _unsurjective(p, status, witnesses, ruled_out):
@@ -239,7 +241,7 @@ def division_polynomial(model, m):
     return list(_division_polynomial(model, m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def _division_polynomial(model, m):
     """f_m as a tuple: psi_m for odd m, psi_m / psi_2 for even m.
 

@@ -18,7 +18,8 @@ from .arith import (
     quadratic_roots,
     valuation,
 )
-from .curve import b_invariants, c_invariants, compute_invariants, minimal_model, translate
+from .curve import CURVE_CACHE_SIZE, b_invariants, c_invariants, compute_invariants, minimal_model
+from .curve import translate
 from .errors import InvalidInput
 
 GOOD = "good"
@@ -210,7 +211,7 @@ def bad_primes(model):
     return tuple(sorted(factor(abs(disc))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
 def local_data(model):
     """Read-only map from each bad prime, in increasing order, to its LocalReductionData."""
     return MappingProxyType({q: tate_algorithm(model, q) for q in bad_primes(model)})

@@ -257,11 +257,15 @@ def _remote_get(label, config):
 
 
 def write_cache(record, config):
-    config.cache_dir.mkdir(parents=True, exist_ok=True)
+    """Write record into the cache dir atomically; InvalidInput if the dir cannot be written."""
     path = config.cache_dir / f"{record.label}.txt"
     tmp = path.with_suffix(".txt.tmp")
-    tmp.write_text(render_record_text(record))
-    os.replace(tmp, path)  # atomic: a reader in another process never sees a torn file
+    try:
+        config.cache_dir.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(render_record_text(record))
+        os.replace(tmp, path)  # atomic: a reader in another process never sees a torn file
+    except OSError as err:
+        raise InvalidInput(f"cache dir {config.cache_dir} cannot be written: {err}") from err
     return path
 
 

@@ -9,6 +9,9 @@ cohomology oracles solve the full linear systems over all group elements
 (no generator reduction), and the subgroup of (Z/p)^x that units generate
 is found by closing under multiplication (no element orders), and the
 Corollary's answer is read from the record's Sha data (no Selmer scenario).
+The image scan's facts about (Z/p)^x are found by linear passes: the least
+multiple of a subgroup order that kills a unit by trying each multiple, and
+the exceptional traces by testing every u in F_p (no factorization of p - 1).
 """
 
 from fractions import Fraction
@@ -216,6 +219,26 @@ def unit_subgroup(units, p):
         if not new:
             return group
         group |= new
+
+
+def det_order_by_search(d, p, n=1):
+    """Order of the subgroup of (Z/p)^x that d and a subgroup of order n generate.
+
+    (Z/p)^x is cyclic, so that is the least multiple m of n with d^m = 1,
+    found by trying n, 2n, ... up to p - 1 in turn.
+    """
+    return next(m for m in range(n, p, n) if pow(d, m, p) == 1)
+
+
+def exceptional_traces(p):
+    """u = tr^2/det of the elements of GL_2(F_p) of projective order <= 5 (or p).
+
+    Orders 1, 2, 3, 4 and p give u = 4, 0, 1, 2 and 4; order 5 gives the
+    roots of u^2 - 3u + 1, found by testing every u in F_p.
+    """
+    bad = {0 % p, 1 % p, 2 % p, 4 % p}
+    bad.update(u for u in range(p) if (u * u - 3 * u + 1) % p == 0)
+    return frozenset(bad)
 
 
 def corollary_from_record(record, p, assume_sha_finite=True):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shaclass import arith
 from shaclass.arith import (
@@ -134,6 +134,35 @@ def test_lift_rational_factor_finds_each_factor():
     assert lift_rational_factor(f, [-8 % ell, 1], ell) is None
     x13_x9 = _monic_mod([13 * 9, -22, 1], ell)  # (x - 13)(x - 9)
     assert lift_rational_factor(f, x13_x9, ell) is None
+
+
+def _primitive_poly(degree):
+    """Integer coefficients, lowest degree first: nonzero leading term, content 1."""
+    coeffs = st.lists(st.integers(-20, 20), min_size=degree, max_size=degree)
+    lead = st.integers(1, 9).flatmap(lambda c: st.sampled_from((c, -c)))
+    return st.tuples(coeffs, lead).map(lambda t: t[0] + [t[1]]).filter(
+        lambda g: sympy.gcd_list(g) == 1
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(_primitive_poly),
+    st.integers(1, 3).flatmap(_primitive_poly),
+    st.integers(0, 40),
+)
+def test_lift_rational_factor_is_complete(g, h, start):
+    # f = g h; at a prime ell dividing neither lc(f) nor disc(f), g mod ell
+    # is coprime to its cofactor, and its lift must give back g up to sign
+    x = sympy.Symbol("x")
+    f_poly = sympy.Poly(g[::-1], x) * sympy.Poly(h[::-1], x)
+    disc = int(sympy.discriminant(f_poly))
+    assume(disc != 0)  # f squarefree over Q
+    f = [int(c) for c in f_poly.all_coeffs()[::-1]]
+    ell = next(q for q in primes_up_to(1000)[start:] if f[-1] % q and disc % q)
+    lifted = lift_rational_factor(f, _monic_mod(g, ell), ell)
+    assert lifted in (g, [-c for c in g])
+    assert sympy.rem(f_poly, sympy.Poly(lifted[::-1], x)).is_zero
 
 
 def test_exact_quotient_raises_on_a_remainder():

@@ -1,12 +1,15 @@
+import builtins
 import json
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import DATA_DIR
-from oracles import duplication_fixed_x_count
+from oracles import det_order_by_search, duplication_fixed_x_count, exceptional_traces
+from shaclass import galrep
 from shaclass.arith import legendre, primes_up_to, rational_factors
 from shaclass.curve import (
     CurveModel,
@@ -17,11 +20,13 @@ from shaclass.curve import (
 from shaclass.engine import ASSUMED_BY_USER, CM_CASE, UNKNOWN_STATUS, VACUOUS, wild_ramification_status
 from shaclass.errors import BadReductionAtP, InvalidInput
 from shaclass.galrep import (
+    EXCEPTIONAL,
     INCONCLUSIVE,
     SMALL_IMAGE_CERTIFIED,
     SURJECTIVE_CERTIFIED,
     NONSPLIT_CARTAN_NORMALIZER,
     SCAN_PREFIX,
+    _unit_order,
     a_ell,
     certify_image,
     division_polynomial,
@@ -207,6 +212,55 @@ class TestCertifyImage:
         # exceptional class at p = 3
         cert = certify_image(CurveModel(0, 0, 1, -1, 0), 3, 1000)
         assert cert.status == SURJECTIVE_CERTIFIED
+
+
+ODD_PRIMES_BELOW_2000 = [q for q in primes_up_to(2000) if q > 2]
+
+
+class TestUnitGroupFacts:
+    """The image scan's closed forms for (Z/p)^x against the linear passes of oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ODD_PRIMES_BELOW_2000), st.integers(1, 10**6), st.integers(0, 10**6))
+    def test_unit_order_and_lcm_match_the_search(self, p, d, k):
+        d = 1 + d % (p - 1)
+        divisors = [n for n in range(1, p) if (p - 1) % n == 0]
+        n = divisors[k % len(divisors)]
+        order = _unit_order(d, p, galrep.factor(p - 1))
+        assert order == det_order_by_search(d, p)
+        assert lcm(n, order) == det_order_by_search(d, p, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([q for q in ODD_PRIMES_BELOW_2000 if q > 13]),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+    )
+    def test_exceptional_ruled_out_exactly_off_the_traces(self, p, a, u):
+        # a one-prime scan with a_ell = a and ell = d mod p, d = a^2 / u: the
+        # exceptional class is ruled out iff u is no trace of projective
+        # order <= 5; 11a1's discriminant is -11^5, so ell avoids 11
+        a, u = 1 + a % (p - 1), 1 + u % (p - 1)
+        d = a * a * pow(u, -1, p) % p
+        ell = next(e for e in (d + p, d + 2 * p) if e % 11)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galrep, "primes_up_to", lambda bound: (ell,))
+            mp.setattr(galrep, "a_ell", lambda model, e: a)
+            cert = certify_image(CURVE_11A1, p)
+        assert (EXCEPTIONAL in cert.ruled_out) == (u not in exceptional_traces(p))
+
+    def test_large_p_costs_few_pow_calls(self, monkeypatch):
+        # no pass over F_p: at p = 999983 the scan needs a few dozen powers
+        calls = 0
+
+        def counting_pow(*args):
+            nonlocal calls
+            calls += 1
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(galrep, "pow", counting_pow, raising=False)
+        assert certify_image(CURVE_11A1, 999983).status == SURJECTIVE_CERTIFIED
+        assert 0 < calls < 1000
 
 
 # the corpus jobs whose mod-p image is reducible (not CM), with p

@@ -1,11 +1,14 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from shaclass.arith import legendre, valuation
+import shaclass.cli  # noqa: F401  every module, for the cache census below
+from shaclass.arith import PRIME_TABLE_CACHE_SIZE, legendre, primes_up_to, valuation
 from shaclass.curve import (
+    CURVE_CACHE_SIZE,
     CurveModel,
     b_invariants,
     compute_invariants,
@@ -13,7 +16,7 @@ from shaclass.curve import (
     minimal_model,
 )
 from shaclass.errors import InvalidInput, SingularModel
-from shaclass.galrep import a_ell
+from shaclass.galrep import _division_polynomial, a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
@@ -401,6 +404,25 @@ def test_local_data_is_one_read_only_mapping():
     assert list(data) == [3, 7, 31]
     with pytest.raises(TypeError):
         data[5] = tate_algorithm(CURVE_423801, 5)
+
+
+def test_caches_stay_within_their_bounds():
+    """Every functools cache of the program has a bound, and more distinct
+    models (or sample bounds) than it leave each cache at that bound."""
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
+    caches = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
+    assert len(caches) >= 5
+    assert all(f.cache_parameters()["maxsize"] is not None for f in caches.values())
+
+    for a4 in range(1, CURVE_CACHE_SIZE + 51):
+        model = CurveModel(0, 0, 1, a4, 0)  # disc -64 a4^3 - 27, never 0
+        local_data(model)
+        _division_polynomial(model, 3)
+    for cache in (compute_invariants, minimal_model, local_data, _division_polynomial):
+        assert cache.cache_info().currsize == CURVE_CACHE_SIZE
+    for limit in range(100, 110 + PRIME_TABLE_CACHE_SIZE):
+        primes_up_to(limit)
+    assert primes_up_to.cache_info().currsize == PRIME_TABLE_CACHE_SIZE
 
 
 def test_nonminimal_input_handled():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import time_limit
 
+from shaclass.cli import main
 from shaclass.errors import (
     InsufficientData,
     InvalidInput,
@@ -185,6 +186,46 @@ class TestRemote:
         with pytest.raises(SchemaDrift):
             fetch_curve_record("37a1", REMOTE_FIRST, config)
         assert list(tmp_path.rglob("*")) == []  # nothing cached, inside cache_dir or out
+
+    def _fake_remote(self, monkeypatch):
+        """urlopen answers PAYLOAD for 37a1 and 404 for every other label."""
+
+        def urlopen(url, timeout):
+            if url.endswith("/37a1"):
+                return _FakeResponse(self.PAYLOAD)
+            raise urllib.error.HTTPError(url, 404, "not found", {}, None)
+
+        monkeypatch.delenv("SHACLASS_OFFLINE", raising=False)
+        monkeypatch.setattr("urllib.request.urlopen", urlopen)
+
+    def test_unwritable_cache_dir_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        self._fake_remote(monkeypatch)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=not_a_dir)
+        with pytest.raises(InvalidInput, match="cache dir"):
+            fetch_curve_record("37a1", REMOTE_FIRST, config)
+        argv = ["analyze", "--label", "37a1", "-p", "7", "--cache-dir", str(not_a_dir), "--format", "json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cache dir {not_a_dir} cannot be written")
+        assert err.count("\n") == 1  # one error line, no traceback
+
+    def test_unwritable_cache_dir_fails_one_batch_label(self, tmp_path, monkeypatch, capsys):
+        # 37a1 is fetched and cannot be cached; 11a1 is not found remotely
+        # and is read from the packaged fixtures, so nothing is written
+        self._fake_remote(monkeypatch)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        batch = tmp_path / "labels.txt"
+        batch.write_text("37a1\n11a1\n")
+        argv = ["analyze", "--batch", str(batch), "-p", "7", "--cache-dir", str(not_a_dir), "--format", "json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["label"] == "11a1"
+        assert err.startswith(f"error: 37a1: cache dir {not_a_dir} cannot be written")
+        assert err.count("error:") == 1
 
     def test_fixture_value_not_an_integer(self, tmp_path):
         (tmp_path / "37a1.txt").write_text("label = 37a1\nmw_rank = x\n")
