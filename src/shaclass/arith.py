@@ -18,7 +18,7 @@ from .errors import FactorizationTooHard, InvalidInput
 
 TRIAL_DIVISION_BOUND = 10**6
 _TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
-PRIME_TABLE_CACHE_SIZE = 8  # the five tables of _TABLE_LIMITS and a few sample bounds
+PRIME_TABLE_CACHE_SIZE = 8  # the five tables of _TABLE_LIMITS and the image scan's 1000
 RHO_CUTOFF = 2**128
 
 # Deterministic Miller-Rabin base set, valid for n < 3,317,044,064,679,887,385,961,981.
@@ -184,6 +184,13 @@ def require_odd_prime(p):
     """Raise InvalidInput unless p is an odd prime."""
     if p % 2 == 0 or not is_prime(p):
         raise InvalidInput(f"p must be an odd prime, got {p}")
+
+
+def require_analyzable_prime(p):
+    """Raise InvalidInput unless p is an odd prime at most 10**6; a bigger p never reaches is_prime."""
+    if p > TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
+    require_odd_prime(p)
 
 
 def legendre(a, p):

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .arith import require_odd_prime
+from .arith import require_analyzable_prime, require_odd_prime
 from .cohom import central_scalar_shortcut, close_group, h0, h1
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
@@ -23,7 +23,6 @@ from .errors import (
     NotFound,
     ShaclassError,
 )
-from .galrep import DEFAULT_SAMPLE_BOUND
 from .localred import local_data, tate_algorithm
 from .selmerdata import (
     OFFLINE_ONLY,
@@ -66,7 +65,6 @@ def _build_parser():
     an.set_defaults(run=cmd_analyze)
     source = add_curve_args(an)
     an.add_argument("-p", type=int, required=True, help="odd prime p")
-    an.add_argument("--sample-bound", type=int, default=DEFAULT_SAMPLE_BOUND)
     an.add_argument("--assume-wild-ramification", action="store_true")
     an.add_argument(
         "--no-assume-sha-finite",
@@ -151,7 +149,6 @@ def _analyze_one(args, label=None, config=None):
         model,
         args.p,
         record=record,
-        sample_bound=args.sample_bound,
         assume_wild_ramification=args.assume_wild_ramification,
         assume_sha_finite=args.assume_sha_finite,
         label=label,
@@ -162,7 +159,7 @@ def _analyze_one(args, label=None, config=None):
 
 
 def cmd_analyze(args):
-    require_odd_prime(args.p)
+    require_analyzable_prime(args.p)
     if args.batch is None:
         sys.stdout.write(_analyze_one(args))
         return EXIT_OK

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import TRIAL_DIVISION_BOUND, exact_div, factor, require_odd_prime, valuation
+from .arith import exact_div, factor, require_analyzable_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
@@ -223,9 +223,7 @@ def trace_of_frobenius(model, p):
     1 + chi(g(x)) where g = 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square
     in y), so one pass with a quadratic-residue table suffices.
     """
-    if p > TRIAL_DIVISION_BOUND:
-        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
-    require_odd_prime(p)
+    require_analyzable_prime(p)
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:

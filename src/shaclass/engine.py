@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .curve import compute_invariants, minimal_model, trace_of_frobenius
 from .errors import InsufficientData
-from .galrep import DEFAULT_SAMPLE_BOUND, SURJECTIVE_CERTIFIED, certify_image
+from .galrep import SURJECTIVE_CERTIFIED, certify_image
 from .localred import compute_t_set, local_data, tamagawa_unit_check
 from .selmerdata import selmer_rank_scenarios
 
@@ -169,7 +169,6 @@ def analyze(
     model,
     p,
     record=None,
-    sample_bound=DEFAULT_SAMPLE_BOUND,
     assume_wild_ramification=False,
     assume_sha_finite=True,
     label=None,
@@ -180,7 +179,7 @@ def analyze(
     """
     a_p = trace_of_frobenius(model, p)
     cm = compute_invariants(model).cm_discriminant()
-    image_cert = certify_image(model, p, sample_bound)
+    image_cert = certify_image(model, p)
     wild = wild_ramification_status(a_p, p, cm, assume_wild_ramification)
     local = local_data(model)
     tmap = tamagawa_unit_check(model, p)

@@ -14,8 +14,8 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, require_odd_prime
-from .arith import TRIAL_DIVISION_BOUND, factor, lift_rational_factor, primes_up_to, rational_factors
+from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
+from .arith import TRIAL_DIVISION_BOUND, factor, primes_up_to, rational_factors, require_analyzable_prime
 from .curve import CURVE_CACHE_SIZE, brute_force_point_count, compute_invariants, minimal_model
 from .curve import trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
@@ -69,14 +69,12 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     with the witnesses of those primes only; witnesses a full scan would
     find at later primes are not listed.  After a scan of any length that
     certifies nothing, exact_factor on all the primes scanned and then
-    sympy's factorization of psi_p are the last resort.  p must be an odd
-    prime, where the class list and witness rules hold, and at most
-    TRIAL_DIVISION_BOUND, as analyze asks of p for its point count of a_p;
-    p - 1 is then factored by trial division alone.
+    sympy's factorization of psi_p are the last resort.  analyze always
+    scans to DEFAULT_SAMPLE_BOUND.  p must pass require_analyzable_prime: an
+    odd prime, where the class list and witness rules hold, at most
+    TRIAL_DIVISION_BOUND, so p - 1 is factored by trial division alone.
     """
-    if p > TRIAL_DIVISION_BOUND:
-        raise InvalidInput(f"p must be at most {TRIAL_DIVISION_BOUND}, got {p}")
-    require_odd_prime(p)
+    require_analyzable_prime(p)
     if not 10 <= sample_bound <= TRIAL_DIVISION_BOUND:
         raise InvalidInput(f"sample_bound must be between 10 and {TRIAL_DIVISION_BOUND}")
     m = minimal_model(model)

@@ -165,6 +165,25 @@ def test_lift_rational_factor_is_complete(g, h, start):
     assert sympy.rem(f_poly, sympy.Poly(lifted[::-1], x)).is_zero
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 3).flatmap(_primitive_poly), min_size=3, max_size=3),
+    st.integers(0, 40),
+)
+def test_lift_rational_factor_is_complete_for_three_factors(factors, start):
+    # f = g h k; ell prime to disc(f) keeps f squarefree mod ell, so g mod
+    # ell is coprime to h k mod ell, and its lift must give back g up to sign
+    g, h, k = factors
+    x = sympy.Symbol("x")
+    f_poly = sympy.Poly(g[::-1], x) * sympy.Poly(h[::-1], x) * sympy.Poly(k[::-1], x)
+    disc = int(sympy.discriminant(f_poly))
+    assume(disc != 0)  # f squarefree over Q
+    f = [int(c) for c in f_poly.all_coeffs()[::-1]]
+    ell = next(q for q in primes_up_to(1000)[start:] if f[-1] % q and disc % q)
+    lifted = lift_rational_factor(f, _monic_mod(g, ell), ell)
+    assert lifted in (g, [-c for c in g])
+
+
 def test_exact_quotient_raises_on_a_remainder():
     assert exact_quotient([-1, 0, 1], [1, 1]) == [-1, 1]
     with pytest.raises(ArithmeticError):

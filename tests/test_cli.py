@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,11 @@ from shaclass.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NETWORK,
     EXIT_OK,
+    _build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -275,18 +280,19 @@ class TestAnalyze:
 
     def test_fixture_runs_import_no_sympy(self):
         # every packaged fixture at each good p in {3, 5, 7}, the reducible
-        # images of 11a1 at 5 and 1058c1 at 3 included, and 11a1 at 5 on a
-        # scan of 6 good primes, shorter than SCAN_PREFIX
+        # images of 11a1 at 5 and 1058c1 at 3 included; a scan shorter than
+        # SCAN_PREFIX is test_galrep's
+        # test_scan_shorter_than_the_prefix_tries_the_exact_factor
         code = (
             "import contextlib, io, sys\n"
             "from shaclass.cli import main\n"
             "from shaclass.selmerdata import packaged_fixtures_dir\n"
-            "runs = [(path.stem, p, []) for path in sorted(packaged_fixtures_dir().glob('*.txt'))\n"
+            "runs = [(path.stem, p) for path in sorted(packaged_fixtures_dir().glob('*.txt'))\n"
             "        for p in (3, 5, 7)]\n"
-            "for label, p, extra in runs + [('11a1', 5, ['--sample-bound', '20'])]:\n"
+            "for label, p in runs:\n"
             "    out, err = io.StringIO(), io.StringIO()\n"
             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-            "        argv = ['analyze', '--label', label, '-p', str(p), '--offline', *extra]\n"
+            "        argv = ['analyze', '--label', label, '-p', str(p), '--offline']\n"
             "        code = main(argv)\n"
             "    status = [l for l in out.getvalue().splitlines() if 'mod-p image' in l]\n"
             "    print(label, p, code, *status)\n"
@@ -301,10 +307,9 @@ class TestAnalyze:
         assert sympy_loaded == "False"
         good = [r for r in runs if r.split()[2] == str(EXIT_OK)]
         # 423801ci1 has bad reduction at 3 and 7
-        assert len(runs) == 22 and len(good) == 20
+        assert len(runs) == 21 and len(good) == 19
         assert "11a1 5 0   mod-p image: SmallImageCertified" in runs
         assert "1058c1 3 0   mod-p image: SmallImageCertified" in runs
-        assert runs[-1] == "11a1 5 0   mod-p image: SmallImageCertified"  # the short scan
 
     def test_refused_batch_sleeps_once(self, capsys, monkeypatch, tmp_path):
         import urllib.error
@@ -393,16 +398,35 @@ class TestAnalyze:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err.startswith("error: p must be at most 1000000") and "Traceback" not in err
 
-    @pytest.mark.parametrize("bound", ["0", "5", "-3", "1000001"])
-    def test_sample_bound_out_of_range_is_invalid_input(self, capsys, bound):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_big_p_is_refused_before_any_primality_test(self, tmp_path, batch):
+        # the bound on p comes first, so 2^89 - 1 never reaches is_prime,
+        # whose test at or above 3.3e24 imports sympy
+        labels = tmp_path / "labels.txt"
+        labels.write_text("11a1\n")
+        source = ["--batch", str(labels)] if batch else ["--label", "11a1"]
+        argv = ["analyze", *source, "-p", str(2**89 - 1), "--offline"]
+        code = (
+            "import sys; from shaclass.cli import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'sympy' in sys.modules)"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == f"{EXIT_INVALID_INPUT} False\n"
+        assert proc.stderr.startswith("error: p must be at most 1000000")
+
+    def test_sample_bound_is_not_an_option(self, capsys):
+        # analyze always scans to galrep.DEFAULT_SAMPLE_BOUND
         code, out, err = run(
             capsys,
-            "analyze", "--label", "11a1", "-p", "5", "--offline",
-            "--sample-bound", bound,
+            "analyze", "--label", "11a1", "-p", "5", "--offline", "--sample-bound", "20",
         )
-        assert code == EXIT_INVALID_INPUT
-        assert out == ""
-        assert err.startswith("error:") and "sample_bound" in err
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert "unrecognized arguments: --sample-bound 20" in err
 
 
 class TestSubcommands:
@@ -463,3 +487,19 @@ class TestSubcommands:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_INVALID_INPUT
+
+
+def test_readme_command_line_names_every_option():
+    # README's "## Command line" section and the parser name the same options
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])(--?[A-Za-z][\w-]*)", section))
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for subparser in sub.choices.values()
+        for action in subparser._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert named - options == set(), "README names options the parser lacks"
+    assert options - named == set(), "parser options README does not name"

@@ -199,6 +199,12 @@ class TestCertifyImage:
         with pytest.raises(BadReductionAtP):
             certify_image(CURVE_11A1, 11, 1000)
 
+    @pytest.mark.parametrize("bound", [0, 5, -3, 1000001])
+    def test_sample_bound_out_of_range_is_invalid_input(self, bound):
+        # a short or long scan is a library call only; analyze scans to 1000
+        with pytest.raises(InvalidInput, match="sample_bound must be between 10 and 1000000"):
+            certify_image(CURVE_11A1, 5, sample_bound=bound)
+
     @pytest.mark.parametrize("p", [2, 9, 15, 25, -5, 1, 0])
     def test_p_not_an_odd_prime_is_invalid_input(self, p):
         # at 2, 37a1's 2-division cubic 4x^3 - 4x + 1 is irreducible with
