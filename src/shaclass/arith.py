@@ -3,11 +3,12 @@
 Everything here works on plain Python ints (arbitrary precision).  The
 factorization routine follows a fixed policy: trial division by all primes
 up to 10**6, then Brent's variant of Pollard rho, but only if the remaining
-cofactor is at most 2**128; larger cofactors raise FactorizationTooHard
-instead of stalling.  Trial division walks cached prime tables up to 16,
-256, 4096, 65536 and 10**6 in turn, each from where the last one ended, and
-builds the next table only while the last one's limit squared is below the
-cofactor still left, so small factors never cost a large sieve.
+cofactor is at most 2**128 and only for RHO_STEP_BUDGET steps on each
+composite; past either limit it raises FactorizationTooHard.  Trial division
+walks cached prime tables up to 16, 256, 4096, 65536 and 10**6 in turn,
+each from where the last one ended, and builds the next table only while
+the last one's limit squared is below the cofactor still left, so small
+factors never cost a large sieve.
 """
 
 from functools import lru_cache
@@ -20,6 +21,7 @@ TRIAL_DIVISION_BOUND = 10**6
 _TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
 PRIME_TABLE_CACHE_SIZE = 8  # the five tables of _TABLE_LIMITS and the image scan's 1000
 RHO_CUTOFF = 2**128
+RHO_STEP_BUDGET = 2**24  # rho steps per composite; benchmark curves need at most 262,142
 
 # Deterministic Miller-Rabin base set, valid for n < 3,317,044,064,679,887,385,961,981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -86,7 +88,9 @@ def rational_factors(coeffs):
 
 
 def _pollard_rho(n, seed=1):
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle Pollard rho: a nontrivial factor of composite odd n, or
+    FactorizationTooHard once RHO_STEP_BUDGET steps over all seeds find none."""
+    steps = 0
     while True:
         y, c, m = seed % n, seed % n + 1, 128
         g, r, q = 1, 1, 1
@@ -104,6 +108,9 @@ def _pollard_rho(n, seed=1):
                 g = gcd(q, n)
                 k += m
             r *= 2
+            steps += r  # the round that just ended took at most r steps
+            if g == 1 and steps > RHO_STEP_BUDGET:
+                raise FactorizationTooHard(f"cofactor {n} not split by {RHO_STEP_BUDGET} rho steps")
         if g == n:
             g = 1
             while g == 1:
@@ -118,7 +125,8 @@ def factor(n):
     """Factor |n| into {prime: exponent}. n must be nonzero.
 
     Raises FactorizationTooHard if the cofactor left after trial division
-    exceeds 2**128.
+    exceeds 2**128, or if rho spends RHO_STEP_BUDGET steps on one composite
+    without splitting it.
     """
     if n == 0:
         raise ValueError("cannot factor 0")

@@ -9,18 +9,17 @@ its first failing label, or 0 if none failed.
 """
 
 import argparse
-import os
 import sys
 
-from .arith import require_analyzable_prime, require_odd_prime
-from .cohom import central_scalar_shortcut, close_group, h0, h1
+from .arith import require_analyzable_prime
+from .cohom import DEFAULT_GROUP_CAP, central_scalar_shortcut, close_group, h0, h1
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
 from .errors import (
     FactorizationTooHard,
+    FixtureMissing,
     InvalidInput,
     NetworkError,
-    NotFound,
     ShaclassError,
 )
 from .localred import local_data, tate_algorithm
@@ -99,7 +98,7 @@ def _build_parser():
         required=True,
         help="semicolon-separated matrices, each a,b,c,d row-major mod p",
     )
-    co.add_argument("--cap", type=int, default=5000)
+    co.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
     return parser
 
 
@@ -177,7 +176,7 @@ def cmd_analyze(args):
             sys.stdout.write(_analyze_one(args, label, config))
         except ShaclassError as err:
             print(f"error: {label}: {err}", file=sys.stderr)
-            code = code or _exit_code(err, args)
+            code = code or _exit_code(err)
         sys.stdout.flush()
     return code
 
@@ -209,7 +208,7 @@ def cmd_tate(args):
 
 def cmd_cohomology(args):
     p = args.p
-    require_odd_prime(p)
+    require_analyzable_prime(p)
     gens = []
     for part in args.generators.split(";"):
         try:
@@ -229,11 +228,10 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
-def _exit_code(err, args):
+def _exit_code(err):
     """Exit code of a run, or of one batch label, that failed with err."""
-    if isinstance(err, NotFound):
-        offline = getattr(args, "offline", False) or os.environ.get("SHACLASS_OFFLINE") == "1"
-        return EXIT_FIXTURE_MISSING if offline else EXIT_INVALID_INPUT
+    if isinstance(err, FixtureMissing):
+        return EXIT_FIXTURE_MISSING
     if isinstance(err, NetworkError):
         return EXIT_NETWORK
     if isinstance(err, FactorizationTooHard):
@@ -251,7 +249,7 @@ def main(argv=None):
         return args.run(args)
     except ShaclassError as err:
         print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err, args)
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

@@ -123,47 +123,32 @@ def h1(group):
     """
     p = group.p
     gens = group.generators
-    k = len(gens)
-    ncols = 2 * k
-    ident = identity_matrix()
-
-    def zero_map():
-        return tuple(tuple(0 for _ in range(ncols)) for _ in range(2))
-
-    def unit_map(j):
-        return tuple(
-            tuple(1 if c == 2 * j + r else 0 for c in range(ncols)) for r in range(2)
-        )
-
-    def add_maps(m1, m2):
-        return tuple(
-            tuple((a + b) % p for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2)
-        )
-
-    def act(mat, fmap):
-        a, b, c, d = mat
-        r0 = tuple((a * fmap[0][i] + b * fmap[1][i]) % p for i in range(ncols))
-        r1 = tuple((c * fmap[0][i] + d * fmap[1][i]) % p for i in range(ncols))
-        return (r0, r1)
-
-    value = {ident: zero_map()}
-    frontier = [ident]
+    ncols = 2 * len(gens)
+    # f(e) as two rows of linear forms in the unknowns; f(g_j) is the pair
+    # of unknowns at columns 2j and 2j + 1
+    value = {identity_matrix(): ([0] * ncols, [0] * ncols)}
+    frontier = [identity_matrix()]
     relations = []
     while frontier:
         nxt = []
         for e in frontier:
+            a, b, c, d = e
+            f0, f1 = value[e]
             for j, g in enumerate(gens):
                 target = mat_mul(e, g, p)
-                expected = add_maps(value[e], act(e, unit_map(j)))
+                # f(e) + e f(g_j)
+                row0 = list(f0)
+                row1 = list(f1)
+                row0[2 * j] = (row0[2 * j] + a) % p
+                row0[2 * j + 1] = (row0[2 * j + 1] + b) % p
+                row1[2 * j] = (row1[2 * j] + c) % p
+                row1[2 * j + 1] = (row1[2 * j + 1] + d) % p
                 if target not in value:
-                    value[target] = expected
+                    value[target] = (row0, row1)
                     nxt.append(target)
                 else:
-                    for r in range(2):
-                        row = [
-                            (expected[r][i] - value[target][r][i]) % p
-                            for i in range(ncols)
-                        ]
+                    for expected, known in zip((row0, row1), value[target]):
+                        row = [(x - y) % p for x, y in zip(expected, known)]
                         if any(row):
                             relations.append(row)
         frontier = nxt

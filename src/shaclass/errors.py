@@ -25,6 +25,10 @@ class NotFound(ShaclassError):
     """No record for the requested curve label."""
 
 
+class FixtureMissing(NotFound):
+    """No local record for the label, in a lookup that may not use the network."""
+
+
 class NetworkError(ShaclassError):
     """Remote database could not be reached."""
 

@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .arith import require_odd_prime, valuation
-from .errors import InsufficientData, InvalidInput, NetworkError, NotFound, SchemaDrift
+from .errors import FixtureMissing, InsufficientData, InvalidInput, NetworkError
+from .errors import NotFound, SchemaDrift
 
 REMOTE_DATABASE = "RemoteDatabase"
 LOCAL_FIXTURE = "LocalFixture"
@@ -273,7 +274,8 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     """Resolve a curve record by Cremona or LMFDB label.
 
     OfflineOnly (also forced by SHACLASS_OFFLINE=1) reads committed fixtures
-    and the on-disk cache and never opens a connection.  RemoteFirst asks
+    and the on-disk cache, never opens a connection, and raises
+    FixtureMissing when neither has the label.  RemoteFirst asks
     the database (one retry with backoff), caches the answer, and falls
     back to local data when the network is down.  Once a fetch through
     config has failed that way, later RemoteFirst lookups through the same
@@ -291,7 +293,7 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     if mode == OFFLINE_ONLY:
         record = _load_local(label, config)
         if record is None:
-            raise NotFound(f"no fixture or cached record for {label}")
+            raise FixtureMissing(f"no fixture or cached record for {label}")
         return record
 
     try:

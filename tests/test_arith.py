@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from shaclass import arith
 from shaclass.arith import (
     RHO_CUTOFF,
+    RHO_STEP_BUDGET,
     TRIAL_DIVISION_BOUND,
     count_roots_mod,
     exact_quotient,
@@ -212,6 +213,16 @@ def test_factor_too_hard_guard():
     n = (2**89 - 1) * (2**107 - 1)
     with pytest.raises(FactorizationTooHard):
         factor(n)
+
+
+def test_rho_step_budget_ends_a_cofactor_below_the_cutoff():
+    # the discriminant cofactor of y^2 = x^3 + 10^13 x + 1: below 2^128, but
+    # its least prime is about 6.3e15, so rho would need some sqrt(6.3e15),
+    # about 8e7, steps to split it: the budget ends the search first
+    p, q = 6302797171391417, 110947726497477971
+    assert sympy.isprime(p) and sympy.isprime(q) and p * q < RHO_CUTOFF
+    with time_limit(120), pytest.raises(FactorizationTooHard, match=f"{RHO_STEP_BUDGET} rho steps"):
+        factor(p * q)
 
 
 def test_valuation():

@@ -28,6 +28,22 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _assert_p_refused_without_sympy(argv):
+    """main(argv) in a fresh interpreter exits 2 on the bound on p, with sympy never imported."""
+    code = (
+        "import sys; from shaclass.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'sympy' in sys.modules)"
+    )
+    src = str(Path(shaclass.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == f"{EXIT_INVALID_INPUT} False\n"
+    assert proc.stderr.startswith("error: p must be at most 1000000")
+
+
 class TestAnalyze:
     def test_by_label_offline(self, capsys):
         code, out, err = run(
@@ -405,19 +421,27 @@ class TestAnalyze:
         labels = tmp_path / "labels.txt"
         labels.write_text("11a1\n")
         source = ["--batch", str(labels)] if batch else ["--label", "11a1"]
-        argv = ["analyze", *source, "-p", str(2**89 - 1), "--offline"]
-        code = (
-            "import sys; from shaclass.cli import main; "
-            f"code = main({argv!r}); "
-            "print(code, 'sympy' in sys.modules)"
+        _assert_p_refused_without_sympy(["analyze", *source, "-p", str(2**89 - 1), "--offline"])
+
+    def test_rho_step_budget_is_a_capacity_limit(self, capsys, monkeypatch):
+        # the discriminant's cofactor, about 7e32, is below 2^128 but beyond
+        # rho's budget; the budget is cut here to keep the run short, and
+        # test_arith spends the full one on the same cofactor
+        monkeypatch.setattr("shaclass.arith.RHO_STEP_BUDGET", 2**16)
+        code, out, err = run(
+            capsys, "analyze", "--curve", "0,0,0,10000000000000,1", "-p", "5", "--offline"
         )
-        src = str(Path(shaclass.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.stdout == f"{EXIT_INVALID_INPUT} False\n"
-        assert proc.stderr.startswith("error: p must be at most 1000000")
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err.startswith("error: cofactor ") and err.endswith(" rho steps\n")
+
+    def test_offline_by_environment_missing_fixture(self, capsys, monkeypatch, tmp_path):
+        # SHACLASS_OFFLINE=1 without --offline: the lookup's error type alone gives exit 4
+        monkeypatch.setenv("SHACLASS_OFFLINE", "1")
+        monkeypatch.setenv("SHACLASS_CACHE_DIR", str(tmp_path))
+        for argv in (("analyze", "-p", "5"), ("tate",), ("invariants",)):
+            code, out, err = run(capsys, *argv, "--label", "12345a1")
+            assert (code, out) == (EXIT_FIXTURE_MISSING, "")
+            assert err.startswith("error: no fixture or cached record for 12345a1")
 
     def test_sample_bound_is_not_an_option(self, capsys):
         # analyze always scans to galrep.DEFAULT_SAMPLE_BOUND
@@ -474,6 +498,13 @@ class TestSubcommands:
         code, out, _ = run(capsys, "cohomology", "--p", "5", "--generators", "1,1,0,1")
         assert code == EXIT_OK
         assert out == "group order = 5\nh0 = 1\nh1 = 1\n"
+
+    @pytest.mark.parametrize("p, generators", [(2**89 - 1, "1,1,0,1"), (1000003, "1,0,0,1")])
+    def test_cohomology_big_p_is_refused_before_any_primality_test(self, p, generators):
+        # the bound analyze applies, even to a small group: 2^89 - 1 never
+        # reaches is_prime, whose test at or above 3.3e24 imports sympy, nor
+        # the group closure
+        _assert_p_refused_without_sympy(["cohomology", "--p", str(p), "--generators", generators])
 
     @pytest.mark.parametrize("generators", ["1,1,0", "1,x,0,1"])
     def test_cohomology_bad_matrix(self, capsys, generators):

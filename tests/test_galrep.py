@@ -421,6 +421,47 @@ class TestExactFactor:
         assert checked >= 8
 
 
+class TestSympyFallback:
+    """(1, 1, 1, 3, -5), conductor 338, j = 1331/8: psi_3 is a product of two
+    quadratics over Q with no linear factor, so the curve has no rational
+    3-isogeny and exact_factor, which looks for a factor of degree 1, finds
+    nothing.  Only sympy's factorization of psi_3 certifies its small image."""
+
+    MODEL = CurveModel(1, 1, 1, 3, -5)
+
+    def test_psi3_splits_two_by_two_over_q(self):
+        inv = compute_invariants(self.MODEL)
+        assert (inv.disc, inv.j) == (-(2**3) * 13**3, Fraction(1331, 8))
+        factors = _sympy_psi(self.MODEL, 3).factor_list()[1]
+        assert sorted((f.degree(), e) for f, e in factors) == [(2, 1), (2, 1)]
+
+    def test_exact_factor_finds_nothing_on_the_prefix(self):
+        m, frobenius = _frobenius_prefix(self.MODEL, 3)
+        assert len(frobenius) == SCAN_PREFIX
+        assert exact_factor(m, 3, frobenius) is None
+
+    def test_certified_only_after_the_full_scan_and_the_fallback(self, monkeypatch):
+        scanned, fallback = [], []
+
+        def counted(model, ell):
+            scanned.append(ell)
+            return a_ell(model, ell)
+
+        def reducible(model, p):
+            fallback.append(p)
+            return _psi_reducible_by_sympy(model, p)
+
+        monkeypatch.setattr("shaclass.galrep.a_ell", counted)
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", reducible)
+        cert = certify_image(self.MODEL, 3)
+        assert cert.status == SMALL_IMAGE_CERTIFIED
+        assert cert.witnesses == ((5, 0, 2),)
+        assert cert.first_unruled == "Borel"
+        assert fallback == [3]
+        good = [ell for ell in primes_up_to(galrep.DEFAULT_SAMPLE_BOUND) if ell not in (2, 3, 13)]
+        assert scanned == good
+
+
 class TestDivisionPolynomials:
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_degree(self, p):

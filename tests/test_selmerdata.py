@@ -8,6 +8,7 @@ from conftest import time_limit
 
 from shaclass.cli import main
 from shaclass.errors import (
+    FixtureMissing,
     InsufficientData,
     InvalidInput,
     NetworkError,
@@ -70,8 +71,9 @@ class TestFixtures:
         assert e2.sha_p_rank(5) is None  # structure genuinely unknown
 
     def test_missing_fixture(self, tmp_path):
-        with pytest.raises(NotFound):
+        with pytest.raises(FixtureMissing):
             fetch_curve_record("9999zz9", OFFLINE_ONLY, offline_config(tmp_path))
+        assert issubclass(FixtureMissing, NotFound)
 
     def test_offline_determinism(self, tmp_path):
         config = offline_config(tmp_path)
@@ -354,8 +356,9 @@ class TestRemote:
 
         monkeypatch.setattr("urllib.request.urlopen", gone)
         config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path)
-        with pytest.raises(NotFound):
+        with pytest.raises(NotFound) as raised:
             fetch_curve_record("99999zz9", REMOTE_FIRST, config)
+        assert not isinstance(raised.value, FixtureMissing)  # the database had no record
 
     def test_remote_404_falls_back_to_fixture(self, tmp_path, monkeypatch):
         def gone(url, timeout):
