@@ -9,8 +9,9 @@ SmallImageCertified, never as surjective.
 Run:  python3 demos/03_mod_p_images.py
 """
 
+import sympy
+
 from shaclass import CurveModel, analyze, certify_image, division_polynomial
-from shaclass.arith import rational_factors
 
 E = CurveModel(1, -1, 0, -332311, -73733731)  # 1058d1
 cert = certify_image(E, 5, sample_bound=1000)
@@ -23,8 +24,8 @@ print("  witnesses (ell, a_ell mod 5, ell mod 5):", cert.witnesses)
 E11 = CurveModel(0, -1, 1, -10, -20)
 cert11 = certify_image(E11, 5, sample_bound=1000)
 print("\n11a1, p = 5:", cert11.status, "- first unruled class:", cert11.first_unruled)
-psi5 = division_polynomial(E11, 5)
-print("  psi_5 factors into degrees", sorted(len(f) - 1 for f, _ in rational_factors(psi5)))
+psi5 = sympy.Poly(division_polynomial(E11, 5)[::-1], sympy.Symbol("x"))
+print("  psi_5 factors into degrees", sorted(f.degree() for f, _ in psi5.factor_list()[1]))
 
 # CM curves always have proper image for odd p.
 print("\n27a1 (j = 0), p = 5:", certify_image(CurveModel(0, 0, 1, 0, -7), 5).status)

@@ -75,18 +75,6 @@ def is_prime(n):
     return sympy.isprime(n)
 
 
-def rational_factors(coeffs):
-    """Irreducible factors over Q of an integer polynomial.
-
-    coeffs are the integer coefficients, lowest degree first; returns
-    (factor coefficients, multiplicity) pairs, each factor primitive in Z[x].
-    """
-    import sympy
-
-    poly = sympy.Poly(coeffs[::-1], sympy.symbols("x"))
-    return [([int(c) for c in f.all_coeffs()[::-1]], e) for f, e in poly.factor_list()[1]]
-
-
 def _pollard_rho(n, seed=1):
     """Brent-cycle Pollard rho: a nontrivial factor of composite odd n, or
     FactorizationTooHard once RHO_STEP_BUDGET steps over all seeds find none."""

@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes separate operational failure from mathematical inconclusiveness:
-a certificate full of Unknowns still exits 0; only bad input (2), network
-failure in RemoteFirst mode (3), a missing fixture in OfflineOnly mode
-(4), or a valid curve beyond a capacity limit (5) are nonzero.  A batch
-runs its labels in file order, one at a time, and exits with the code of
-its first failing label, or 0 if none failed.
+a certificate full of Unknowns still exits 0; only a stdout closed early (1),
+bad input (2), network failure in RemoteFirst mode (3), a missing fixture in
+OfflineOnly mode (4), or a valid curve beyond a capacity limit (5) are
+nonzero.  A batch runs its labels in file order, one at a time, and exits with
+the code of its first failing label, or 0 if none failed.
 """
 
 import argparse
+import os
 import sys
 
 from .arith import require_analyzable_prime
@@ -33,6 +34,7 @@ from .selmerdata import (
 )
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NETWORK = 3
 EXIT_FIXTURE_MISSING = 4
@@ -246,10 +248,15 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
     except ShaclassError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
+    except BrokenPipeError:  # the reader has gone: devnull quiets the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

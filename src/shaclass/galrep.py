@@ -10,13 +10,12 @@ decided from j alone, before any scan.  Division polynomials are integer
 coefficient lists, lowest degree first.
 """
 
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
-from .arith import TRIAL_DIVISION_BOUND, factor, primes_up_to, rational_factors, require_analyzable_prime
-from .curve import CURVE_CACHE_SIZE, brute_force_point_count, compute_invariants, minimal_model
+from .arith import TRIAL_DIVISION_BOUND, factor, primes_up_to, require_analyzable_prime
+from .curve import brute_force_point_count, compute_invariants, minimal_model
 from .curve import trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
 
@@ -89,6 +88,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     frobenius = []
     det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
     unit_primes = factor(p - 1)
+    psi3 = _division_polynomial(m, 3)[3] if p == 3 else None
 
     for ell in primes_up_to(sample_bound):
         if ell == p or inv.disc % ell == 0:
@@ -125,7 +125,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             # 3-cycle; full determinant and the chi = -1 witness then leave
             # projective image S4, and with full determinant only the whole
             # of GL_2(F_3) has that image (its involution is unique).
-            if count_roots_mod(_division_polynomial(m, 3), ell) == 1:
+            if count_roots_mod(psi3, ell) == 1:
                 ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
 
         if (len(ruled_out), det_order) != before:  # a class or a determinant is new
@@ -165,17 +165,14 @@ def _unsurjective(p, status, witnesses, ruled_out):
     return ImageCertificate(p, status, tuple(witnesses), frozenset(ruled_out), first)
 
 
-def _x_multiple(model, c):
+def _x_multiple(f, S, c):
     """(N, D) with x(cP) = N(x) / D(x) on the curve, for c >= 1.
 
     phi_c / psi_c^2 with phi_c = x psi_c^2 - psi_(c+1) psi_(c-1), written on
-    f_m = psi_m (m odd) or psi_m / psi_2 (m even) and S = psi_2^2.
+    the memo f of _division_polynomial and S = psi_2^2.
     """
-    if c == 1:
+    if c == 1:  # psi_0 = 0
         return [0, 1], [1]
-    b2, b4, b6 = compute_invariants(model)[:3]
-    S = [b6, 2 * b4, b2, 4]
-    f = {m: list(_division_polynomial(model, m)) for m in (c - 1, c, c + 1)}
     if c % 2:
         D, E = _zmul(f[c], f[c]), _zmul(S, f[c + 1], f[c - 1])
     else:
@@ -195,8 +192,11 @@ def exact_factor(model, p, frobenius):
     stable line C, the first prime that gives any eigenline gives C among
     its one or two, so the search ends at that prime.
     """
-    psi = _division_polynomial(model, p)
     half = (p - 1) // 2
+    f = _division_polynomial(model, p, *range(2, half + 2))  # at p <= 13 f_p's build has them all
+    psi = f[p]
+    b2, b4, b6 = compute_invariants(model)[:3]
+    S = [b6, 2 * b4, b2, 4]
     for ell, a_mod, d_mod in frobenius:
         # eigenvalues up to sign; lam and -lam have the same x-coordinate map
         signs = {
@@ -209,7 +209,7 @@ def exact_factor(model, p, frobenius):
         frob = _ppow([0, 1], ell, psi, ell)  # x^ell mod psi_p
         candidates = []
         for c in sorted(signs):
-            N, D = _x_multiple(model, c)
+            N, D = _x_multiple(f, S, c)
             line = _pgcd(psi, _zsub(_prem(_zmul(frob, D), psi, ell), N), ell)
             if len(line) - 1 == half:
                 candidates.append(line)
@@ -227,25 +227,24 @@ def exact_factor(model, p, frobenius):
 
 def _division_poly_reducible(model, p):
     """Whether psi_p factors over Q, by sympy."""
-    factors = rational_factors(division_polynomial(model, p))
+    import sympy
+
+    factors = sympy.Poly(division_polynomial(model, p)[::-1], sympy.Symbol("x")).factor_list()[1]
     return len(factors) > 1 or factors[0][1] > 1
 
 
 def division_polynomial(model, m):
-    """The m-th division polynomial psi_m (m odd) as integer coefficients,
-    lowest degree first; the leading coefficient is m."""
+    """psi_m for odd m >= 1 as integer coefficients, lowest degree first; its leading coefficient is m."""
     if m % 2 == 0 or m < 1:
         raise InvalidInput("only odd positive division polynomials are univariate in x")
-    return list(_division_polynomial(model, m))
+    return _division_polynomial(model, m)[m]
 
 
-@lru_cache(maxsize=CURVE_CACHE_SIZE)
-def _division_polynomial(model, m):
-    """f_m as a tuple: psi_m for odd m, psi_m / psi_2 for even m.
-
-    The doubling recurrence on psi_m, rewritten on f_k so that only
-    S = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 appears.
-    """
+def _division_polynomial(model, *indices):
+    """The memo {n: f_n} of one build of f_m for each m in indices: every f_n
+    that build met, f_1 to f_4 always, with f_n = psi_n for odd n and
+    psi_n / psi_2 for even n.  The doubling recurrence on psi_n, rewritten on
+    f_k so that only S = psi_2^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 appears."""
     b2, b4, b6, b8 = compute_invariants(model)[:4]
     S = [b6, 2 * b4, b2, 4]
     f = {
@@ -271,5 +270,7 @@ def _division_polynomial(model, m):
                 f[n] = _zmul(get(k), inner)
         return f[n]
 
-    return tuple(get(m))
+    for m in indices:
+        get(m)
+    return f
 

@@ -28,8 +28,7 @@ OFFLINE_ONLY = "OfflineOnly"
 OFFLINE_ENV = "SHACLASS_OFFLINE"
 CACHE_DIR_ENV = "SHACLASS_CACHE_DIR"
 
-CREMONA_LABEL_RE = re.compile(r"^(\d+)([a-z]+)(\d+)$")
-LMFDB_LABEL_RE = re.compile(r"^(\d+)\.([a-z]+)(\d+)$")
+LABEL_RE = re.compile(r"\d+\.?[a-z]+\d+")  # Cremona (1058d1) or LMFDB (1058.d1)
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api/shaclass_curve_records"
 DEFAULT_TIMEOUT = 10.0
@@ -38,7 +37,7 @@ _REQUIRED_REMOTE_FIELDS = ("label", "ainvs", "rank", "torsion_structure")
 
 
 def valid_label(label):
-    return bool(CREMONA_LABEL_RE.match(label) or LMFDB_LABEL_RE.match(label))
+    return LABEL_RE.fullmatch(label) is not None
 
 
 class _RecordFields(NamedTuple):
@@ -106,7 +105,7 @@ class SelmerScenario(NamedTuple):
 class StoreConfig:
     def __init__(self, fixtures_dir, cache_dir, base_url=DEFAULT_BASE_URL):
         self.fixtures_dir = fixtures_dir
-        self.cache_dir = cache_dir
+        self.cache_dir = cache_dir  # None: no dir given and no home directory, so fixtures only
         self.base_url = base_url
         # the error of the first remote fetch through this config that ended
         # in NetworkError; later fetches through it fail at once with that error
@@ -119,10 +118,13 @@ def packaged_fixtures_dir():
 
 def default_config(cache_dir=None, fixtures_dir=None, base_url=None):
     if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_DIR_ENV) or Path.home() / ".cache" / "shaclass"
+        try:
+            cache_dir = os.environ.get(CACHE_DIR_ENV) or Path.home() / ".cache" / "shaclass"
+        except RuntimeError:  # no HOME and no passwd entry for the uid
+            pass
     return StoreConfig(
         fixtures_dir=Path(fixtures_dir) if fixtures_dir else packaged_fixtures_dir(),
-        cache_dir=Path(cache_dir),
+        cache_dir=Path(cache_dir) if cache_dir else None,
         base_url=base_url or DEFAULT_BASE_URL,
     )
 
@@ -192,7 +194,7 @@ def _record_from_fields(fields, provenance, retrieved_at):
 
 
 def _load_local(label, config):
-    for base in (config.fixtures_dir, config.cache_dir):
+    for base in filter(None, (config.fixtures_dir, config.cache_dir)):
         path = Path(base) / f"{label}.txt"
         if path.is_file():
             try:
@@ -258,7 +260,9 @@ def _remote_get(label, config):
 
 
 def write_cache(record, config):
-    """Write record into the cache dir atomically; InvalidInput if the dir cannot be written."""
+    """Write record into the cache dir atomically; InvalidInput if it is unset or unwritable."""
+    if config.cache_dir is None:
+        raise InvalidInput(f"no cache dir for {record.label}: set --cache-dir or {CACHE_DIR_ENV}")
     path = config.cache_dir / f"{record.label}.txt"
     tmp = path.with_suffix(".txt.tmp")
     try:

@@ -12,6 +12,8 @@ Corollary's answer is read from the record's Sha data (no Selmer scenario).
 The image scan's facts about (Z/p)^x are found by linear passes: the least
 multiple of a subgroup order that kills a unit by trying each multiple, and
 the exceptional traces by testing every u in F_p (no factorization of p - 1).
+The multiples of a point over F_ell come from the chord-and-tangent law on
+the general Weierstrass model (no division polynomial).
 """
 
 from fractions import Fraction
@@ -204,6 +206,40 @@ def duplication_fixed_x_count(model, ell):
         if den and num == x * den % ell:
             count += 1
     return count
+
+
+def affine_points_mod(model, ell):
+    """Every affine point (x, y) of the model over F_ell, by trying each pair."""
+    a1, a2, a3, a4, a6 = model.ainvs()
+    return [
+        (x, y)
+        for x in range(ell)
+        for y in range(ell)
+        if (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % ell == 0
+    ]
+
+
+def add_points_mod(model, P, Q, ell):
+    """P + Q on the model over F_ell (ell odd, good reduction); None is O.
+
+    The chord-and-tangent law of the general Weierstrass equation
+    (Silverman, AEC III.2.3)."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    a1, a2, a3, a4, _a6 = model.ainvs()
+    (x1, y1), (x2, y2) = P, Q
+    if (x1 - x2) % ell:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ell)
+    elif (y1 + y2 + a1 * x2 + a3) % ell == 0:  # Q = -P
+        return None
+    else:  # Q = P, not 2-torsion
+        slope = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) * pow(2 * y1 + a1 * x1 + a3, -1, ell)
+    slope %= ell
+    x3 = (slope * slope + a1 * slope - a2 - x1 - x2) % ell
+    y3 = (-(slope + a1) * x3 - (y1 - slope * x1) - a3) % ell
+    return x3, y3
 
 
 def unit_subgroup(units, p):

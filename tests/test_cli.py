@@ -15,6 +15,7 @@ from shaclass.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NETWORK,
     EXIT_OK,
+    EXIT_STDOUT_CLOSED,
     _build_parser,
     main,
 )
@@ -26,6 +27,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _src_env():
+    """The environment with PYTHONPATH at the package's source tree."""
+    return {**os.environ, "PYTHONPATH": str(Path(shaclass.__file__).resolve().parents[1])}
 
 
 def _assert_p_refused_without_sympy(argv):
@@ -442,6 +448,42 @@ class TestAnalyze:
             code, out, err = run(capsys, *argv, "--label", "12345a1")
             assert (code, out) == (EXIT_FIXTURE_MISSING, "")
             assert err.startswith("error: no fixture or cached record for 12345a1")
+
+    def test_label_with_a_trailing_newline_is_malformed(self, capsys):
+        code, out, err = run(capsys, "analyze", "--label", "11a1\n", "-p", "5", "--offline")
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: malformed curve label '11a1\\n'\n"
+
+    def test_batch_stops_quietly_when_its_reader_closes(self, tmp_path):
+        batch = tmp_path / "labels.txt"
+        batch.write_text("11a1\n37a1\n1058d1\n" * 100)  # far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shaclass.cli", "analyze", "--batch", str(batch), "-p", "5",
+             "--offline", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_STDOUT_CLOSED
+        assert b"Traceback" not in err
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_single_run_into_a_closed_pipe_exits_quietly(self, unbuffered):
+        env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shaclass.cli", "invariants", "--label", "11a1", "--offline"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_STDOUT_CLOSED, b"")
 
     def test_sample_bound_is_not_an_option(self, capsys):
         # analyze always scans to galrep.DEFAULT_SAMPLE_BOUND

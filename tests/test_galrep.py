@@ -5,15 +5,18 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import DATA_DIR
-from oracles import det_order_by_search, duplication_fixed_x_count, exceptional_traces
+from oracles import add_points_mod, affine_points_mod, det_order_by_search, duplication_fixed_x_count
+from oracles import exceptional_traces
 from shaclass import galrep
-from shaclass.arith import legendre, primes_up_to, rational_factors
+from shaclass.arith import legendre, primes_up_to
 from shaclass.curve import (
     CurveModel,
+    b_invariants,
     compute_invariants,
+    discriminant_from_b,
     minimal_model,
     trace_of_frobenius,
 )
@@ -36,6 +39,7 @@ from shaclass.galrep import (
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
 CURVE_43A1 = CurveModel(0, 1, 1, 0, 0)
+CURVE_423801CI1 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
 
 # j-invariants of the thirteen imaginary quadratic orders of class number one
 CM_J = frozenset(
@@ -462,7 +466,74 @@ class TestSympyFallback:
         assert scanned == good
 
 
+@st.composite
+def curves_mod_ell(draw):
+    """(model, ell): a small model and an odd prime ell <= 60 where it has good reduction."""
+    ell = draw(st.sampled_from([ell for ell in primes_up_to(60) if ell > 2]))
+    ainvs = [draw(st.integers(0, 1)), draw(st.integers(-2, 2)), draw(st.integers(0, 1)),
+             draw(st.integers(-30, 30)), draw(st.integers(-30, 30))]
+    assume(discriminant_from_b(*b_invariants(*ainvs)) % ell)
+    return CurveModel(*ainvs), ell
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap galrep's name; the returned list gets each call's arguments after the first."""
+    calls, real = [], getattr(galrep, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(galrep, name, counted)
+    return calls
+
+
+def _eval_mod(coeffs, x, ell):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % ell
+    return acc
+
+
 class TestDivisionPolynomials:
+    @settings(max_examples=80, deadline=None)
+    @given(curves_mod_ell())
+    def test_group_law_over_f_ell(self, case):
+        """At every affine point P over F_ell: f_m(x(P)) = 0 exactly when
+        mP = O (and 2P != O at even m, where f_m = psi_m / psi_2), and
+        x(cP) = N_c(x(P)) / D_c(x(P)) wherever D_c(x(P)) != 0."""
+        model, ell = case
+        f = galrep._division_polynomial(model, *range(2, 15))
+        b2, b4, b6 = compute_invariants(model)[:3]
+        x_maps = {c: galrep._x_multiple(f, [b6, 2 * b4, b2, 4], c) for c in range(1, 7)}
+        for P in affine_points_mod(model, ell):
+            multiples = [None, P]  # multiples[k] = kP
+            while len(multiples) <= 14:
+                multiples.append(add_points_mod(model, multiples[-1], P, ell))
+            x = P[0]
+            for m in range(2, 15):
+                if m % ell:
+                    killed = multiples[m] is None and (m % 2 or multiples[2] is not None)
+                    assert (_eval_mod(f[m], x, ell) == 0) == killed, (m, P)
+            for c, (N, D) in x_maps.items():
+                den = _eval_mod(D, x, ell)
+                if den:
+                    assert multiples[c][0] == _eval_mod(N, x, ell) * pow(den, -1, ell) % ell, (c, P)
+
+    @pytest.mark.parametrize("model, p", [(CURVE_11A1, 5), (CURVE_423801CI1, 13)], ids=["11a1", "423801ci1"])
+    def test_one_build_per_exact_factor_call(self, model, p, monkeypatch):
+        builds = _count_calls(monkeypatch, "_division_polynomial")
+        searches = _count_calls(monkeypatch, "exact_factor")
+        certify_image(model, p)
+        assert [args[0] for args in searches] == [p]
+        assert len(builds) == 1
+
+    def test_one_psi3_build_per_p3_scan(self, monkeypatch):
+        builds = _count_calls(monkeypatch, "_division_polynomial")
+        lookups = _count_calls(monkeypatch, "count_roots_mod")
+        assert certify_image(CURVE_43A1, 3).status == SURJECTIVE_CERTIFIED
+        assert builds == [(3,)]
+        assert len(lookups) > 1
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_degree(self, p):
         psi = division_polynomial(CURVE_1058D1, p)
@@ -470,22 +541,20 @@ class TestDivisionPolynomials:
         assert len(psi) - 1 == (p * p - 1) // 2
 
     def test_psi3_closed_form(self):
-        from shaclass.curve import b_invariants
-
         b2, b4, b6, b8 = b_invariants(*CURVE_11A1.ainvs())
         expected = [b8, 3 * b6, 3 * b4, b2, 3]
         assert division_polynomial(CURVE_11A1, 3) == expected
 
     def test_11a1_psi5_has_quadratic_factor(self):
         # the rational 5-isogeny forces a degree <= 2 factor over Q
-        factors = rational_factors(division_polynomial(CURVE_11A1, 5))
-        degrees = sorted(len(f) - 1 for f, _ in factors)
+        factors = _sympy_psi(CURVE_11A1, 5).factor_list()[1]
+        degrees = sorted(f.degree() for f, _ in factors)
         assert 2 in degrees
         assert len(factors) > 1
 
     def test_full_image_psi5_irreducible(self):
-        factors = rational_factors(division_polynomial(CURVE_1058D1, 5))
-        assert len(factors) == 1 and len(factors[0][0]) - 1 == 12
+        factors = _sympy_psi(CURVE_1058D1, 5).factor_list()[1]
+        assert len(factors) == 1 and factors[0][0].degree() == 12
 
     def test_even_m_rejected(self):
         with pytest.raises(InvalidInput):

@@ -16,7 +16,7 @@ from shaclass.curve import (
     minimal_model,
 )
 from shaclass.errors import InvalidInput, SingularModel
-from shaclass.galrep import _division_polynomial, a_ell
+from shaclass.galrep import a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
@@ -411,14 +411,13 @@ def test_caches_stay_within_their_bounds():
     models (or sample bounds) than it leave each cache at that bound."""
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
     caches = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
-    assert len(caches) >= 5
+    assert len(caches) >= 4
     assert all(f.cache_parameters()["maxsize"] is not None for f in caches.values())
 
     for a4 in range(1, CURVE_CACHE_SIZE + 51):
         model = CurveModel(0, 0, 1, a4, 0)  # disc -64 a4^3 - 27, never 0
         local_data(model)
-        _division_polynomial(model, 3)
-    for cache in (compute_invariants, minimal_model, local_data, _division_polynomial):
+    for cache in (compute_invariants, minimal_model, local_data):
         assert cache.cache_info().currsize == CURVE_CACHE_SIZE
     for limit in range(100, 110 + PRIME_TABLE_CACHE_SIZE):
         primes_up_to(limit)

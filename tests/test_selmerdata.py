@@ -1,6 +1,7 @@
 import http.client
 import json
 import urllib.error
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ class TestLabels:
             assert valid_label(label)
 
     def test_invalid(self):
-        for label in ("", "abc", "11", "a1", "1058D1", "11a1; rm -rf"):
+        for label in ("", "abc", "11", "a1", "1058D1", "11a1; rm -rf", "11a1\n", "1058.d1\n"):
             assert not valid_label(label)
 
     def test_fetch_rejects_bad_label(self, tmp_path):
@@ -368,6 +369,47 @@ class TestRemote:
         record = fetch_curve_record("1058d1", REMOTE_FIRST, offline_config(tmp_path))
         assert record == fetch_curve_record("1058d1", OFFLINE_ONLY, offline_config(tmp_path))
         assert record.provenance == LOCAL_FIXTURE
+
+
+class TestNoHomeDirectory:
+    """A run with no cache dir given and no home directory, as under an
+    arbitrary uid with HOME unset and no passwd entry."""
+
+    @pytest.fixture(autouse=True, params=["path-home-raises", "no-home-no-passwd"])
+    def _no_home(self, request, monkeypatch):
+        if request.param == "path-home-raises":
+
+            def no_home():
+                raise RuntimeError("Could not determine home directory.")
+
+            monkeypatch.setattr(Path, "home", no_home)
+        else:
+
+            def no_passwd_entry(uid):
+                raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+            monkeypatch.delenv("HOME", raising=False)
+            monkeypatch.setattr("pwd.getpwuid", no_passwd_entry)
+
+    def test_offline_lookup_prints_the_same_certificate(self, capsys, tmp_path):
+        argv = ["analyze", "--label", "11a1", "-p", "5", "--offline"]
+        assert default_config().cache_dir is None
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_remote_fetch_has_no_cache_to_write(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "urllib.request.urlopen", lambda url, timeout: _FakeResponse(TestRemote.PAYLOAD)
+        )
+        assert main(["analyze", "--label", "37a1", "-p", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no cache dir for 37a1: set --cache-dir")
+        assert "--cache-dir" in err and "SHACLASS_CACHE_DIR" in err
+        assert err.count("\n") == 1  # one error line, no traceback
 
 
 class TestRecordValidation:
