@@ -153,13 +153,13 @@ class TestCertifyImage:
                 assert legendre(a * a - 4 * d, 3) != 1
 
     def test_golden_image_witnesses(self, corpus_models):
-        """Status and witnesses at p in {3, 5, 7} match the committed table."""
+        """Status and witnesses at p in {3, 5, 7, 11, 13} match the committed table."""
         golden = json.loads((DATA_DIR / "golden" / "image_witnesses.json").read_text())
         assert sorted(golden) == sorted(corpus_models)
         for label, ainvs in corpus_models.items():
             _, disc = _j_and_disc(ainvs)
             rows = {}
-            for p in (3, 5, 7):
+            for p in (3, 5, 7, 11, 13):
                 if disc % p:
                     cert = certify_image(CurveModel(*ainvs), p)
                     rows[str(p)] = {

@@ -40,7 +40,7 @@ from shaclass.selmerdata import (  # noqa: E402
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_PATH = DATA_DIR / "golden" / "image_witnesses.json"
 CERTIFICATES_PATH = DATA_DIR / "golden" / "certificates.json"
-GOLDEN_PRIMES = (3, 5, 7)
+GOLDEN_PRIMES = (3, 5, 7, 11, 13)
 
 
 def corpus_curves():
