@@ -15,6 +15,7 @@ from .arith import exact_div, factor, require_analyzable_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
+TRACE_CACHE_SIZE = 8 * CURVE_CACHE_SIZE  # (curve, p) pairs: a_p and an image scan's few traces per curve
 
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
@@ -216,12 +217,15 @@ def minimal_model(model):
     return out
 
 
+@lru_cache(maxsize=TRACE_CACHE_SIZE)
 def trace_of_frobenius(model, p):
     """a_p = p + 1 - #E(F_p) at an odd prime p of good reduction.
 
     Counting runs over the minimal model.  Per x, the number of points is
     1 + chi(g(x)) where g = 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square
-    in y), so one pass with a quadratic-residue table suffices.
+    in y), so one pass with a quadratic-residue table suffices.  Cached per
+    (model, p): the image scans of one curve at its many p read the same
+    small-ell traces.
     """
     require_analyzable_prime(p)
     m = minimal_model(model)

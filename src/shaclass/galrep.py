@@ -63,12 +63,15 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     maximal-subgroup class is ruled out and the determinant witnesses
     generate (Z/p)^x.  At p = 3, where traces never rule out the nonsplit
     Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
-    At p <= 13, if Borel still stands after SCAN_PREFIX good primes, a
-    factor of psi_p over Q from exact_factor ends the scan SmallImageCertified
-    with the witnesses of those primes only; witnesses a full scan would
-    find at later primes are not listed.  After a scan of any length that
-    certifies nothing, exact_factor on all the primes scanned and then
-    sympy's factorization of psi_p are the last resort.  analyze always
+    At p <= 13, if Borel still stands after SCAN_PREFIX good primes, the
+    scan first looks up to SCAN_PREFIX primes further for a chi = -1
+    witness, which no image with a stable line has.  If Borel stands through
+    them, or the scan ends first, a factor of psi_p over Q from exact_factor
+    on the first SCAN_PREFIX primes ends the scan SmallImageCertified with
+    the witnesses of those primes only; witnesses a full scan would find at
+    later primes are not listed.  After a scan of any length that certifies
+    nothing, exact_factor on all the primes scanned and then sympy's
+    factorization of psi_p are the last resort.  analyze always
     scans to DEFAULT_SAMPLE_BOUND.  p must pass require_analyzable_prime: an
     odd prime, where the class list and witness rules hold, at most
     TRIAL_DIVISION_BOUND, so p - 1 is factored by trial division alone.
@@ -89,6 +92,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
     unit_primes = factor(p - 1)
     psi3 = _division_polynomial(m, 3)[3] if p == 3 else None
+    prefix = None  # what a factor of psi_p found on the first SCAN_PREFIX primes certifies
 
     for ell in primes_up_to(sample_bound):
         if ell == p or inv.disc % ell == 0:
@@ -124,8 +128,10 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             # The nonsplit Cartan normalizer has projective image D4, with no
             # 3-cycle; full determinant and the chi = -1 witness then leave
             # projective image S4, and with full determinant only the whole
-            # of GL_2(F_3) has that image (its involution is unique).
-            if count_roots_mod(psi3, ell) == 1:
+            # of GL_2(F_3) has that image (its involution is unique).  Only
+            # +-(a nontrivial unipotent) has projective order 3, with
+            # characteristic polynomial (x -+ 1)^2: d = 1 and a != 0 mod 3.
+            if d_mod == 1 and a_mod != 0 and count_roots_mod(psi3, ell) == 1:
                 ruled_out.add(NONSPLIT_CARTAN_NORMALIZER)
 
         if (len(ruled_out), det_order) != before:  # a class or a determinant is new
@@ -134,16 +140,22 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
-        if (
-            len(frobenius) == SCAN_PREFIX
-            and p <= 13
-            and BOREL not in ruled_out
-            and exact_factor(m, p, frobenius) is not None
-        ):
+        if p <= 13 and BOREL not in ruled_out:
             # full image acts transitively on the (p^2-1)/2 x-coordinates of
-            # p-torsion, so a factor of psi_p over Q certifies a proper image
-            return _unsurjective(p, SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
+            # p-torsion, so a factor of psi_p over Q certifies a proper image.
+            # A factor exact_factor returns is the x-polynomial of a stable
+            # line, so a chi = -1 witness at a later prime proves that the
+            # lift on the prefix would find none.
+            if len(frobenius) == SCAN_PREFIX:
+                prefix = _unsurjective(p, SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
+            elif len(frobenius) == 2 * SCAN_PREFIX:
+                if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
+                    return prefix
+                prefix = None
 
+    if prefix is not None and BOREL not in ruled_out:  # the scan ended within SCAN_PREFIX primes of the prefix
+        if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
+            return prefix
     status = INCONCLUSIVE
     if p <= 13 and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
         status = SMALL_IMAGE_CERTIFIED

@@ -293,7 +293,9 @@ class TestPointCounting:
             assert diff % 5 == 0
 
     def test_count_beyond_hasse_bound_raises(self, monkeypatch):
-        # every value a square: a_p = -(p - #roots of g), far past 2 sqrt(p)
+        # every value a square: a_p = -(p - #roots of g), far past 2 sqrt(p);
+        # a trace cached by an earlier test would skip the count
+        trace_of_frobenius.cache_clear()
         monkeypatch.setattr(curve, "bytearray", lambda n: bytearray(b"\x01" * n), raising=False)
         with pytest.raises(ArithmeticError, match="Hasse bound"):
             trace_of_frobenius(CURVE_11A1, 97)

@@ -413,6 +413,33 @@ class TestCertificates:
             assert not determinant_witnessed({**doc, "image_witnesses": ones})
         assert surjective == 833
 
+    def test_corpus_jobs_import_no_sympy(self):
+        """Every corpus (label, odd p <= 97) job of good reduction, and the
+        benchmark's warm-up curve y^2 = x^3 - 2x + 3 at 3, is certified and
+        serialized without sympy."""
+        jobs = [
+            (label, ainvs, p)
+            for label, ainvs in CORPUS.items()
+            for p in primes_up_to(97)[1:]
+            if CurveModel(*ainvs).discriminant() % p
+        ]
+        jobs.append((None, [0, 0, 0, -2, 3], 3))
+        code = (
+            "import sys\n"
+            "from shaclass.curve import CurveModel\n"
+            "from shaclass.engine import analyze, certificate_to_json\n"
+            f"jobs = {jobs!r}\n"
+            "for label, ainvs, p in jobs:\n"
+            "    certificate_to_json(analyze(CurveModel(*ainvs), p, label=label))\n"
+            "print(len(jobs), 'sympy' in sys.modules)\n"
+        )
+        src = str(Path(shaclass.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "1204 False\n"
+
     def test_p3_t_set_imports_no_sympy(self):
         # y^2 = x^3 - 2x + 3 is II at 2 and I1 at 211, non-CM, and its image
         # at p = 3 is certified surjective by the scan: T comes from the

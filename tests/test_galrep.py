@@ -39,6 +39,7 @@ from shaclass.galrep import (
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
 CURVE_11A1 = CurveModel(0, -1, 1, -10, -20)
 CURVE_43A1 = CurveModel(0, 1, 1, 0, 0)
+CURVE_83A1 = CurveModel(1, 1, 1, 1, 0)
 CURVE_423801CI1 = CurveModel(0, 0, 1, -17034726259173, -27061436852750306309)
 
 # j-invariants of the thirteen imaginary quadratic orders of class number one
@@ -379,6 +380,8 @@ class TestExactFactor:
 
     @pytest.mark.parametrize("label, p", REDUCIBLE_JOBS)
     def test_reducible_corpus_jobs_scan_only_the_prefix(self, label, p, corpus_models, monkeypatch):
+        """Borel stands through the SCAN_PREFIX primes scanned past the
+        prefix for a chi = -1 witness; then one lift on the prefix certifies."""
         calls = []
 
         def counted(model, ell):
@@ -390,10 +393,12 @@ class TestExactFactor:
 
         monkeypatch.setattr("shaclass.galrep.a_ell", counted)
         monkeypatch.setattr("shaclass.galrep._division_poly_reducible", no_fallback)
+        searches = _count_calls(monkeypatch, "exact_factor")
         cert = certify_image(CurveModel(*corpus_models[label]), p)
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
-        assert len(calls) <= SCAN_PREFIX
+        assert len(calls) <= 2 * SCAN_PREFIX
+        assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
 
     def test_scan_shorter_than_the_prefix_tries_the_exact_factor(self, monkeypatch):
         def no_fallback(model, p):
@@ -403,6 +408,15 @@ class TestExactFactor:
         cert = certify_image(CURVE_11A1, 5, sample_bound=20)  # 6 good primes
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
+
+    def test_scan_ending_past_the_prefix_lifts_on_the_prefix(self, monkeypatch):
+        """A scan that ends after SCAN_PREFIX good primes, but before Borel has
+        stood through SCAN_PREFIX more, lifts on the prefix once, and certifies
+        as the full scan does."""
+        searches = _count_calls(monkeypatch, "exact_factor")
+        short = certify_image(CURVE_11A1, 5, sample_bound=50)  # 13 good primes
+        assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
+        assert short == certify_image(CURVE_11A1, 5)
 
     def test_certificate_lists_the_prefix_witnesses_only(self, monkeypatch):
         """A factor found after SCAN_PREFIX good primes ends the scan: the
@@ -520,20 +534,32 @@ class TestDivisionPolynomials:
                 if den:
                     assert multiples[c][0] == _eval_mod(N, x, ell) * pow(den, -1, ell) % ell, (c, P)
 
-    @pytest.mark.parametrize("model, p", [(CURVE_11A1, 5), (CURVE_423801CI1, 13)], ids=["11a1", "423801ci1"])
-    def test_one_build_per_exact_factor_call(self, model, p, monkeypatch):
+    @pytest.mark.parametrize(
+        "model, p, lifts, witnesses",
+        [(CURVE_11A1, 5, 1, ((2, 3, 2),)), (CURVE_423801CI1, 13, 0, ((2, 2, 2), (5, 4, 5), (67, 9, 2)))],
+        ids=["11a1", "423801ci1"],
+    )
+    def test_one_build_per_exact_factor_call(self, model, p, lifts, witnesses, monkeypatch):
+        """11a1 at 5 lifts once.  At 423801ci1 at 13, Borel stands after the
+        prefix, but the chi = -1 witness at 67 comes before any lift, so
+        psi_13 is never built."""
         builds = _count_calls(monkeypatch, "_division_polynomial")
         searches = _count_calls(monkeypatch, "exact_factor")
-        certify_image(model, p)
-        assert [args[0] for args in searches] == [p]
-        assert len(builds) == 1
+        assert certify_image(model, p).witnesses == witnesses
+        assert [args[0] for args in searches] == [p] * lifts
+        assert len(builds) == lifts
 
     def test_one_psi3_build_per_p3_scan(self, monkeypatch):
+        """83a1 at 3 has Borel ruled out at ell = 2, and the nonsplit Cartan
+        normalizer stands up to ell = 31: 10 primes.  Only 19 and 31 have
+        ell = 1 and a_ell != 0 mod 3, where Frob_ell can be a 3-cycle, so
+        only they count roots of psi_3."""
         builds = _count_calls(monkeypatch, "_division_polynomial")
         lookups = _count_calls(monkeypatch, "count_roots_mod")
-        assert certify_image(CURVE_43A1, 3).status == SURJECTIVE_CERTIFIED
+        assert certify_image(CURVE_83A1, 3).status == SURJECTIVE_CERTIFIED
         assert builds == [(3,)]
-        assert len(lookups) > 1
+        assert lookups == [(19,), (31,)]
+
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_degree(self, p):
         psi = division_polynomial(CURVE_1058D1, p)

@@ -9,11 +9,13 @@ import shaclass.cli  # noqa: F401  every module, for the cache census below
 from shaclass.arith import PRIME_TABLE_CACHE_SIZE, legendre, primes_up_to, valuation
 from shaclass.curve import (
     CURVE_CACHE_SIZE,
+    TRACE_CACHE_SIZE,
     CurveModel,
     b_invariants,
     compute_invariants,
     discriminant_from_b,
     minimal_model,
+    trace_of_frobenius,
 )
 from shaclass.errors import InvalidInput, SingularModel
 from shaclass.galrep import a_ell
@@ -411,14 +413,18 @@ def test_caches_stay_within_their_bounds():
     models (or sample bounds) than it leave each cache at that bound."""
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
     caches = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
-    assert len(caches) >= 4
+    assert len(caches) >= 5
     assert all(f.cache_parameters()["maxsize"] is not None for f in caches.values())
 
-    for a4 in range(1, CURVE_CACHE_SIZE + 51):
-        model = CurveModel(0, 0, 1, a4, 0)  # disc -64 a4^3 - 27, never 0
+    models = [CurveModel(0, 0, 1, a4, 0) for a4 in range(1, CURVE_CACHE_SIZE + 51)]  # disc -64 a4^3 - 27, never 0
+    for model in models:
         local_data(model)
     for cache in (compute_invariants, minimal_model, local_data):
         assert cache.cache_info().currsize == CURVE_CACHE_SIZE
+    pairs = ((m, p) for m in models for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41) if m.discriminant() % p)
+    for _ in range(TRACE_CACHE_SIZE + 50):
+        trace_of_frobenius(*next(pairs))
+    assert trace_of_frobenius.cache_info().currsize == TRACE_CACHE_SIZE
     for limit in range(100, 110 + PRIME_TABLE_CACHE_SIZE):
         primes_up_to(limit)
     assert primes_up_to.cache_info().currsize == PRIME_TABLE_CACHE_SIZE
