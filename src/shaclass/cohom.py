@@ -53,7 +53,9 @@ class MatrixGroup(NamedTuple):
 
 
 def close_group(generators, p, cap=DEFAULT_GROUP_CAP):
-    """BFS closure of the generators; raises GroupTooLarge past cap."""
+    """BFS closure of the generators; raises GroupTooLarge past cap, InvalidInput for a cap below 1."""
+    if cap < 1:  # the identity alone would exceed it
+        raise InvalidInput(f"cap must be at least 1, got {cap}")
     gens = tuple(tuple(x % p for x in g) for g in generators)
     for g in gens:
         if mat_det(g, p) == 0:

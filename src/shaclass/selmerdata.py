@@ -28,7 +28,7 @@ OFFLINE_ONLY = "OfflineOnly"
 OFFLINE_ENV = "SHACLASS_OFFLINE"
 CACHE_DIR_ENV = "SHACLASS_CACHE_DIR"
 
-LABEL_RE = re.compile(r"\d+\.?[a-z]+\d+")  # Cremona (1058d1) or LMFDB (1058.d1)
+LABEL_RE = re.compile(r"[0-9]+\.?[a-z]+[0-9]+")  # Cremona (1058d1) or LMFDB (1058.d1), ASCII digits only
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api/shaclass_curve_records"
 DEFAULT_TIMEOUT = 10.0

@@ -454,6 +454,17 @@ class TestAnalyze:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err == "error: malformed curve label '11a1\\n'\n"
 
+    @pytest.mark.parametrize("mode", [("--offline",), ()], ids=["offline", "remote"])
+    def test_label_with_non_ascii_digits_is_malformed(self, capsys, monkeypatch, mode):
+        # Arabic-Indic digits match \d in a str pattern, but no label has them
+        def boom(*a, **k):
+            raise AssertionError("network touched for a malformed label")
+
+        monkeypatch.setattr("urllib.request.urlopen", boom)
+        code, out, err = run(capsys, "analyze", "--label", "\u0661\u0661a1", "-p", "5", *mode)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: malformed curve label '\u0661\u0661a1'\n"
+
     def test_batch_stops_quietly_when_its_reader_closes(self, tmp_path):
         batch = tmp_path / "labels.txt"
         batch.write_text("11a1\n37a1\n1058d1\n" * 100)  # far more than a pipe buffer holds
@@ -547,6 +558,15 @@ class TestSubcommands:
         # reaches is_prime, whose test at or above 3.3e24 imports sympy, nor
         # the group closure
         _assert_p_refused_without_sympy(["cohomology", "--p", str(p), "--generators", generators])
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cohomology_cap_below_one_is_invalid(self, capsys, cap):
+        # no group fits: the identity alone has order 1
+        code, out, err = run(capsys, "cohomology", "--p", "5", "--generators", "1,0,0,1", "--cap", cap)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == f"error: cap must be at least 1, got {cap}\n"
+        code, out, _ = run(capsys, "cohomology", "--p", "5", "--generators", "1,0,0,1", "--cap", "1")
+        assert (code, out) == (EXIT_OK, "group order = 1\nh0 = 2\nh1 = 0\n")
 
     @pytest.mark.parametrize("generators", ["1,1,0", "1,x,0,1"])
     def test_cohomology_bad_matrix(self, capsys, generators):

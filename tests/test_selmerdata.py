@@ -45,7 +45,8 @@ class TestLabels:
             assert valid_label(label)
 
     def test_invalid(self):
-        for label in ("", "abc", "11", "a1", "1058D1", "11a1; rm -rf", "11a1\n", "1058.d1\n"):
+        for label in ("", "abc", "11", "a1", "1058D1", "11a1; rm -rf", "11a1\n", "1058.d1\n",
+                      "\u0661\u0661a1"):
             assert not valid_label(label)
 
     def test_fetch_rejects_bad_label(self, tmp_path):
