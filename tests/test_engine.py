@@ -479,9 +479,13 @@ class TestCertificates:
                 for fmt, digest in digests.items()
             }
 
-        golden = flat(json.loads((DATA_DIR / "golden" / "certificates.json").read_text()))
+        table = json.loads((DATA_DIR / "golden" / "certificates.json").read_text())
+        # every corpus_sweep job (corpus curve, good odd p <= 97), the
+        # fixtures at p <= 13, and every record of fresh_records.json
+        sizes = {section: sum(map(len, rows.values())) for section, rows in table.items()}
+        assert sizes == {"corpus": 1203, "fixtures": 32, "fresh": 400}
+        golden = flat(table)
         current = flat(gen_golden.certificate_table())
-        assert len(golden) >= 280
         differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
         assert not differ, f"certificates differ at (section, label, p, format): {differ}"
 

@@ -6,11 +6,21 @@ and every prime p in GOLDEN_PRIMES of good reduction, the image status and
 the Frobenius witnesses that certify_image returns.  tests/test_galrep.py
 requires the library to reproduce it exactly.
 
+fresh_records.json: the 400 synthetic records of the batch_fresh benchmark
+workload, shabench.inputs.fresh_curves(1, 100, 25), with label, ainvs, p,
+mw_rank and sha_order.  Tier-1 reads this file and imports nothing from
+shabench, so a change to the benchmark's generator shows up here as a diff.
+
 certificates.json: the sha256 of certificate_to_json and of
-certificate_to_text for the same corpus (label, p) pairs, and for each
-packaged fixture label analyzed with its offline record at each good p in
-GOLDEN_PRIMES.  Digests stand in for the texts, which would come to more than
-0.9 MB.  tests/test_engine.py requires the library to reproduce them.
+certificate_to_text for
+  * every corpus curve at each odd p <= 97 of good reduction, analyzed
+    without a record: the 1,203 jobs of the corpus_sweep workload;
+  * each packaged fixture label analyzed with its offline record at each
+    good p in GOLDEN_PRIMES;
+  * each fresh record analyzed with itself as record and empty torsion, as
+    `shaclass analyze --batch` reads it from a fixture file in batch_fresh.
+Digests stand in for the texts, which would come to several MB.
+tests/test_engine.py requires the library to reproduce them.
 
 A change that alters a certificate therefore shows up as a diff of one of
 these files.
@@ -32,6 +42,7 @@ from shaclass.engine import analyze, certificate_to_json, certificate_to_text  #
 from shaclass.galrep import certify_image  # noqa: E402
 from shaclass.selmerdata import (  # noqa: E402
     OFFLINE_ONLY,
+    ExternalCurveRecord,
     StoreConfig,
     fetch_curve_record,
     packaged_fixtures_dir,
@@ -40,7 +51,10 @@ from shaclass.selmerdata import (  # noqa: E402
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_PATH = DATA_DIR / "golden" / "image_witnesses.json"
 CERTIFICATES_PATH = DATA_DIR / "golden" / "certificates.json"
+FRESH_RECORDS_PATH = DATA_DIR / "fresh_records.json"
 GOLDEN_PRIMES = (3, 5, 7, 11, 13)
+SWEEP_PRIMES = tuple(p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2)))
+FRESH_CURVES_ARGS = (1, 100, 25)  # seed, records per prime, Latin-hypercube block
 
 
 def corpus_curves():
@@ -52,9 +66,9 @@ def corpus_curves():
     return dict(sorted(curves.items()))
 
 
-def good_primes(model):
+def good_primes(model, primes=GOLDEN_PRIMES):
     disc = compute_invariants(minimal_model(model)).disc
-    return [p for p in GOLDEN_PRIMES if disc % p]
+    return [p for p in primes if disc % p]
 
 
 def image_table():
@@ -80,17 +94,31 @@ def _digests(cert):
     }
 
 
-def certificate_table():
-    """{"corpus"|"fixtures": {label: {p: {"json", "text"}}}} at the good p.
+def fresh_records():
+    """The batch_fresh records, as lists of {label, ainvs, p, mw_rank, sha_order}."""
+    sys.path.insert(0, str(ROOT / "shabench"))
+    import inputs
 
-    Corpus curves are analyzed without a record; fixture labels with the
-    record that an offline `shaclass analyze --label L` reads.
+    return [
+        {"label": r["label"], "ainvs": list(r["ainvs"]), "p": p,
+         "mw_rank": r["mw_rank"], "sha_order": r["sha_order"]}
+        for p, records in inputs.fresh_curves(*FRESH_CURVES_ARGS).items()
+        for r in records
+    ]
+
+
+def certificate_table():
+    """{"corpus"|"fixtures"|"fresh": {label: {p: {"json", "text"}}}} at the good p.
+
+    Corpus curves are analyzed without a record, at every good odd p up to
+    97; fixture labels with the record that an offline `shaclass analyze
+    --label L` reads; fresh records with themselves as record.
     """
     corpus = {}
     for label, ainvs in corpus_curves().items():
         model = CurveModel(*ainvs)
         corpus[label] = {
-            str(p): _digests(analyze(model, p, label=label)) for p in good_primes(model)
+            str(p): _digests(analyze(model, p, label=label)) for p in good_primes(model, SWEEP_PRIMES)
         }
     fixtures = {}
     labels = sorted(path.stem for path in packaged_fixtures_dir().glob("*.txt"))
@@ -103,7 +131,19 @@ def certificate_table():
                 str(p): _digests(analyze(model, p, record=record, label=label))
                 for p in good_primes(model)
             }
-    return {"corpus": corpus, "fixtures": fixtures}
+    fresh = {}
+    for row in json.loads(FRESH_RECORDS_PATH.read_text()):
+        record = ExternalCurveRecord(
+            label=row["label"],
+            ainvs=tuple(row["ainvs"]),
+            mw_rank=row["mw_rank"],
+            torsion_structure=(),
+            sha_order=row["sha_order"],
+            sha_structure=None,
+        )
+        cert = analyze(CurveModel(*record.ainvs), row["p"], record=record, label=record.label)
+        fresh[record.label] = {str(row["p"]): _digests(cert)}
+    return {"corpus": corpus, "fixtures": fixtures, "fresh": fresh}
 
 
 def render(table):
@@ -126,9 +166,11 @@ def render_sections(sections):
 
 def main():
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+    rows = ",\n".join(f" {json.dumps(row)}" for row in fresh_records())
+    FRESH_RECORDS_PATH.write_text(f"[\n{rows}\n]\n")
     GOLDEN_PATH.write_text(render(image_table()))
     CERTIFICATES_PATH.write_text(render_sections(certificate_table()))
-    for path in (GOLDEN_PATH, CERTIFICATES_PATH):
+    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, CERTIFICATES_PATH):
         print(f"wrote {path.relative_to(ROOT)}")
 
 
