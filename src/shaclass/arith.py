@@ -8,18 +8,29 @@ composite; past either limit it raises FactorizationTooHard.  Trial division
 walks cached prime tables up to 16, 256, 4096, 65536 and 10**6 in turn,
 each from where the last one ended, and builds the next table only while
 the last one's limit squared is below the cofactor still left, so small
-factors never cost a large sieve.
+factors never cost a large table.
+
+No sieve runs: the primes up to 10**6 are committed as prime_gaps.bin, one
+byte per gap between consecutive odd primes from 3 to 999983, and a table
+is the prefix of their running sum up to its limit.  The file is checked
+when it is first read.
 """
 
+import binascii
 from functools import lru_cache
-from itertools import compress, islice
-from math import comb, gcd, isqrt
+from itertools import accumulate, islice, takewhile
+from math import comb, gcd
+from pathlib import Path
 
 from .errors import FactorizationTooHard, InvalidInput
 
 TRIAL_DIVISION_BOUND = 10**6
 _TABLE_LIMITS = (16, 256, 4096, 65536, TRIAL_DIVISION_BOUND)
 PRIME_TABLE_CACHE_SIZE = 8  # the five tables of _TABLE_LIMITS and the image scan's 1000
+_GAP_TABLE = Path(__file__).with_name("prime_gaps.bin")  # written by tools/gen_fixtures.py
+_TOP_PRIME = 999983  # the largest prime below TRIAL_DIVISION_BOUND
+_PRIME_COUNT = 78498  # primes up to TRIAL_DIVISION_BOUND; 2 and 3 have no gap before them
+_GAP_TABLE_CRC32 = 0xFE8BDE12
 RHO_CUTOFF = 2**128
 RHO_STEP_BUDGET = 2**24  # rho steps per composite; benchmark curves need at most 262,142
 
@@ -28,17 +39,30 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
+@lru_cache(maxsize=1)
+def _prime_gaps():
+    """The bytes of prime_gaps.bin; ArithmeticError unless they are the committed table."""
+    gaps = _GAP_TABLE.read_bytes()
+    if (
+        len(gaps) != _PRIME_COUNT - 2
+        or 3 + sum(gaps) != _TOP_PRIME
+        or binascii.crc32(gaps) != _GAP_TABLE_CRC32
+    ):
+        raise ArithmeticError(f"{_GAP_TABLE} is damaged: it is not the table of primes up to {_TOP_PRIME}")
+    return gaps
+
+
 @lru_cache(maxsize=PRIME_TABLE_CACHE_SIZE)
 def primes_up_to(limit):
-    """Primes up to limit (inclusive), as a tuple."""
+    """Primes up to limit (inclusive), as a tuple; limit is at most TRIAL_DIVISION_BOUND."""
+    if limit > TRIAL_DIVISION_BOUND:
+        raise InvalidInput(f"primes are tabulated up to {TRIAL_DIVISION_BOUND}, not {limit}")
     if limit < 2:
         return ()
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return tuple(compress(range(limit + 1), flags))
+    odd = accumulate(_prime_gaps(), initial=3)
+    if limit < _TOP_PRIME:
+        odd = takewhile(limit.__ge__, odd)
+    return (2,) + tuple(odd)
 
 
 def _miller_rabin(n, base):

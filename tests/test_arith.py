@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -300,3 +301,40 @@ def test_primes_up_to():
     assert primes_up_to(0) == primes_up_to(1) == ()
     assert primes_up_to(2) == (2,)
     assert len(primes_up_to(10**6)) == 78498
+    # either side of the largest prime, where the prefix becomes the whole table
+    every = _plain_sieve(TRIAL_DIVISION_BOUND)
+    for limit in (3, 4, 65536, 999979, 999982, 999983, 999984, TRIAL_DIVISION_BOUND):
+        assert list(primes_up_to(limit)) == [p for p in every if p <= limit]
+    with pytest.raises(InvalidInput):
+        primes_up_to(TRIAL_DIVISION_BOUND + 1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda gaps: gaps[:-1],  # truncated
+        lambda gaps: gaps[:500] + bytes([gaps[500] + 2]) + gaps[501:],  # one byte altered
+        lambda gaps: gaps[:500] + gaps[501:502] + gaps[500:501] + gaps[502:],  # two gaps swapped
+    ],
+    ids=["truncated", "byte-altered", "gaps-swapped"],
+)
+def test_damaged_prime_table_raises(monkeypatch, tmp_path, damage):
+    """A gap table that is not the committed one raises, also under -O."""
+    gaps = arith._GAP_TABLE.read_bytes()
+    assert gaps[500] != gaps[501]  # so the swap changes the bytes but not their sum
+    damaged = tmp_path / "prime_gaps.bin"
+    damaged.write_bytes(damage(gaps))
+    monkeypatch.setattr(arith, "_GAP_TABLE", damaged)
+    arith._prime_gaps.cache_clear()
+    primes_up_to.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="damaged"):
+            primes_up_to(100)
+    finally:
+        arith._prime_gaps.cache_clear()
+
+
+def test_prime_table_is_package_data():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = pyproject.split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+    assert f'"{arith._GAP_TABLE.name}"' in section

@@ -2,6 +2,8 @@
 """Regenerate committed fixture data.
 
 Writes:
+  src/shaclass/prime_gaps.bin         the primes up to 10**6, one byte per gap
+                                      between consecutive odd primes
   src/shaclass/fixtures/<label>.txt   arithmetic records (rank, Sha, torsion)
   tests/data/tate_corpus.json         expected local reduction data
   tests/data/image_corpus.json        expected mod-5 image (full / proper)
@@ -39,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from shaclass.arith import factor, legendre, valuation  # noqa: E402
+from shaclass.arith import TRIAL_DIVISION_BOUND, factor, legendre, valuation  # noqa: E402
 from shaclass.curve import (  # noqa: E402
     CurveModel,
     brute_force_point_count,
@@ -53,6 +55,7 @@ from shaclass.selmerdata import ExternalCurveRecord, render_record_text  # noqa:
 from oracles import tame_local_data, torsion_multiple_bound  # noqa: E402
 
 FIXTURES = ROOT / "src" / "shaclass" / "fixtures"
+PRIME_GAPS = ROOT / "src" / "shaclass" / "prime_gaps.bin"
 DATA = ROOT / "tests" / "data"
 
 
@@ -296,6 +299,25 @@ def model(label):
     return CurveModel(*CURVES[label])
 
 
+def sieve(limit):
+    """Primes up to limit by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def write_prime_gaps():
+    """The gaps between consecutive odd primes up to 10**6, checked against sympy."""
+    primes = sieve(TRIAL_DIVISION_BOUND)
+    assert primes == list(sympy.primerange(2, TRIAL_DIVISION_BOUND + 1))
+    gaps = bytes(q - p for p, q in zip(primes[1:], primes[2:]))  # ValueError past a gap of 255
+    PRIME_GAPS.write_bytes(gaps)
+    print(f"  wrote {len(gaps)} prime gaps, the largest {max(gaps)}, up to {primes[-1]}")
+
+
 def check_disc_support():
     for label, support in DISC_SUPPORT.items():
         disc = compute_invariants(minimal_model(model(label))).disc
@@ -413,6 +435,9 @@ def write_outputs():
 
 
 def main():
+    # factor reads the table, so it is written before any check factors
+    print("writing the prime table:")
+    write_prime_gaps()
     print("validating fixture data:")
     check_disc_support()
     check_torsion()
