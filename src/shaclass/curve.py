@@ -7,6 +7,7 @@ Models are long Weierstrass equations
 with integer coefficients.  All arithmetic is exact.
 """
 
+import re
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -16,6 +17,7 @@ from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
 TRACE_CACHE_SIZE = 8 * CURVE_CACHE_SIZE  # (curve, p) pairs: a_p and an image scan's few traces per curve
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
@@ -273,23 +275,23 @@ def brute_force_point_count(model, p):
     return count
 
 
+def _coefficients(parts, text):
+    # int() also reads other scripts' digits and underscores; labels and
+    # curve specs take ASCII digits only
+    if not all(_INTEGER_RE.fullmatch(s) for s in parts):
+        raise InvalidInput(f"bad coefficients: {text!r}")
+    return [int(s) for s in parts]
+
+
 def parse_curve_spec(text):
-    """Parse a curve given as 'a1,a2,a3,a4,a6' or short form '[A,B]'."""
+    """Parse a curve given as 'a1,a2,a3,a4,a6' or short form '[A,B]', in ASCII integers."""
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         parts = [s.strip() for s in text[1:-1].split(",")]
         if len(parts) != 2:
             raise InvalidInput(f"short form needs exactly [A, B]: {text!r}")
-        try:
-            A, B = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InvalidInput(f"bad short-form coefficients: {text!r}") from exc
-        return CurveModel(0, 0, 0, A, B)
+        return CurveModel(0, 0, 0, *_coefficients(parts, text))
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != 5:
         raise InvalidInput(f"expected 5 comma-separated coefficients: {text!r}")
-    try:
-        coeffs = [int(s) for s in parts]
-    except ValueError as exc:
-        raise InvalidInput(f"bad coefficients: {text!r}") from exc
-    return CurveModel(*coeffs)
+    return CurveModel(*_coefficients(parts, text))

@@ -29,6 +29,7 @@ OFFLINE_ENV = "SHACLASS_OFFLINE"
 CACHE_DIR_ENV = "SHACLASS_CACHE_DIR"
 
 LABEL_RE = re.compile(r"[0-9]+\.?[a-z]+[0-9]+")  # Cremona (1058d1) or LMFDB (1058.d1), ASCII digits only
+_SHA_RANK_KEY_RE = re.compile(r"sha_rank_[0-9]+")  # the F_p-rank of Sha[p], ASCII digits only
 
 DEFAULT_BASE_URL = "https://www.lmfdb.org/api/shaclass_curve_records"
 DEFAULT_TIMEOUT = 10.0
@@ -70,6 +71,8 @@ class ExternalCurveRecord(_RecordFields):
                 raise InvalidInput(
                     f"sha_structure {self.sha_structure} does not match order {self.sha_order}"
                 )
+        if len({p for p, _ in self.sha_p_ranks}) < len(self.sha_p_ranks):
+            raise InvalidInput(f"sha_p_ranks {self.sha_p_ranks} give more than one rank for one p")
         for p, r in self.sha_p_ranks:
             if p < 2 or r < 0:
                 raise InvalidInput(f"sha_rank_{p} = {r} needs p >= 2 and a nonnegative rank")
@@ -175,9 +178,10 @@ def _record_from_fields(fields, provenance, retrieved_at):
             raise SchemaDrift(f"record for {fields['label']} needs 5 ainvs: {fields['ainvs']}")
         ranks = []
         for key, value in fields.items():
-            m = re.match(r"^sha_rank_(\d+)$", key)
-            if m:
-                ranks.append((int(m.group(1)), int(value)))
+            if key.startswith("sha_rank_"):
+                if not _SHA_RANK_KEY_RE.fullmatch(key):
+                    raise SchemaDrift(f"record for {fields['label']} has a malformed key {key!r}")
+                ranks.append((int(key[len("sha_rank_"):]), int(value)))
         return ExternalCurveRecord(
             label=fields["label"],
             ainvs=int_list("ainvs") or None,

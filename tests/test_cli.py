@@ -449,6 +449,23 @@ class TestAnalyze:
             assert (code, out) == (EXIT_FIXTURE_MISSING, "")
             assert err.startswith("error: no fixture or cached record for 12345a1")
 
+    @pytest.mark.parametrize(
+        "lines", ["sha_rank_\u0665 = 0", "sha_rank_05 = 0\nsha_rank_5 = 0"], ids=["non-ascii-digit", "one-p-twice"]
+    )
+    def test_fixture_with_a_bad_sha_rank_key_is_invalid_input(self, capsys, tmp_path, lines):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "11a1.txt").write_text(
+            "label = 11a1\nainvs = 0,-1,1,-10,-20\nmw_rank = 0\ntorsion_structure = 5\n"
+            f"sha_order = 1\n{lines}\n"
+        )
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", "7", "--offline",
+            "--fixtures", str(fixtures), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_label_with_a_trailing_newline_is_malformed(self, capsys):
         code, out, err = run(capsys, "analyze", "--label", "11a1\n", "-p", "5", "--offline")
         assert (code, out) == (EXIT_INVALID_INPUT, "")
@@ -575,8 +592,11 @@ class TestSubcommands:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_curve_spec(self, capsys):
-        code, _, err = run(capsys, "invariants", "--curve", "1,2")
-        assert code == EXIT_INVALID_INPUT
+        # int() would read the Arabic-Indic one as 1 and 1_0 as 10
+        for spec in ("1,2", "0,0,0,-1,\u0661", "0,0,0,-1,1_0", "[0,\u0661]", "[1_0,1]"):
+            code, out, err = run(capsys, "invariants", "--curve", spec)
+            assert (code, out) == (EXIT_INVALID_INPUT, ""), spec
+            assert err.startswith("error:") and err.count("\n") == 1, spec
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_INVALID_INPUT

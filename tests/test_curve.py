@@ -351,12 +351,14 @@ class TestCM:
 class TestParsing:
     def test_long_form(self):
         assert parse_curve_spec("1,-1,0,-332311,-73733731") == CURVE_1058D1
+        assert parse_curve_spec(" +1, -1 ,0,-332311,  -73733731 ") == CURVE_1058D1
 
     def test_short_form(self):
         assert parse_curve_spec("[0, 1]") == CurveModel(0, 0, 0, 0, 1)
         assert parse_curve_spec("[-7, 6]") == CurveModel(0, 0, 0, -7, 6)
 
     def test_bad_input(self):
-        for bad in ("1,2,3", "[1,2,3]", "a,b,c,d,e", "[x,1]"):
+        ascii_only = ("0,0,0,-1,\u0661", "0,0,0,-1,1_0", "0,0,0,-1,+-1", "[0,\u0661]", "[1_0,1]", "[-,1]")
+        for bad in ("1,2,3", "[1,2,3]", "a,b,c,d,e", "[x,1]", *ascii_only):
             with pytest.raises(InvalidInput):
                 parse_curve_spec(bad)

@@ -431,6 +431,21 @@ class TestRecordValidation:
             with pytest.raises(InvalidInput):
                 parse_record_text(text, LOCAL_FIXTURE)
 
+    @pytest.mark.parametrize("key", ["sha_rank_\u0665", "sha_rank_", "sha_rank_5a", "sha_rank_ 5", "sha_rank_+5"])
+    def test_sha_rank_key_takes_ascii_digits_only(self, key):
+        # int() reads the Arabic-Indic five as 5; the key names no p
+        text = f"label = x1a1\nmw_rank = 0\nsha_order = 25\n{key} = 0\n"
+        with pytest.raises(SchemaDrift, match="malformed key"):
+            parse_record_text(text, LOCAL_FIXTURE)
+
+    def test_one_sha_rank_per_p(self):
+        # sha_rank_05 and sha_rank_5 both name p = 5, with ranks that disagree
+        text = "label = x1a1\nmw_rank = 0\nsha_order = 25\nsha_rank_05 = 0\nsha_rank_5 = 2\n"
+        with pytest.raises(InvalidInput, match="more than one rank"):
+            parse_record_text(text, LOCAL_FIXTURE)
+        with pytest.raises(InvalidInput, match="more than one rank"):
+            ExternalCurveRecord("x1a1", None, 0, (), 25, None, ((5, 2), (5, 2)), LOCAL_FIXTURE)
+
     @pytest.mark.parametrize("torsion", [(0,), (0, -5), (-5,), (2, 0)])
     def test_torsion_factor_below_one_rejected(self, torsion):
         # scenarios would count each such entry as p-torsion (0 % 5 == -5 % 5 == 0)
