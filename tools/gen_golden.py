@@ -95,7 +95,7 @@ def _digests(cert):
 
 
 def fresh_records():
-    """The batch_fresh records, as lists of {label, ainvs, p, mw_rank, sha_order}."""
+    """The batch_fresh records, as dicts with label, ainvs, p, mw_rank and sha_order."""
     sys.path.insert(0, str(ROOT / "shabench"))
     import inputs
 
