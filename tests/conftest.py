@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import signal
 import sys
@@ -37,6 +38,15 @@ def tate_corpus():
 @pytest.fixture(scope="session")
 def image_corpus():
     return json.loads((DATA_DIR / "image_corpus.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def gen_golden():
+    """tools/gen_golden.py as a module: the tables the goldens were written from."""
+    spec = importlib.util.spec_from_file_location("gen_golden", TESTS_DIR.parent / "tools" / "gen_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -463,12 +462,8 @@ class TestCertificates:
         assert cert["bounds"] is None
         assert cert["unramified_extension_exists"] == "Unknown"
 
-    def test_golden_certificates(self):
+    def test_golden_certificates(self, gen_golden):
         """JSON and text certificates hash to the digests of the committed table."""
-        tool = DATA_DIR.parents[1] / "tools" / "gen_golden.py"
-        spec = importlib.util.spec_from_file_location("gen_golden", tool)
-        gen_golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_golden)
 
         def flat(table):
             return {

@@ -169,6 +169,18 @@ class TestCertifyImage:
                     }
             assert rows == golden[label], label
 
+    def test_golden_small_model_images(self, gen_golden):
+        """Image tuples of the small models at each good p in {3, 5, 7, 11, 13}
+        hash to the digests of the committed table."""
+        def flat(table):
+            return {(model, p): digest for model, rows in table.items() for p, digest in rows.items()}
+
+        golden = flat(json.loads((DATA_DIR / "golden" / "small_model_images.json").read_text()))
+        assert (len({model for model, _ in golden}), len(golden)) == (575, 2409)
+        current = flat(gen_golden.small_model_table())
+        differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
+        assert not differ, f"image tuples differ at (model, p): {differ}"
+
     def test_p3_golden_certificates_have_three_cycle_witness(self, corpus_models):
         golden = json.loads((DATA_DIR / "golden" / "image_witnesses.json").read_text())
         certified = 0

@@ -6,6 +6,13 @@ and every prime p in GOLDEN_PRIMES of good reduction, the image status and
 the Frobenius witnesses that certify_image returns.  tests/test_galrep.py
 requires the library to reproduce it exactly.
 
+small_model_images.json: for each of the 575 distinct minimal models of
+a1, a3 in {0, 1}, a2 in {-1, 0, 1} and |a4|, |a6| <= 3, keyed by the
+minimal model's a-invariants, and each of its 2,409 good p in GOLDEN_PRIMES,
+the sha256 of the JSON list [status, witnesses, sorted ruled_out,
+first_unruled] of certify_image.  tests/test_galrep.py requires the library
+to reproduce it exactly.
+
 fresh_records.json: the 400 synthetic records of the batch_fresh benchmark
 workload, shabench.inputs.fresh_curves(1, 100, 25), with label, ainvs, p,
 mw_rank and sha_order.  Tier-1 reads this file and imports nothing from
@@ -29,6 +36,7 @@ Usage: python3 tools/gen_golden.py
 """
 
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -37,7 +45,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from shaclass.curve import CurveModel, compute_invariants, minimal_model  # noqa: E402
+from shaclass.curve import CurveModel, b_invariants, compute_invariants, discriminant_from_b  # noqa: E402
+from shaclass.curve import minimal_model  # noqa: E402
 from shaclass.engine import analyze, certificate_to_json, certificate_to_text  # noqa: E402
 from shaclass.galrep import certify_image  # noqa: E402
 from shaclass.selmerdata import (  # noqa: E402
@@ -50,6 +59,7 @@ from shaclass.selmerdata import (  # noqa: E402
 
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_PATH = DATA_DIR / "golden" / "image_witnesses.json"
+SMALL_MODELS_PATH = DATA_DIR / "golden" / "small_model_images.json"
 CERTIFICATES_PATH = DATA_DIR / "golden" / "certificates.json"
 FRESH_RECORDS_PATH = DATA_DIR / "fresh_records.json"
 GOLDEN_PRIMES = (3, 5, 7, 11, 13)
@@ -84,6 +94,31 @@ def image_table():
                 "image_witnesses": [list(w) for w in cert.witnesses],
             }
         table[label] = rows
+    return table
+
+
+def small_models():
+    """The distinct minimal models of a1, a3 in {0, 1}, a2 in {-1, 0, 1} and
+    |a4|, |a6| <= 3, nonsingular ones only, in the order first met."""
+    models = {}
+    small = range(-3, 4)
+    for ainvs in itertools.product((0, 1), (-1, 0, 1), (0, 1), small, small):
+        if discriminant_from_b(*b_invariants(*ainvs)):
+            models.setdefault(minimal_model(CurveModel(*ainvs)), None)
+    return list(models)
+
+
+def small_model_table():
+    """{"a1,a2,a3,a4,a6": {p: sha256}} of each small model's image tuple at its good p."""
+    table = {}
+    for model in small_models():
+        rows = {}
+        for p in good_primes(model):
+            cert = certify_image(model, p)
+            image = [cert.status, [list(w) for w in cert.witnesses], sorted(cert.ruled_out),
+                     cert.first_unruled]
+            rows[str(p)] = hashlib.sha256(json.dumps(image).encode()).hexdigest()
+        table[",".join(map(str, model.ainvs()))] = rows
     return table
 
 
@@ -169,8 +204,9 @@ def main():
     rows = ",\n".join(f" {json.dumps(row)}" for row in fresh_records())
     FRESH_RECORDS_PATH.write_text(f"[\n{rows}\n]\n")
     GOLDEN_PATH.write_text(render(image_table()))
+    SMALL_MODELS_PATH.write_text(render(small_model_table()))
     CERTIFICATES_PATH.write_text(render_sections(certificate_table()))
-    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, CERTIFICATES_PATH):
+    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, SMALL_MODELS_PATH, CERTIFICATES_PATH):
         print(f"wrote {path.relative_to(ROOT)}")
 
 
