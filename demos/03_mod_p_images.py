@@ -14,7 +14,7 @@ import sympy
 from shaclass import CurveModel, analyze, certify_image, division_polynomial
 
 E = CurveModel(1, -1, 0, -332311, -73733731)  # 1058d1
-cert = certify_image(E, 5, sample_bound=1000)
+cert = certify_image(E, 5)
 print("1058d1, p = 5:", cert.status)
 print("  ruled out:", sorted(cert.ruled_out))
 print("  witnesses (ell, a_ell mod 5, ell mod 5):", cert.witnesses)
@@ -22,7 +22,7 @@ print("  witnesses (ell, a_ell mod 5, ell mod 5):", cert.witnesses)
 # 11a1 has a rational 5-isogeny, visible as a quadratic factor of the
 # 5-division polynomial; the certifier reports a proper image.
 E11 = CurveModel(0, -1, 1, -10, -20)
-cert11 = certify_image(E11, 5, sample_bound=1000)
+cert11 = certify_image(E11, 5)
 print("\n11a1, p = 5:", cert11.status, "- first unruled class:", cert11.first_unruled)
 psi5 = sympy.Poly(division_polynomial(E11, 5)[::-1], sympy.Symbol("x"))
 print("  psi_5 factors into degrees", sorted(f.degree() for f, _ in psi5.factor_list()[1]))

@@ -14,7 +14,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
-from .arith import TRIAL_DIVISION_BOUND, factor, primes_up_to, require_analyzable_prime
+from .arith import factor, primes_up_to, require_analyzable_prime
 from .curve import brute_force_point_count, compute_invariants, minimal_model
 from .curve import trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
@@ -29,10 +29,9 @@ NONSPLIT_CARTAN_NORMALIZER = "NonsplitCartanNormalizer"
 EXCEPTIONAL = "Exceptional"
 ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEPTIONAL)
 
-DEFAULT_SAMPLE_BOUND = 1000
-# good primes scanned before a standing Borel class sends the scan to
-# look for a rational factor of psi_p (at p <= 13)
-SCAN_PREFIX = 10
+SCAN_BOUND = 1000  # every scan takes the good primes up to here
+FACTOR_SEARCH_MAX_P = 13  # up to here a standing Borel class sends the scan to psi_p's factors
+SCAN_PREFIX = 10  # good primes scanned before a standing Borel class does so
 
 
 class ImageCertificate(NamedTuple):
@@ -53,32 +52,31 @@ def a_ell(model, ell):
     return trace_of_frobenius(model, ell)
 
 
-def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
+def certify_image(model, p):
     """One-sided surjectivity certificate for the mod-p representation.
 
     A CM curve is SmallImageCertified from its j-invariant alone: its image
     lies in the normalizer of a Cartan subgroup (Serre 1972), so no witness
-    is scanned for.  Otherwise scans good primes ell <= sample_bound (ell not
-    dividing p*disc) in increasing order, stopping as soon as every
+    is scanned for.  Otherwise scans the good primes ell <= SCAN_BOUND (ell
+    not dividing p*disc) in increasing order, stopping as soon as every
     maximal-subgroup class is ruled out and the determinant witnesses
     generate (Z/p)^x.  At p = 3, where traces never rule out the nonsplit
     Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
-    At p <= 13, if Borel still stands after SCAN_PREFIX good primes, the
-    scan first looks up to SCAN_PREFIX primes further for a chi = -1
-    witness, which no image with a stable line has.  If Borel stands through
-    them, or the scan ends first, a factor of psi_p over Q from exact_factor
-    on the first SCAN_PREFIX primes ends the scan SmallImageCertified with
-    the witnesses of those primes only; witnesses a full scan would find at
-    later primes are not listed.  After a scan of any length that certifies
-    nothing, exact_factor on all the primes scanned and then sympy's
-    factorization of psi_p are the last resort.  analyze always
-    scans to DEFAULT_SAMPLE_BOUND.  p must pass require_analyzable_prime: an
-    odd prime, where the class list and witness rules hold, at most
-    TRIAL_DIVISION_BOUND, so p - 1 is factored by trial division alone.
+    At p <= FACTOR_SEARCH_MAX_P, if Borel still stands after SCAN_PREFIX
+    good primes, the scan first looks up to SCAN_PREFIX primes further for
+    a chi = -1 witness, which no image with a stable line has.  If Borel
+    stands through them, or the scan ends first, a factor of psi_p over Q
+    from exact_factor on the first SCAN_PREFIX primes ends the scan
+    SmallImageCertified with the witnesses of those primes only; witnesses
+    a full scan would find at later primes are not listed.  Only a curve
+    with fewer than 2 * SCAN_PREFIX good primes up to SCAN_BOUND ends the
+    scan first.  After a scan that certifies nothing, exact_factor on all
+    the primes scanned and then sympy's factorization of psi_p are the last
+    resort.  p must pass require_analyzable_prime: an odd prime, where the
+    class list and witness rules hold, at most TRIAL_DIVISION_BOUND, so
+    p - 1 is factored by trial division alone.
     """
     require_analyzable_prime(p)
-    if not 10 <= sample_bound <= TRIAL_DIVISION_BOUND:
-        raise InvalidInput(f"sample_bound must be between 10 and {TRIAL_DIVISION_BOUND}")
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:
@@ -94,7 +92,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
     psi3 = _division_polynomial(m, 3)[3] if p == 3 else None
     prefix = None  # what a factor of psi_p found on the first SCAN_PREFIX primes certifies
 
-    for ell in primes_up_to(sample_bound):
+    for ell in primes_up_to(SCAN_BOUND):
         if ell == p or inv.disc % ell == 0:
             continue
         a = a_ell(m, ell)
@@ -140,7 +138,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
             return ImageCertificate(
                 p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
             )
-        if p <= 13 and BOREL not in ruled_out:
+        if p <= FACTOR_SEARCH_MAX_P and BOREL not in ruled_out:
             # full image acts transitively on the (p^2-1)/2 x-coordinates of
             # p-torsion, so a factor of psi_p over Q certifies a proper image.
             # A factor exact_factor returns is the x-polynomial of a stable
@@ -157,7 +155,7 @@ def certify_image(model, p, sample_bound=DEFAULT_SAMPLE_BOUND):
         if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
             return prefix
     status = INCONCLUSIVE
-    if p <= 13 and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
+    if p <= FACTOR_SEARCH_MAX_P and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
         status = SMALL_IMAGE_CERTIFIED
     return _unsurjective(p, status, witnesses, ruled_out)
 

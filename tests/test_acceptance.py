@@ -229,7 +229,7 @@ def test_criterion_09_image_certifier_soundness(image_corpus):
     proper = fulls = 0
     for label, entry in image_corpus.items():
         model = CurveModel(*entry["ainvs"])
-        cert = certify_image(model, entry["p"], 1000)
+        cert = certify_image(model, entry["p"])
         if entry["image"] == "proper":
             assert cert.status != SURJECTIVE_CERTIFIED, label
             proper += 1

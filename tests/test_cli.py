@@ -513,8 +513,8 @@ class TestAnalyze:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (EXIT_STDOUT_CLOSED, b"")
 
-    def test_sample_bound_is_not_an_option(self, capsys):
-        # analyze always scans to galrep.DEFAULT_SAMPLE_BOUND
+    def test_scan_bound_is_not_an_option(self, capsys):
+        # analyze always scans to galrep.SCAN_BOUND
         code, out, err = run(
             capsys,
             "analyze", "--label", "11a1", "-p", "5", "--offline", "--sample-bound", "20",

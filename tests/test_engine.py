@@ -73,7 +73,7 @@ def wild_for(model, p, assume_wild_ramification=False):
 
 
 def ledgers_for(model, p):
-    cert = certify_image(model, p, 1000)
+    cert = certify_image(model, p)
     tmap = tamagawa_unit_check(model, p)
     return evaluate_hypotheses(model, p, cert.status, wild_for(model, p), tmap)
 
@@ -113,7 +113,7 @@ class TestLedgers:
         # Unknown -> Assumed
         model, p = CurveModel(0, 1, 1, 0, 0), 5  # 43a1 has a_5 = -4 = 1 mod 5
         assert trace_of_frobenius(model, p) % p == 1
-        cert = certify_image(model, p, 1000)
+        cert = certify_image(model, p)
         tmap = tamagawa_unit_check(model, p)
         plain = evaluate_hypotheses(model, p, cert.status, wild_for(model, p), tmap)
         flagged = evaluate_hypotheses(model, p, cert.status, wild_for(model, p, True), tmap)

@@ -1,7 +1,7 @@
 import builtins
 import json
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -24,10 +24,8 @@ from shaclass.engine import ASSUMED_BY_USER, CM_CASE, UNKNOWN_STATUS, VACUOUS, w
 from shaclass.errors import BadReductionAtP, InvalidInput
 from shaclass.galrep import (
     EXCEPTIONAL,
-    INCONCLUSIVE,
     SMALL_IMAGE_CERTIFIED,
     SURJECTIVE_CERTIFIED,
-    NONSPLIT_CARTAN_NORMALIZER,
     SCAN_PREFIX,
     _unit_order,
     a_ell,
@@ -88,7 +86,7 @@ class TestCertifyImage:
         fulls = propers = 0
         for label, entry in image_corpus.items():
             model = CurveModel(*entry["ainvs"])
-            cert = certify_image(model, entry["p"], 1000)
+            cert = certify_image(model, entry["p"])
             if entry["image"] == "full":
                 assert cert.status == SURJECTIVE_CERTIFIED, label
                 fulls += 1
@@ -103,28 +101,30 @@ class TestCertifyImage:
         for entry in image_corpus.values():
             model = CurveModel(*entry["ainvs"])
             p = entry["p"]
-            cert = certify_image(model, p, 1000)
+            cert = certify_image(model, p)
             disc = compute_invariants(minimal_model(model)).disc
             for ell, a_mod, d_mod in cert.witnesses:
                 assert ell != p and disc % ell != 0 and (p * disc) % ell != 0
                 assert a_ell(model, ell) % p == a_mod
                 assert ell % p == d_mod
 
-    def test_monotonicity(self, image_corpus):
+    def test_monotonicity(self, image_corpus, monkeypatch):
         for entry in list(image_corpus.values())[:6]:
             model = CurveModel(*entry["ainvs"])
-            first = certify_image(model, 5, 1000).status
-            second = certify_image(model, 5, 2000).status
+            first = certify_image(model, 5).status
+            with monkeypatch.context() as patched:
+                patched.setattr("shaclass.galrep.SCAN_BOUND", 2000)
+                second = certify_image(model, 5).status
             if first == SURJECTIVE_CERTIFIED:
                 assert second == SURJECTIVE_CERTIFIED
 
     def test_isogeny_curve_not_certified(self):
-        cert = certify_image(CURVE_11A1, 5, 1000)
+        cert = certify_image(CURVE_11A1, 5)
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
 
     def test_cm_curve_small_image(self):
-        cert = certify_image(CurveModel(0, 0, 1, 0, -7), 5, 1000)  # 27a1
+        cert = certify_image(CurveModel(0, 0, 1, 0, -7), 5)  # 27a1
         assert cert.status == SMALL_IMAGE_CERTIFIED
 
     def test_cm_decided_from_j_without_scan(self, corpus_models, monkeypatch):
@@ -141,7 +141,7 @@ class TestCertifyImage:
             for p in primes_up_to(97)[1:]:
                 if disc % p == 0:
                     continue
-                cert = certify_image(CurveModel(*ainvs), p, 1000)
+                cert = certify_image(CurveModel(*ainvs), p)
                 assert cert.status == SMALL_IMAGE_CERTIFIED, (label, p)
                 assert cert.witnesses == (), (label, p)
         assert cm_curves >= 10
@@ -203,24 +203,15 @@ class TestCertifyImage:
             certified += 1
         assert certified == 27
 
-    def test_p3_sample_bound_covers_the_three_cycle_prime(self):
-        # 43a1's first 3-cycle prime is 13 > 10
-        small = certify_image(CURVE_43A1, 3, sample_bound=10)
-        assert small.status == INCONCLUSIVE
-        assert small.first_unruled == NONSPLIT_CARTAN_NORMALIZER
-        assert certify_image(CURVE_43A1, 3).status == SURJECTIVE_CERTIFIED
+    def test_p3_scan_lists_the_three_cycle_prime(self):
+        # 43a1's first 3-cycle prime is 13, past its first good primes 2, 5, 7 and 11
+        cert = certify_image(CURVE_43A1, 3)
+        assert cert.status == SURJECTIVE_CERTIFIED
+        assert (13, 1, 1) in cert.witnesses
 
     def test_preconditions(self):
-        with pytest.raises(InvalidInput):
-            certify_image(CURVE_1058D1, 5, 5)
         with pytest.raises(BadReductionAtP):
-            certify_image(CURVE_11A1, 11, 1000)
-
-    @pytest.mark.parametrize("bound", [0, 5, -3, 1000001])
-    def test_sample_bound_out_of_range_is_invalid_input(self, bound):
-        # a short or long scan is a library call only; analyze scans to 1000
-        with pytest.raises(InvalidInput, match="sample_bound must be between 10 and 1000000"):
-            certify_image(CURVE_11A1, 5, sample_bound=bound)
+            certify_image(CURVE_11A1, 11)
 
     @pytest.mark.parametrize("p", [2, 9, 15, 25, -5, 1, 0])
     def test_p_not_an_odd_prime_is_invalid_input(self, p):
@@ -233,7 +224,7 @@ class TestCertifyImage:
     def test_p3_certification(self):
         # 37a1 has full mod-3 image as well; the determinant rule closes the
         # exceptional class at p = 3
-        cert = certify_image(CurveModel(0, 0, 1, -1, 0), 3, 1000)
+        cert = certify_image(CurveModel(0, 0, 1, -1, 0), 3)
         assert cert.status == SURJECTIVE_CERTIFIED
 
 
@@ -308,6 +299,25 @@ def _frobenius_prefix(model, p):
     disc = compute_invariants(m).disc
     good = [ell for ell in primes_up_to(200) if ell != p and disc % ell][:SCAN_PREFIX]
     return m, [(ell, a_ell(m, ell) % p, ell % p) for ell in good]
+
+
+def _twist_of_11a1_keeping(kept):
+    """The quadratic twist of 11a1 by D, the product of the odd primes below
+    SCAN_BOUND other than 5, 11 and those kept: y^2 = x^3 + D b2 x^2 +
+    8 D^2 b4 x + 16 D^3 b6 with 11a1's b-invariants.  Every prime of D is bad,
+    so the image scan at 5 sees only 2 and the kept primes, and 5 stays good."""
+    b2, b4, b6 = b_invariants(*CURVE_11A1)[:3]
+    D = prod(q for q in primes_up_to(galrep.SCAN_BOUND) if q not in (2, 5, 11, *kept))
+    return CurveModel(0, D * b2, 0, 8 * D**2 * b4, 16 * D**3 * b6)
+
+
+def _good_primes_below_scan_bound(model, p):
+    disc = compute_invariants(minimal_model(model)).disc
+    return [ell for ell in primes_up_to(galrep.SCAN_BOUND) if ell != p and disc % ell]
+
+
+def _no_fallback(model, p):
+    raise AssertionError("the sympy fallback was reached")
 
 
 def _curve_with_j(j, d):
@@ -400,11 +410,8 @@ class TestExactFactor:
             calls.append(ell)
             return a_ell(model, ell)
 
-        def no_fallback(model, p):
-            raise AssertionError("the sympy fallback was reached")
-
         monkeypatch.setattr("shaclass.galrep.a_ell", counted)
-        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", no_fallback)
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", _no_fallback)
         searches = _count_calls(monkeypatch, "exact_factor")
         cert = certify_image(CurveModel(*corpus_models[label]), p)
         assert cert.status == SMALL_IMAGE_CERTIFIED
@@ -413,22 +420,30 @@ class TestExactFactor:
         assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
 
     def test_scan_shorter_than_the_prefix_tries_the_exact_factor(self, monkeypatch):
-        def no_fallback(model, p):
-            raise AssertionError("the sympy fallback was reached")
-
-        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", no_fallback)
-        cert = certify_image(CURVE_11A1, 5, sample_bound=20)  # 6 good primes
+        """A curve with fewer than SCAN_PREFIX good primes up to SCAN_BOUND
+        lifts once, on all of them, after its scan."""
+        model = _twist_of_11a1_keeping((3, 7, 13, 17, 19, 23))
+        assert _good_primes_below_scan_bound(model, 5) == [2, 3, 7, 13, 17, 19, 23]
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", _no_fallback)
+        searches = _count_calls(monkeypatch, "exact_factor")
+        cert = certify_image(model, 5)
+        assert [len(frobenius) for _, frobenius in searches] == [7]
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
+        assert cert.witnesses == ((2, 3, 2),)
 
     def test_scan_ending_past_the_prefix_lifts_on_the_prefix(self, monkeypatch):
-        """A scan that ends after SCAN_PREFIX good primes, but before Borel has
-        stood through SCAN_PREFIX more, lifts on the prefix once, and certifies
-        as the full scan does."""
+        """A curve whose scan ends after SCAN_PREFIX good primes, but before
+        Borel has stood through SCAN_PREFIX more, lifts on the prefix once."""
+        model = _twist_of_11a1_keeping([q for q in primes_up_to(53) if q not in (2, 5, 11)])
+        assert len(_good_primes_below_scan_bound(model, 5)) == 13
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", _no_fallback)
         searches = _count_calls(monkeypatch, "exact_factor")
-        short = certify_image(CURVE_11A1, 5, sample_bound=50)  # 13 good primes
+        cert = certify_image(model, 5)
         assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
-        assert short == certify_image(CURVE_11A1, 5)
+        assert cert.status == SMALL_IMAGE_CERTIFIED
+        assert cert.first_unruled == "Borel"
+        assert cert.witnesses == ((3, 4, 3),)
 
     def test_certificate_lists_the_prefix_witnesses_only(self, monkeypatch):
         """A factor found after SCAN_PREFIX good primes ends the scan: the
@@ -488,7 +503,7 @@ class TestSympyFallback:
         assert cert.witnesses == ((5, 0, 2),)
         assert cert.first_unruled == "Borel"
         assert fallback == [3]
-        good = [ell for ell in primes_up_to(galrep.DEFAULT_SAMPLE_BOUND) if ell not in (2, 3, 13)]
+        good = [ell for ell in primes_up_to(galrep.SCAN_BOUND) if ell not in (2, 3, 13)]
         assert scanned == good
 
 

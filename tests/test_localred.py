@@ -410,7 +410,7 @@ def test_local_data_is_one_read_only_mapping():
 
 def test_caches_stay_within_their_bounds():
     """Every functools cache of the program has a bound, and more distinct
-    models (or sample bounds) than it leave each cache at that bound."""
+    models (or prime-table limits) than it leave each cache at that bound."""
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
     caches = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
     assert len(caches) >= 5

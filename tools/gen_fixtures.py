@@ -387,7 +387,7 @@ def check_images():
             # value cannot be backed and must be dropped
             from shaclass.galrep import certify_image
 
-            cert = certify_image(m, 5, 1000)
+            cert = certify_image(m, 5)
             assert cert.status == "SurjectiveCertified", (label, cert.status)
     print(f"  image corpus validated for {len(IMAGE_EXPECTED)} curves")
 
