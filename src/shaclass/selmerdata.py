@@ -257,10 +257,7 @@ def _remote_get(label, config):
         if value is not None:
             fields["mw_rank" if key == "rank" else key] = str(value)
     retrieved_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    record = _record_from_fields(fields, REMOTE_DATABASE, retrieved_at)
-    if record.label != label:
-        raise SchemaDrift(f"remote record for {label} is labelled {record.label!r}")
-    return record
+    return _record_from_fields(fields, REMOTE_DATABASE, retrieved_at)
 
 
 def write_cache(record, config):
@@ -287,7 +284,8 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     the database (one retry with backoff), caches the answer, and falls
     back to local data when the network is down.  Once a fetch through
     config has failed that way, later RemoteFirst lookups through the same
-    config skip the database and go straight to local data.
+    config skip the database and go straight to local data.  A record from
+    any source must carry the label it was asked for, or SchemaDrift.
     """
     if not valid_label(label):
         raise InvalidInput(f"malformed curve label {label!r}")
@@ -302,16 +300,17 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
         record = _load_local(label, config)
         if record is None:
             raise FixtureMissing(f"no fixture or cached record for {label}")
-        return record
-
-    try:
-        record = _remote_get(label, config)
-    except (NetworkError, NotFound):
-        local = _load_local(label, config)
-        if local is not None:
-            return local
-        raise
-    write_cache(record, config)
+    else:
+        try:
+            record = _remote_get(label, config)
+        except (NetworkError, NotFound):
+            record = _load_local(label, config)
+            if record is None:
+                raise
+    if record.label != label:
+        raise SchemaDrift(f"record for {label} is labelled {record.label!r}")
+    if record.provenance == REMOTE_DATABASE:
+        write_cache(record, config)
     return record
 
 

@@ -466,6 +466,20 @@ class TestAnalyze:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_fixture_filed_under_another_label_is_invalid_input(self, capsys, tmp_path):
+        # 11a1.txt holding 37a1's record must not print a certificate labelled 11a1
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "11a1.txt").write_text(
+            "label = 37a1\nainvs = 0,0,1,-1,0\nmw_rank = 1\ntorsion_structure = \nsha_order = 1\n"
+        )
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", "5", "--offline",
+            "--fixtures", str(fixtures), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: record for 11a1 is labelled '37a1'\n"
+
     def test_label_with_a_trailing_newline_is_malformed(self, capsys):
         code, out, err = run(capsys, "analyze", "--label", "11a1\n", "-p", "5", "--offline")
         assert (code, out) == (EXIT_INVALID_INPUT, "")

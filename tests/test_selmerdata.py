@@ -120,6 +120,18 @@ class TestCache:
         assert got.mw_rank == 1 and got.provenance == LOCAL_FIXTURE
 
 
+    @pytest.mark.parametrize("mode", [OFFLINE_ONLY, REMOTE_FIRST])
+    def test_cached_record_under_another_label_is_schema_drift(self, tmp_path, monkeypatch, mode):
+        def refuse(url, timeout):
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        (tmp_path / "53a1.txt").write_text("label = 37a1\nainvs = 0,0,1,-1,0\nmw_rank = 1\n")
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path)
+        with pytest.raises(SchemaDrift, match="record for 53a1 is labelled '37a1'"):
+            fetch_curve_record("53a1", mode, config)
+
+
 class _FakeResponse:
     def __init__(self, payload):
         self._payload = payload
