@@ -17,6 +17,7 @@ when it is first read.
 """
 
 import binascii
+import re
 from functools import lru_cache
 from itertools import accumulate, islice, takewhile
 from math import comb, gcd
@@ -37,6 +38,7 @@ RHO_STEP_BUDGET = 2**24  # rho steps per composite; benchmark curves need at mos
 # Deterministic Miller-Rabin base set, valid for n < 3,317,044,064,679,887,385,961,981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 @lru_cache(maxsize=1)
@@ -198,6 +200,17 @@ def valuation(n, p):
         n //= p
         v += 1
     return v
+
+
+def ascii_int(text):
+    """The int that text writes as an optional sign and ASCII digits, else ValueError.
+
+    Every integer read from outside the program goes through here: int()
+    also reads other scripts' digits, underscores and surrounding space.
+    """
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
 
 
 def require_odd_prime(p):

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .arith import require_analyzable_prime
+from .arith import ascii_int, require_analyzable_prime
 from .cohom import DEFAULT_GROUP_CAP, central_scalar_shortcut, close_group, h0, h1
 from .curve import CurveModel, compute_invariants, minimal_model, parse_curve_spec
 from .engine import analyze, certificate_to_json, certificate_to_text
@@ -65,7 +65,7 @@ def _build_parser():
     an = sub.add_parser("analyze", help="full pipeline: certificate on stdout")
     an.set_defaults(run=cmd_analyze)
     source = add_curve_args(an)
-    an.add_argument("-p", type=int, required=True, help="odd prime p")
+    an.add_argument("-p", type=ascii_int, required=True, help="odd prime p")
     an.add_argument("--assume-wild-ramification", action="store_true")
     an.add_argument(
         "--no-assume-sha-finite",
@@ -74,14 +74,14 @@ def _build_parser():
         help="drop the finiteness-of-Sha assumption (odd Sha[p]-ranks allowed)",
     )
     an.add_argument("--format", choices=("text", "json"), default="text")
-    an.add_argument("--mw-rank", type=int, help="user-supplied Mordell-Weil rank")
-    an.add_argument("--sha-order", type=int, help="user-supplied Sha order")
+    an.add_argument("--mw-rank", type=ascii_int, help="user-supplied Mordell-Weil rank")
+    an.add_argument("--sha-order", type=ascii_int, help="user-supplied Sha order")
     an.add_argument(
         "--sha-structure", help="user-supplied Sha invariant factors, e.g. 5,5"
     )
     source.add_argument("--batch", help="file with one label per line")
     # parsed so callers passing it keep working; README says what a one-at-a-time batch costs
-    an.add_argument("--workers", type=int, help="has no effect; batch labels run in file order")
+    an.add_argument("--workers", type=ascii_int, help="has no effect; batch labels run in file order")
 
     iv = sub.add_parser("invariants", help="b/c invariants, discriminant, j")
     iv.set_defaults(run=cmd_invariants)
@@ -90,17 +90,17 @@ def _build_parser():
     ta = sub.add_parser("tate", help="local reduction data at bad primes")
     ta.set_defaults(run=cmd_tate)
     add_curve_args(ta)
-    ta.add_argument("-v", type=int, help="single prime (default: all bad primes)")
+    ta.add_argument("-v", type=ascii_int, help="single prime (default: all bad primes)")
 
     co = sub.add_parser("cohomology", help="H^0/H^1 of a matrix group on F_p^2")
     co.set_defaults(run=cmd_cohomology)
-    co.add_argument("--p", type=int, required=True)
+    co.add_argument("--p", type=ascii_int, required=True)
     co.add_argument(
         "--generators",
         required=True,
         help="semicolon-separated matrices, each a,b,c,d row-major mod p",
     )
-    co.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP)
+    co.add_argument("--cap", type=ascii_int, default=DEFAULT_GROUP_CAP)
     return parser
 
 
@@ -125,7 +125,7 @@ def _user_overrides(args, model, record):
     structure = None
     if args.sha_structure:
         try:
-            structure = tuple(int(s) for s in args.sha_structure.split(","))
+            structure = tuple(ascii_int(s.strip()) for s in args.sha_structure.split(","))
         except ValueError as err:
             raise InvalidInput(f"bad --sha-structure {args.sha_structure!r}") from err
     if record is None:
@@ -214,7 +214,7 @@ def cmd_cohomology(args):
     gens = []
     for part in args.generators.split(";"):
         try:
-            entries = [int(s) for s in part.split(",")]
+            entries = [ascii_int(s.strip()) for s in part.split(",")]
         except ValueError as err:
             raise InvalidInput(f"matrix entries must be integers: {part!r}") from err
         if len(entries) != 4:

@@ -7,17 +7,15 @@ Models are long Weierstrass equations
 with integer coefficients.  All arithmetic is exact.
 """
 
-import re
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import exact_div, factor, require_analyzable_prime, valuation
+from .arith import ascii_int, exact_div, factor, require_analyzable_prime, valuation
 from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
 TRACE_CACHE_SIZE = 8 * CURVE_CACHE_SIZE  # (curve, p) pairs: a_p and an image scan's few traces per curve
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
@@ -276,11 +274,10 @@ def brute_force_point_count(model, p):
 
 
 def _coefficients(parts, text):
-    # int() also reads other scripts' digits and underscores; labels and
-    # curve specs take ASCII digits only
-    if not all(_INTEGER_RE.fullmatch(s) for s in parts):
-        raise InvalidInput(f"bad coefficients: {text!r}")
-    return [int(s) for s in parts]
+    try:
+        return [ascii_int(s) for s in parts]
+    except ValueError as err:
+        raise InvalidInput(f"bad coefficients: {text!r}") from err
 
 
 def parse_curve_spec(text):

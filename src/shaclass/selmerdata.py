@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from .arith import require_odd_prime, valuation
+from .arith import ascii_int, require_odd_prime, valuation
 from .errors import FixtureMissing, InsufficientData, InvalidInput, NetworkError
 from .errors import NotFound, SchemaDrift
 
@@ -169,7 +169,7 @@ def parse_record_text(text, provenance, retrieved_at=""):
 def _record_from_fields(fields, provenance, retrieved_at):
     def int_list(key):
         v = fields.get(key, "")
-        return tuple(int(s) for s in v.split(",") if s.strip()) if v else ()
+        return tuple(ascii_int(s.strip()) for s in v.split(",") if s.strip()) if v else ()
 
     if "label" not in fields or "mw_rank" not in fields:
         raise SchemaDrift(f"record missing label/mw_rank: {sorted(fields)}")
@@ -181,13 +181,13 @@ def _record_from_fields(fields, provenance, retrieved_at):
             if key.startswith("sha_rank_"):
                 if not _SHA_RANK_KEY_RE.fullmatch(key):
                     raise SchemaDrift(f"record for {fields['label']} has a malformed key {key!r}")
-                ranks.append((int(key[len("sha_rank_"):]), int(value)))
+                ranks.append((int(key[len("sha_rank_"):]), ascii_int(value)))
         return ExternalCurveRecord(
             label=fields["label"],
             ainvs=int_list("ainvs") or None,
-            mw_rank=int(fields["mw_rank"]),
+            mw_rank=ascii_int(fields["mw_rank"]),
             torsion_structure=int_list("torsion_structure"),
-            sha_order=int(fields["sha_order"]) if "sha_order" in fields else None,
+            sha_order=ascii_int(fields["sha_order"]) if "sha_order" in fields else None,
             sha_structure=int_list("sha_structure") if "sha_structure" in fields else None,
             sha_p_ranks=tuple(sorted(ranks)),
             provenance=provenance,

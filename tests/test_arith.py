@@ -10,6 +10,7 @@ from shaclass.arith import (
     RHO_CUTOFF,
     RHO_STEP_BUDGET,
     TRIAL_DIVISION_BOUND,
+    ascii_int,
     count_roots_mod,
     exact_quotient,
     factor,
@@ -35,6 +36,17 @@ def test_is_prime_known_values():
         assert not is_prime(n)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # Cole's factorization
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-12", -12), ("+3", 3), ("007", 7), (str(2**89), 2**89)])
+def test_ascii_int_reads_a_sign_and_ascii_digits(text, value):
+    assert ascii_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", " 1", "1 ", "+", "--1", "1_0", "\u0661", "1.0", "0x1", "\uff11"])
+def test_ascii_int_refuses_what_int_reads_or_anything_else(text):
+    with pytest.raises(ValueError, match="not an integer in ASCII digits"):
+        ascii_int(text)
 
 
 def _plain_sieve(limit):

@@ -394,7 +394,7 @@ class TestAnalyze:
         assert (code, out) == (EXIT_CAPACITY, "")
         assert err.startswith("error: 99a1: cofactor ")
 
-    @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5"])
+    @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5", "\u0665,5", "5,5_0"])
     def test_bad_sha_structure_is_invalid_input(self, capsys, structure):
         code, out, err = run(
             capsys,
@@ -599,7 +599,7 @@ class TestSubcommands:
         code, out, _ = run(capsys, "cohomology", "--p", "5", "--generators", "1,0,0,1", "--cap", "1")
         assert (code, out) == (EXIT_OK, "group order = 1\nh0 = 2\nh1 = 0\n")
 
-    @pytest.mark.parametrize("generators", ["1,1,0", "1,x,0,1"])
+    @pytest.mark.parametrize("generators", ["1,1,0", "1,x,0,1", "1,1,0,\u0661", "1,1,0,1_1"])
     def test_cohomology_bad_matrix(self, capsys, generators):
         code, _, err = run(capsys, "cohomology", "--p", "5", "--generators", generators)
         assert code == EXIT_INVALID_INPUT
@@ -611,6 +611,26 @@ class TestSubcommands:
             code, out, err = run(capsys, "invariants", "--curve", spec)
             assert (code, out) == (EXIT_INVALID_INPUT, ""), spec
             assert err.startswith("error:") and err.count("\n") == 1, spec
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--label", "11a1", "--offline", "-p", "\u0665"),
+            ("analyze", "--label", "11a1", "--offline", "-p", "5", "--mw-rank", "\u0660"),
+            ("analyze", "--label", "11a1", "--offline", "-p", "5", "--sha-order", "2_5"),
+            ("analyze", "--label", "11a1", "--offline", "-p", "5", "--workers", "\u0662"),
+            ("tate", "--label", "11a1", "--offline", "-v", "1_1"),
+            ("cohomology", "--generators", "1,1,0,1", "--p", "\u0665"),
+            ("cohomology", "--p", "5", "--generators", "1,1,0,1", "--cap", "5_000"),
+        ],
+        ids=["p", "mw-rank", "sha-order", "workers", "v", "cohomology-p", "cap"],
+    )
+    def test_integer_flag_takes_ascii_digits_only(self, capsys, argv):
+        # int() reads other scripts' digits and 2_5 as 25; argparse turns the
+        # reader's ValueError into a usage error
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert f"invalid ascii_int value: {argv[-1]!r}" in err and "Traceback" not in err
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_INVALID_INPUT

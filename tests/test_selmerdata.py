@@ -190,9 +190,11 @@ class TestRemote:
             dict(PAYLOAD, torsion_structure="\nmw_rank = 0"),
             ["37a1", [0, 0, 1, -1, 0], 1],
             "label ainvs rank torsion_structure",
+            dict(PAYLOAD, rank="\u0661"),
+            dict(PAYLOAD, sha_order="2_5"),
         ],
         ids=["rank-word", "rank-float", "label-escapes", "label-differs", "ainvs-3",
-             "rank-bool", "newline-in-value", "list", "string"],
+             "rank-bool", "newline-in-value", "list", "string", "rank-arabic-indic", "order-underscore"],
     )
     def test_bad_payload_is_schema_drift(self, tmp_path, monkeypatch, payload):
         monkeypatch.setattr(
@@ -448,6 +450,17 @@ class TestRecordValidation:
         # int() reads the Arabic-Indic five as 5; the key names no p
         text = f"label = x1a1\nmw_rank = 0\nsha_order = 25\n{key} = 0\n"
         with pytest.raises(SchemaDrift, match="malformed key"):
+            parse_record_text(text, LOCAL_FIXTURE)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["mw_rank = \u0662", "sha_order = 2_5", "torsion_structure = \u0665", "ainvs = 0,-1,1,-1_0,-20",
+         "sha_rank_5 = \u0660", "mw_rank = +\u0660"],
+    )
+    def test_record_value_takes_ascii_digits_only(self, line):
+        # int() reads the Arabic-Indic two as 2 and 2_5 as 25
+        text = f"label = x1a1\nmw_rank = 0\nsha_order = 25\n{line}\n"
+        with pytest.raises(SchemaDrift, match="non-integer value"):
             parse_record_text(text, LOCAL_FIXTURE)
 
     def test_one_sha_rank_per_p(self):
