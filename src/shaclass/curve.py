@@ -16,6 +16,9 @@ from .errors import BadReductionAtP, InvalidInput, SingularModel
 
 CURVE_CACHE_SIZE = 1024  # entries each per-curve cache keeps; a batch call reads 100 curves
 TRACE_CACHE_SIZE = 8 * CURVE_CACHE_SIZE  # (curve, p) pairs: a_p and an image scan's few traces per curve
+TABLE_CACHE_BOUND = 1000  # p up to here keep their character table: galrep's image scan reads them all
+TABLE_CACHE_SIZE = 256  # over the 167 odd primes up to TABLE_CACHE_BOUND
+_COUNT_CHUNK = 1 << 16  # x values per list a count sums: a 512 KB list at most
 
 # The thirteen j-invariants of elliptic curves over Q with complex
 # multiplication, all integers, keyed by j, valued by the CM order's
@@ -217,32 +220,38 @@ def minimal_model(model):
     return out
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _character_table(p):
+    """bytes t with t[g] = 1 + (g/p), the number of y in F_p with y^2 = g."""
+    table = bytearray(p)
+    table[0] = 1
+    for x in range(1, (p + 1) // 2):
+        table[x * x % p] = 2
+    return bytes(table)
+
+
 @lru_cache(maxsize=TRACE_CACHE_SIZE)
 def trace_of_frobenius(model, p):
     """a_p = p + 1 - #E(F_p) at an odd prime p of good reduction.
 
     Counting runs over the minimal model.  Per x, the number of points is
-    1 + chi(g(x)) where g = 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square
-    in y), so one pass with a quadratic-residue table suffices.  Cached per
-    (model, p): the image scans of one curve at its many p read the same
-    small-ell traces.
+    1 + (g(x)/p) where g = 4x^3 + b2 x^2 + 2 b4 x + b6 (complete the square
+    in y), read from the character table of p, so a_p = p - sum over x.
+    The tables of p <= TABLE_CACHE_BOUND are cached; a larger p's is built
+    for its one count.  Cached per (model, p): the image scans of one curve
+    at its many p read the same small-ell traces.
     """
     require_analyzable_prime(p)
     m = minimal_model(model)
     inv = compute_invariants(m)
     if inv.disc % p == 0:
         raise BadReductionAtP(f"{m} has bad reduction at {p}")
-    is_qr = bytearray(p)
-    for x in range(1, (p + 1) // 2):
-        is_qr[x * x % p] = 1
-    b2, b4, b6 = inv.b2 % p, inv.b4 % p, inv.b6 % p
-    total = 0
-    for x in range(p):
-        g = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        if g == 0:
-            continue
-        total += 1 if is_qr[g] else -1
-    a_p = -total
+    table = _character_table(p) if p <= TABLE_CACHE_BOUND else _character_table.__wrapped__(p)
+    b2, two_b4, b6 = inv.b2 % p, 2 * inv.b4 % p, inv.b6 % p
+    a_p = p
+    for lo in range(0, p, _COUNT_CHUNK):
+        xs = range(lo, min(lo + _COUNT_CHUNK, p))
+        a_p -= sum([table[(((4 * x + b2) * x + two_b4) * x + b6) % p] for x in xs])
     if a_p * a_p > 4 * p:
         raise ArithmeticError(f"a_{p} = {a_p} breaks the Hasse bound")
     return a_p

@@ -65,8 +65,8 @@ _B_TEXT_CONVERSE = (
 _COROLLARY_NOTE = "conclusion clause (Sha[p] rank / Mordell-Weil rank) evaluated separately"
 
 # (id, printed statement) of each condition, and the four ledgers built from
-# them as (theorem, conditions, notes): the Corollary has Main's conditions,
-# and the finiteness lemma is the converse theorem without (d).
+# them as (theorem, conditions, condition ids, notes): the Corollary has
+# Main's conditions, and the finiteness lemma is the converse theorem without (d).
 _A = ("a", "(a) good reduction at p")
 _B_MAIN = ("b", _B_TEXT_MAIN)
 _B_CONVERSE = ("b", _B_TEXT_CONVERSE)
@@ -74,11 +74,14 @@ _C = ("c", "(c) every Tamagawa number c_v, v != p, is prime to p")
 _D = ("d", "(d) E[p] is an irreducible Galois module")
 _MAIN_CONDITIONS = (_A, _B_MAIN, _C, _D)
 _CONVERSE_CONDITIONS = (_A, _B_CONVERSE, _C, _D)
-_LEDGER_TABLE = (
-    (MAIN, _MAIN_CONDITIONS, ()),
-    (COROLLARY, _MAIN_CONDITIONS, (_COROLLARY_NOTE,)),
-    (LEMMA_FIN, _CONVERSE_CONDITIONS[:3], (B_DISCREPANCY_NOTE,)),
-    (MAIN_CONV, _CONVERSE_CONDITIONS, (B_DISCREPANCY_NOTE,)),
+_LEDGER_TABLE = tuple(
+    (theorem, conditions, frozenset(cid for cid, _ in conditions), notes)
+    for theorem, conditions, notes in (
+        (MAIN, _MAIN_CONDITIONS, ()),
+        (COROLLARY, _MAIN_CONDITIONS, (_COROLLARY_NOTE,)),
+        (LEMMA_FIN, _CONVERSE_CONDITIONS[:3], (B_DISCREPANCY_NOTE,)),
+        (MAIN_CONV, _CONVERSE_CONDITIONS, (B_DISCREPANCY_NOTE,)),
+    )
 )
 
 # (status, evidence) of the (b) row for each wild-ramification status
@@ -143,10 +146,11 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
             "status": status,
             "evidence": evidence,
         }
+    met = {cid for cid, (status, _) in found.items() if status in (HOLDS, ASSUMED)}
     ledgers = {}
-    for theorem, conditions, notes in _LEDGER_TABLE:
+    for theorem, conditions, ids, notes in _LEDGER_TABLE:
         ledgers[theorem] = {
-            "applicable": all(found[cid][0] in (HOLDS, ASSUMED) for cid, _ in conditions),
+            "applicable": ids <= met,
             "conditions": [rows[condition] for condition in conditions],
             "notes": list(notes),
         }
@@ -290,21 +294,21 @@ def certificate_to_json(doc):
 
 
 def _write(value, newline, out, written):
-    """Append value's pieces to out.  written maps (id, indentation) of each
-    container already written as a list item to its slice of out."""
+    """Append value's pieces to out, each scalar item in one piece with its
+    separator (and key).  written maps (id, indentation) of each container
+    already written as a list item to its slice of out."""
     add = out.append
     if isinstance(value, list):
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
-            add(sep)
-            sep = "," + inner
             kind = type(item)
             if kind is str:
-                add(_quote(item))
+                add(f"{sep}{_quote(item)}")
             elif kind is int:
-                add(int.__repr__(item))
+                add(f"{sep}{item}")
             elif kind is dict or kind is list:
+                add(sep)
                 key = (id(item), len(inner))
                 piece = written.get(key)
                 if piece is None:
@@ -314,7 +318,9 @@ def _write(value, newline, out, written):
                 else:
                     out.extend(out[piece[0] : piece[1]])
             else:
+                add(sep)
                 _write(item, inner, out, written)
+            sep = "," + inner
         add(newline + "]" if value else "[]")
     elif isinstance(value, dict):
         inner = newline + "  "
@@ -324,11 +330,15 @@ def _write(value, newline, out, written):
                 raise TypeError(f"certificate key {key!r} is not a str")
             kind = type(item)
             if kind is str:
-                add(sep + _quote(key) + ": " + _quote(item))
+                add(f"{sep}{_quote(key)}: {_quote(item)}")
             elif kind is int:
-                add(sep + _quote(key) + ": " + int.__repr__(item))
+                add(f"{sep}{_quote(key)}: {item}")
+            elif item is None:
+                add(f"{sep}{_quote(key)}: null")
+            elif kind is bool:
+                add(f"{sep}{_quote(key)}: {'true' if item else 'false'}")
             else:
-                add(sep + _quote(key) + ": ")
+                add(f"{sep}{_quote(key)}: ")
                 _write(item, inner, out, written)
             sep = "," + inner
         add(newline + "}" if value else "{}")

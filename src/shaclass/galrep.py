@@ -10,13 +10,14 @@ decided from j alone, before any scan.  Division polynomials are integer
 coefficient lists, lowest degree first.
 """
 
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
 from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
 from .arith import factor, primes_up_to, require_analyzable_prime
-from .curve import brute_force_point_count, compute_invariants, minimal_model
-from .curve import trace_of_frobenius
+from .curve import CURVE_CACHE_SIZE, TABLE_CACHE_BOUND, brute_force_point_count, compute_invariants
+from .curve import minimal_model, trace_of_frobenius
 from .errors import BadReductionAtP, InvalidInput
 
 SURJECTIVE_CERTIFIED = "SurjectiveCertified"
@@ -29,7 +30,8 @@ NONSPLIT_CARTAN_NORMALIZER = "NonsplitCartanNormalizer"
 EXCEPTIONAL = "Exceptional"
 ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEPTIONAL)
 
-SCAN_BOUND = 1000  # every scan takes the good primes up to here
+SCAN_BOUND = TABLE_CACHE_BOUND  # every scan takes the good primes up to here, whose character tables stay cached
+PRIME_CACHE_SIZE = 1024  # values of p whose p - 1 stays factored; a corpus pass reads 24
 FACTOR_SEARCH_MAX_P = 13  # up to here a standing Borel class sends the scan to psi_p's factors
 SCAN_PREFIX = 10  # good primes scanned before a standing Borel class does so
 
@@ -45,11 +47,22 @@ class ImageCertificate(NamedTuple):
 def a_ell(model, ell):
     """Trace of Frobenius at any good prime, including ell = 2."""
     if ell == 2:
-        m = minimal_model(model)
-        if compute_invariants(m).disc % 2 == 0:
-            raise BadReductionAtP(f"{m} has bad reduction at 2")
-        return 3 - brute_force_point_count(m, 2)
+        return _trace_at_2(minimal_model(model))
     return trace_of_frobenius(model, ell)
+
+
+@lru_cache(maxsize=CURVE_CACHE_SIZE)
+def _trace_at_2(m):
+    """a_2 = 3 - #E(F_2) of a minimal model, by counting points."""
+    if compute_invariants(m).disc % 2 == 0:
+        raise BadReductionAtP(f"{m} has bad reduction at 2")
+    return 3 - brute_force_point_count(m, 2)
+
+
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
+def _unit_primes(p):
+    """The primes of p - 1, the order of (Z/p)^x."""
+    return tuple(factor(p - 1))
 
 
 def certify_image(model, p):
@@ -88,7 +101,7 @@ def certify_image(model, p):
     witnesses = []
     frobenius = []
     det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
-    unit_primes = factor(p - 1)
+    unit_primes = _unit_primes(p)
     psi3 = _division_polynomial(m, 3)[3] if p == 3 else None
     prefix = None  # what a factor of psi_p found on the first SCAN_PREFIX primes certifies
 

@@ -36,6 +36,12 @@ DEFAULT_TIMEOUT = 10.0
 
 _REQUIRED_REMOTE_FIELDS = ("label", "ainvs", "rank", "torsion_structure")
 
+# E(Q)_tors as invariant factors n1 | n2: Z/n for n <= 10 or n = 12, and
+# Z/2 x Z/2n for n <= 4, and nothing else (Mazur, Publ. Math. IHES 47, 1977)
+MAZUR_TORSION = frozenset(
+    [(), *((n,) for n in (*range(1, 11), 12)), *((2, 2 * n) for n in range(1, 5))]
+)
+
 
 def valid_label(label):
     return LABEL_RE.fullmatch(label) is not None
@@ -62,8 +68,11 @@ class ExternalCurveRecord(_RecordFields):
             raise InvalidInput("mw_rank must be nonnegative")
         if self.sha_order is not None and self.sha_order <= 0:
             raise InvalidInput("sha_order must be positive")
-        if min(self.torsion_structure, default=1) < 1:
-            raise InvalidInput(f"torsion_structure {self.torsion_structure} has a factor below 1")
+        if tuple(self.torsion_structure) not in MAZUR_TORSION:
+            raise InvalidInput(
+                f"torsion_structure {self.torsion_structure} is no torsion group over Q: "
+                "Mazur's list is Z/n (n <= 10 or 12) and Z/2 x Z/2n (n <= 4)"
+            )
         if self.sha_structure is not None and min(self.sha_structure, default=1) < 1:
             raise InvalidInput(f"sha_structure {self.sha_structure} has a factor below 1")
         if self.sha_structure is not None and self.sha_order is not None:

@@ -466,6 +466,24 @@ class TestAnalyze:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_fixture_with_impossible_torsion_is_invalid_input(self, capsys, tmp_path):
+        # no curve over Q has three torsion factors; read as written, 5,5,5
+        # made 11a1 at 5 print Selmer dim 3
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "11a1.txt").write_text(
+            "label = 11a1\nainvs = 0,-1,1,-10,-20\nmw_rank = 0\ntorsion_structure = 5,5,5\nsha_order = 1\n"
+        )
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", "5", "--offline",
+            "--fixtures", str(fixtures), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == (
+            "error: torsion_structure (5, 5, 5) is no torsion group over Q: "
+            "Mazur's list is Z/n (n <= 10 or 12) and Z/2 x Z/2n (n <= 4)\n"
+        )
+
     def test_fixture_filed_under_another_label_is_invalid_input(self, capsys, tmp_path):
         # 11a1.txt holding 37a1's record must not print a certificate labelled 11a1
         fixtures = tmp_path / "fixtures"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from shaclass import curve
 from shaclass.arith import factor
@@ -292,11 +292,24 @@ class TestPointCounting:
             )
             assert diff % 5 == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*[st.integers(-9, 9)] * 5),
+        st.sampled_from([p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2))]),
+    )
+    def test_trace_matches_brute_force_on_random_models(self, ainvs, p):
+        """The character-table count equals the double loop over F_p x F_p."""
+        assume(discriminant_from_b(*b_invariants(*ainvs)) != 0)
+        mm = minimal_model(CurveModel(*ainvs))
+        assume(compute_invariants(mm).disc % p)
+        assert trace_of_frobenius(CurveModel(*ainvs), p) == p + 1 - brute_force_point_count(mm, p)
+
     def test_count_beyond_hasse_bound_raises(self, monkeypatch):
-        # every value a square: a_p = -(p - #roots of g), far past 2 sqrt(p);
-        # a trace cached by an earlier test would skip the count
+        # a character table with every nonzero value a square gives
+        # a_p = -(p - #roots of g), far past 2 sqrt(p); a trace cached by an
+        # earlier test would skip the count
         trace_of_frobenius.cache_clear()
-        monkeypatch.setattr(curve, "bytearray", lambda n: bytearray(b"\x01" * n), raising=False)
+        monkeypatch.setattr(curve, "_character_table", lambda p: b"\x01" + b"\x02" * (p - 1))
         with pytest.raises(ArithmeticError, match="Hasse bound"):
             trace_of_frobenius(CURVE_11A1, 97)
 

@@ -262,7 +262,7 @@ def sha_records(draw):
         label="x1a1",
         ainvs=None,
         mw_rank=draw(st.integers(0, 3)),
-        torsion_structure=draw(st.sampled_from([(), (3,), (5,), (7,), (3, 3)])),
+        torsion_structure=draw(st.sampled_from([(), (3,), (5,), (7,)])),
         sha_order=draw(st.sampled_from([None, order])),
         sha_structure=tuple(factors) if kind == "structure" else None,
         sha_p_ranks=ranks,
@@ -461,6 +461,38 @@ class TestCertificates:
         cert = analyze(CURVE_11A1, 5, record=record, label="11a1")
         assert cert["bounds"] is None
         assert cert["unramified_extension_exists"] == "Unknown"
+
+    def test_sweep_pass_computes_curve_and_prime_constants_once(self, monkeypatch):
+        """One pass over the 1,203 golden corpus jobs from cleared caches, as
+        each benchmark sweep pass starts, factors p - 1 once per p and counts
+        #E(F_2) once per curve good at 2: 130 factor calls (53 minimal models,
+        53 local data, 24 values of p - 1) and 26 point counts at 2."""
+        table = json.loads((DATA_DIR / "golden" / "certificates.json").read_text())
+        jobs = [(label, int(p)) for label, by_p in table["corpus"].items() for p in by_p]
+        assert (len(jobs), len({label for label, _ in jobs}), len({p for _, p in jobs})) == (1203, 53, 24)
+        calls = {"factor": 0, "count at 2": 0}
+        factor, count = shaclass.arith.factor, brute_force_point_count
+
+        def counted_factor(n):
+            calls["factor"] += 1
+            return factor(n)
+
+        def counted_count(model, p):
+            calls["count at 2"] += p == 2
+            return count(model, p)
+
+        modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is factor:
+                    monkeypatch.setattr(module, attr, counted_factor)
+                elif value is count:
+                    monkeypatch.setattr(module, attr, counted_count)
+                elif callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+        for label, p in jobs:
+            analyze(CurveModel(*CORPUS[label]), p, label=label)
+        assert calls == {"factor": 130, "count at 2": 26}
 
     def test_golden_certificates(self, gen_golden):
         """JSON and text certificates hash to the digests of the committed table."""

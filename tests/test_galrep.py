@@ -15,6 +15,7 @@ from shaclass.arith import legendre, primes_up_to
 from shaclass.curve import (
     CurveModel,
     b_invariants,
+    brute_force_point_count,
     compute_invariants,
     discriminant_from_b,
     minimal_model,
@@ -168,6 +169,20 @@ class TestCertifyImage:
                         "image_witnesses": [list(w) for w in cert.witnesses],
                     }
             assert rows == golden[label], label
+
+    def test_a_2_matches_point_count_on_small_models(self, gen_golden):
+        """a_ell at 2, cached per minimal model, is 3 - #E(F_2) on every small
+        model good at 2 and refuses every one bad at 2."""
+        galrep._trace_at_2.cache_clear()
+        good = 0
+        for m in gen_golden.small_models():
+            if compute_invariants(m).disc % 2:
+                assert a_ell(m, 2) == 3 - brute_force_point_count(m, 2), m
+                good += 1
+            else:
+                with pytest.raises(BadReductionAtP):
+                    a_ell(m, 2)
+        assert galrep._trace_at_2.cache_info().currsize == good > 0
 
     def test_golden_small_model_images(self, gen_golden):
         """Image tuples of the small models at each good p in {3, 5, 7, 11, 13}

@@ -7,8 +7,11 @@ import pytest
 
 import shaclass.cli  # noqa: F401  every module, for the cache census below
 from shaclass.arith import PRIME_TABLE_CACHE_SIZE, legendre, primes_up_to, valuation
+from shaclass import curve, galrep
 from shaclass.curve import (
     CURVE_CACHE_SIZE,
+    TABLE_CACHE_BOUND,
+    TABLE_CACHE_SIZE,
     TRACE_CACHE_SIZE,
     CurveModel,
     b_invariants,
@@ -18,7 +21,7 @@ from shaclass.curve import (
     trace_of_frobenius,
 )
 from shaclass.errors import InvalidInput, SingularModel
-from shaclass.galrep import a_ell
+from shaclass.galrep import PRIME_CACHE_SIZE, a_ell
 from shaclass.localred import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULTIPLICATIVE,
@@ -410,7 +413,8 @@ def test_local_data_is_one_read_only_mapping():
 
 def test_caches_stay_within_their_bounds():
     """Every functools cache of the program has a bound, and more distinct
-    models (or prime-table limits) than it leave each cache at that bound."""
+    models (or primes, or prime-table limits) than it leave each cache at
+    that bound; character tables are kept only up to the scan bound."""
     modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("shaclass.")]
     caches = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_parameters")}
     assert len(caches) >= 5
@@ -428,6 +432,18 @@ def test_caches_stay_within_their_bounds():
     for limit in range(100, 110 + PRIME_TABLE_CACHE_SIZE):
         primes_up_to(limit)
     assert primes_up_to.cache_info().currsize == PRIME_TABLE_CACHE_SIZE
+    for model in models:
+        a_ell(model, 2)  # disc is odd: every model is good at 2
+    assert galrep._trace_at_2.cache_info().currsize == CURVE_CACHE_SIZE
+    for p in primes_up_to(20000)[1 : PRIME_CACHE_SIZE + 51]:
+        galrep._unit_primes(p)
+    assert galrep._unit_primes.cache_info().currsize == PRIME_CACHE_SIZE
+    # one table per odd prime up to the scan bound, and none for a larger p
+    odd = primes_up_to(TABLE_CACHE_BOUND)[1:]
+    assert len(odd) <= TABLE_CACHE_SIZE
+    for p in odd + (1009, 1013):
+        trace_of_frobenius(next(m for m in models if m.discriminant() % p), p)
+    assert curve._character_table.cache_info().currsize == len(odd)
 
 
 def test_nonminimal_input_handled():

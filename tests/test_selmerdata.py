@@ -18,6 +18,7 @@ from shaclass.errors import (
 )
 from shaclass.selmerdata import (
     LOCAL_FIXTURE,
+    MAZUR_TORSION,
     OFFLINE_ONLY,
     REMOTE_FIRST,
     USER_SUPPLIED,
@@ -480,6 +481,26 @@ class TestRecordValidation:
         text += "torsion_structure = " + ",".join(map(str, torsion)) + "\n"
         with pytest.raises(InvalidInput):
             parse_record_text(text, LOCAL_FIXTURE)
+
+    @pytest.mark.parametrize(
+        "torsion",
+        # three factors, n1 not dividing n2, and shapes n1 | n2 that no curve over Q has
+        [(5, 5, 5), (2, 2, 2), (2, 3), (4, 2), (11,), (3, 3), (2, 10), (1, 5)],
+    )
+    def test_torsion_outside_mazurs_list_rejected(self, torsion):
+        with pytest.raises(InvalidInput, match="no torsion group over Q"):
+            ExternalCurveRecord("x1a1", None, 0, torsion, 1, None)
+        text = "label = x1a1\nmw_rank = 0\nsha_order = 1\n"
+        text += "torsion_structure = " + ",".join(map(str, torsion)) + "\n"
+        with pytest.raises(InvalidInput, match="no torsion group over Q"):
+            parse_record_text(text, LOCAL_FIXTURE)
+
+    def test_every_torsion_group_over_q_accepted(self):
+        # Mazur: Z/n for n <= 10 or 12, Z/2 x Z/2n for n <= 4, and the trivial group
+        shapes = [(), *((n,) for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)), (2, 2), (2, 4), (2, 6), (2, 8)]
+        for torsion in shapes:
+            assert ExternalCurveRecord("x1a1", None, 0, torsion, 1, None).torsion_structure == torsion
+        assert MAZUR_TORSION == frozenset(shapes)
 
     def test_sha_p_rank_resolution_order(self):
         rec = ExternalCurveRecord(
