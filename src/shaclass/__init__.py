@@ -48,38 +48,4 @@ from .engine import (
     wild_ramification_status,
 )
 
-__all__ = [
-    "CurveModel",
-    "Invariants",
-    "compute_invariants",
-    "detect_cm",
-    "minimal_model",
-    "parse_curve_spec",
-    "trace_of_frobenius",
-    "LocalReductionData",
-    "bad_primes",
-    "compute_t_set",
-    "local_data",
-    "tamagawa_unit_check",
-    "tate_algorithm",
-    "ImageCertificate",
-    "certify_image",
-    "division_polynomial",
-    "MatrixGroup",
-    "central_scalar_shortcut",
-    "close_group",
-    "h0",
-    "h1",
-    "h1_cyclic",
-    "ExternalCurveRecord",
-    "SelmerScenario",
-    "fetch_curve_record",
-    "selmer_rank_scenarios",
-    "analyze",
-    "certificate_to_json",
-    "certificate_to_text",
-    "evaluate_hypotheses",
-    "wild_ramification_status",
-]
-
 __version__ = "0.1.0"

@@ -291,15 +291,10 @@ def _pdivmod(f, g, m):
     return q, r
 
 
-def _prem(f, g, p):
-    """Remainder of f modulo g over F_p (g nonzero)."""
-    return _pdivmod(f, g, p)[1]
-
-
 def _pgcd(f, g, p):
     f, g = _ptrim(f, p), _ptrim(g, p)
     while g:
-        f, g = g, _prem(f, g, p)
+        f, g = g, _pdivmod(f, g, p)[1]
     if f:
         inv = pow(f[-1], -1, p)
         f = [c * inv % p for c in f]
@@ -308,7 +303,7 @@ def _pgcd(f, g, p):
 
 def _pinvmod(a, h, p):
     """Inverse of a modulo h over F_p; raises ArithmeticError unless gcd(a, h) = 1."""
-    r0, r1 = _ptrim(h, p), _prem(a, h, p)
+    r0, r1 = _ptrim(h, p), _pdivmod(a, h, p)[1]
     s0, s1 = [], [1]  # r_i = s_i a mod h
     while r1:
         q, r = _pdivmod(r0, r1, p)
@@ -325,8 +320,8 @@ def _ppow(b, e, f, p):
     out = [1]
     while e:
         if e & 1:
-            out = _prem(_zmul(out, b), f, p)
-        b = _prem(_zmul(b, b), f, p)
+            out = _pdivmod(_zmul(out, b), f, p)[1]
+        b = _pdivmod(_zmul(b, b), f, p)[1]
         e >>= 1
     return out
 

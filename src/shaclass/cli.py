@@ -27,7 +27,6 @@ from .localred import local_data, tate_algorithm
 from .selmerdata import (
     OFFLINE_ONLY,
     REMOTE_FIRST,
-    ExternalCurveRecord,
     apply_user_overrides,
     default_config,
     fetch_curve_record,
@@ -121,31 +120,15 @@ def _resolve_curve(args, label=None, config=None):
     return CurveModel(*record.ainvs), record, label
 
 
-def _user_overrides(args, model, record):
+def _analyze_one(args, label=None, config=None):
+    model, record, label = _resolve_curve(args, label, config)
     structure = None
     if args.sha_structure:
         try:
             structure = tuple(ascii_int(s.strip()) for s in args.sha_structure.split(","))
         except ValueError as err:
             raise InvalidInput(f"bad --sha-structure {args.sha_structure!r}") from err
-    if record is None:
-        if args.mw_rank is None and args.sha_order is None and structure is None:
-            return None
-        if args.mw_rank is None:
-            # no record to read it from: 0 would be an invented rank
-            raise InvalidInput("--curve with --sha-order or --sha-structure needs --mw-rank")
-        record = ExternalCurveRecord("user-curve", model.ainvs(), args.mw_rank, (), None, None)
-    return apply_user_overrides(
-        record,
-        mw_rank=args.mw_rank,
-        sha_order=args.sha_order,
-        sha_structure=structure,
-    )
-
-
-def _analyze_one(args, label=None, config=None):
-    model, record, label = _resolve_curve(args, label, config)
-    record = _user_overrides(args, model, record)
+    record = apply_user_overrides(record, args.mw_rank, args.sha_order, structure, model.ainvs())
     cert = analyze(
         model,
         args.p,

@@ -24,8 +24,7 @@ def mat_det(m, p):
     return (m[0] * m[3] - m[1] * m[2]) % p
 
 
-def identity_matrix():
-    return (1, 0, 0, 1)
+IDENTITY = (1, 0, 0, 1)
 
 
 def mat_order(m, p):
@@ -34,8 +33,7 @@ def mat_order(m, p):
     if mat_det(m, p) == 0:
         raise InvalidInput("matrix is not invertible mod p")
     k, acc = 1, m
-    ident = identity_matrix()
-    while acc != ident:
+    while acc != IDENTITY:
         acc = mat_mul(acc, m, p)
         k += 1
     return k
@@ -60,10 +58,9 @@ def close_group(generators, p, cap=DEFAULT_GROUP_CAP):
     for g in gens:
         if mat_det(g, p) == 0:
             raise InvalidInput(f"generator {g} is singular mod {p}")
-    ident = identity_matrix()
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
+    seen = {IDENTITY}
+    order = [IDENTITY]
+    frontier = [IDENTITY]
     while frontier:
         nxt = []
         for e in frontier:
@@ -128,8 +125,8 @@ def h1(group):
     ncols = 2 * len(gens)
     # f(e) as two rows of linear forms in the unknowns; f(g_j) is the pair
     # of unknowns at columns 2j and 2j + 1
-    value = {identity_matrix(): ([0] * ncols, [0] * ncols)}
-    frontier = [identity_matrix()]
+    value = {IDENTITY: ([0] * ncols, [0] * ncols)}
+    frontier = [IDENTITY]
     relations = []
     while frontier:
         nxt = []
@@ -168,12 +165,12 @@ def h1_cyclic(generator, order, p):
     g = tuple(x % p for x in generator)
     if mat_order(g, p) != order:
         raise InvalidInput(f"generator does not have order {order}")
-    acc = identity_matrix()
+    acc = IDENTITY
     norm = [0, 0, 0, 0]
     for _ in range(order):
         norm = [(n + a) % p for n, a in zip(norm, acc)]
         acc = mat_mul(acc, g, p)
-    if acc != identity_matrix():
+    if acc != IDENTITY:
         raise ArithmeticError(f"g^{order} is not the identity")
     n_rows = [[norm[0], norm[1]], [norm[2], norm[3]]]
     gm1 = [[g[0] - 1, g[1]], [g[2], g[3] - 1]]

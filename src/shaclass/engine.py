@@ -24,7 +24,6 @@ MAIN = "Main"
 COROLLARY = "Corollary"
 LEMMA_FIN = "LemmaFin"
 MAIN_CONV = "MainConv"
-ALL_THEOREMS = (MAIN, COROLLARY, LEMMA_FIN, MAIN_CONV)
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -389,8 +388,7 @@ def certificate_to_text(doc):
     else:
         add("  Selmer dim scenarios: unavailable (no arithmetic record)")
     add("  ledgers:")
-    for tid in ALL_THEOREMS:
-        led = doc["ledgers"][tid]
+    for tid, led in doc["ledgers"].items():
         flag = "applicable" if led["applicable"] else "NOT applicable"
         add(f"    {tid}: {flag}")
         for c in led["conditions"]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .arith import _pgcd, _ppow, _prem, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
+from .arith import _pdivmod, _pgcd, _ppow, _zmul, _zsub, count_roots_mod, legendre, lift_rational_factor
 from .arith import factor, primes_up_to, require_analyzable_prime
 from .curve import CURVE_CACHE_SIZE, TABLE_CACHE_BOUND, brute_force_point_count, compute_invariants
 from .curve import minimal_model, trace_of_frobenius
@@ -233,12 +233,12 @@ def exact_factor(model, p, frobenius):
         candidates = []
         for c in sorted(signs):
             N, D = _x_multiple(f, S, c)
-            line = _pgcd(psi, _zsub(_prem(_zmul(frob, D), psi, ell), N), ell)
+            line = _pgcd(psi, _zsub(_pdivmod(_zmul(frob, D), psi, ell)[1], N), ell)
             if len(line) - 1 == half:
                 candidates.append(line)
             elif half == 1 and len(line) == 3:
                 # p = 3, a_ell = 0 mod 3: the two eigenlines, one root each
-                candidates += [[-x, 1] for x in range(ell) if not _prem(line, [-x, 1], ell)]
+                candidates += [[-x, 1] for x in range(ell) if not _pdivmod(line, [-x, 1], ell)[1]]
         for h in candidates:
             factor = lift_rational_factor(psi, h, ell)
             if factor is not None:

@@ -323,10 +323,18 @@ def fetch_curve_record(label, mode=REMOTE_FIRST, config=None):
     return record
 
 
-def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=None):
-    """User-supplied values always win and are flagged as such."""
+def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=None, ainvs=None):
+    """User-supplied values always win and are flagged as such.
+
+    With no record, the values describe the curve with coefficients ainvs:
+    none gives None, and Sha data needs mw_rank, for 0 would be an invented rank.
+    """
     if mw_rank is None and sha_order is None and sha_structure is None:
         return record
+    if record is None:
+        if mw_rank is None:
+            raise InvalidInput("--curve with --sha-order or --sha-structure needs --mw-rank")
+        record = ExternalCurveRecord("user-curve", ainvs, mw_rank, (), None, None)
     changes = {"provenance": USER_SUPPLIED}
     if mw_rank is not None:
         changes["mw_rank"] = mw_rank

@@ -19,7 +19,7 @@ the general Weierstrass model (no division polynomial).
 from fractions import Fraction
 
 from shaclass.arith import legendre, valuation
-from shaclass.cohom import identity_matrix, mat_mul
+from shaclass.cohom import IDENTITY, mat_mul
 from shaclass.curve import compute_invariants, minimal_model
 
 
@@ -143,12 +143,12 @@ def cyclic_h1_by_counting(gen, order, p):
     def apply(m, v):
         return ((m[0] * v[0] + m[1] * v[1]) % p, (m[2] * v[0] + m[3] * v[1]) % p)
 
-    acc = identity_matrix()
+    acc = IDENTITY
     powers = []
     for _ in range(order):
         powers.append(acc)
         acc = mat_mul(acc, gen, p)
-    assert acc == identity_matrix()
+    assert acc == IDENTITY
 
     def norm(v):
         out = (0, 0)

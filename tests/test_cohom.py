@@ -3,13 +3,13 @@ import random
 import pytest
 
 from shaclass.cohom import (
+    IDENTITY,
     central_scalar_shortcut,
     close_group,
     gl2_generators,
     h0,
     h1,
     h1_cyclic,
-    identity_matrix,
     mat_det,
     mat_mul,
     mat_order,
@@ -49,7 +49,7 @@ class TestClosure:
         assert len(group) == 480 == gl2_order(5)
 
     def test_identity_only(self):
-        assert len(close_group([identity_matrix()], 5)) == 1
+        assert len(close_group([IDENTITY], 5)) == 1
 
     def test_unipotent_order_p(self):
         assert len(close_group([(1, 1, 0, 1)], 5)) == 5
@@ -73,7 +73,7 @@ class TestClosure:
 
 class TestH0:
     def test_trivial_group(self):
-        assert h0(close_group([identity_matrix()], 5)) == 2
+        assert h0(close_group([IDENTITY], 5)) == 2
 
     def test_unipotent(self):
         assert h0(close_group([(1, 1, 0, 1)], 5)) == 1
@@ -102,7 +102,7 @@ class TestH1:
         assert h1(group) == 1
 
     def test_trivial_group(self):
-        assert h1(close_group([identity_matrix()], 5)) == 0
+        assert h1(close_group([IDENTITY], 5)) == 0
 
     def test_against_full_system_oracle(self):
         cases = [
@@ -253,7 +253,7 @@ class TestRaisedChecks:
 
     def test_cocycle_missing_elements_raises(self, monkeypatch):
         group = close_group([(1, 1, 0, 1)], 5)
-        monkeypatch.setattr("shaclass.cohom.mat_mul", lambda m, n, p: identity_matrix())
+        monkeypatch.setattr("shaclass.cohom.mat_mul", lambda m, n, p: IDENTITY)
         with pytest.raises(ArithmeticError, match="cocycle reaches 1 of 5"):
             h1(group)
 

@@ -32,6 +32,7 @@ from shaclass.engine import (
     MAIN,
     MAIN_CONV,
     UNKNOWN_STATUS,
+    VACUOUS,
     analyze,
     apply_corollary,
     certificate_to_json,
@@ -40,7 +41,7 @@ from shaclass.engine import (
     wild_ramification_status,
 )
 from shaclass.errors import InsufficientData, InvalidInput, SingularModel
-from shaclass.galrep import certify_image
+from shaclass.galrep import SURJECTIVE_CERTIFIED, certify_image
 from shaclass.localred import tamagawa_unit_check
 from shaclass.selmerdata import (
     OFFLINE_ONLY,
@@ -99,6 +100,19 @@ class TestLedgers:
         statuses = {c["id"]: c["status"] for c in main["conditions"]}
         assert statuses["c"] == FAILS
         assert statuses["d"] == UNKNOWN_STATUS
+        assert not main["applicable"]
+
+    def test_bad_prime_fails_a_and_blocks_main(self):
+        # analyze refuses a bad p before the ledgers; called directly, with
+        # (b), (c) and (d) granted, (a) alone keeps Main from applying
+        ledgers = evaluate_hypotheses(
+            CURVE_11A1, 11, SURJECTIVE_CERTIFIED, VACUOUS, tamagawa_unit_check(CURVE_11A1, 11)
+        )
+        main = ledgers[MAIN]
+        a_row = main["conditions"][0]
+        assert (a_row["id"], a_row["status"]) == ("a", FAILS)
+        assert a_row["evidence"] == "p divides the minimal discriminant (bad primes [11])"
+        assert [c["status"] for c in main["conditions"][1:]] == [HOLDS] * 3
         assert not main["applicable"]
 
     def test_lemma_fin_has_three_conditions(self):

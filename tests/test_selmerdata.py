@@ -531,6 +531,20 @@ class TestOverrides:
         base = fetch_curve_record("1058d1", OFFLINE_ONLY, offline_config(tmp_path))
         assert apply_user_overrides(base) is base
 
+    def test_no_record_and_no_values_is_none(self):
+        assert apply_user_overrides(None) is None
+        assert apply_user_overrides(None, ainvs=(0, 1, 1, -2, 0)) is None
+
+    @pytest.mark.parametrize("values", [{"sha_order": 4}, {"sha_structure": (2, 2)}])
+    def test_sha_data_without_a_record_needs_mw_rank(self, values):
+        with pytest.raises(InvalidInput, match="needs --mw-rank"):
+            apply_user_overrides(None, ainvs=(0, 1, 1, -2, 0), **values)
+
+    def test_no_record_starts_a_user_curve(self):
+        rec = apply_user_overrides(None, mw_rank=1, sha_order=4, ainvs=(0, 1, 1, -2, 0))
+        assert (rec.label, rec.ainvs, rec.provenance) == ("user-curve", (0, 1, 1, -2, 0), USER_SUPPLIED)
+        assert (rec.mw_rank, rec.sha_order, rec.sha_structure, rec.torsion_structure) == (1, 4, None, ())
+
 
 class TestScenarios:
     def _record(self, **kw):
