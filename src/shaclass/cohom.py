@@ -51,7 +51,9 @@ class MatrixGroup(NamedTuple):
 
 
 def close_group(generators, p, cap=DEFAULT_GROUP_CAP):
-    """BFS closure of the generators; raises GroupTooLarge past cap, InvalidInput for a cap below 1."""
+    """BFS closure of the generators, in the order found: each element after
+    the identity is first reached as e g from an earlier e (h1 relies on this).
+    Raises GroupTooLarge past cap, InvalidInput for a cap below 1."""
     if cap < 1:  # the identity alone would exceed it
         raise InvalidInput(f"cap must be at least 1, got {cap}")
     gens = tuple(tuple(x % p for x in g) for g in generators)
@@ -115,10 +117,10 @@ def h0(group):
 def h1(group):
     """dim Z^1 - dim B^1 on F_p^2.
 
-    Cocycle values on generators are the unknowns; BFS over the
-    multiplication table expresses f(e) for every element e as a linear
-    map of those unknowns, and each Cayley edge contributes the relation
-    f(e g) = f(e) + e f(g).
+    Cocycle values on generators are the unknowns.  group.elements is in
+    close_group's breadth-first order, so walking it sets f(e g) from the
+    first edge that reaches e g, before e g is walked; each other Cayley
+    edge contributes the relation f(e g) = f(e) + e f(g).
     """
     p = group.p
     gens = group.generators
@@ -126,33 +128,28 @@ def h1(group):
     # f(e) as two rows of linear forms in the unknowns; f(g_j) is the pair
     # of unknowns at columns 2j and 2j + 1
     value = {IDENTITY: ([0] * ncols, [0] * ncols)}
-    frontier = [IDENTITY]
     relations = []
-    while frontier:
-        nxt = []
-        for e in frontier:
-            a, b, c, d = e
-            f0, f1 = value[e]
-            for j, g in enumerate(gens):
-                target = mat_mul(e, g, p)
-                # f(e) + e f(g_j)
-                row0 = list(f0)
-                row1 = list(f1)
-                row0[2 * j] = (row0[2 * j] + a) % p
-                row0[2 * j + 1] = (row0[2 * j + 1] + b) % p
-                row1[2 * j] = (row1[2 * j] + c) % p
-                row1[2 * j + 1] = (row1[2 * j + 1] + d) % p
-                if target not in value:
-                    value[target] = (row0, row1)
-                    nxt.append(target)
-                else:
-                    for expected, known in zip((row0, row1), value[target]):
-                        row = [(x - y) % p for x, y in zip(expected, known)]
-                        if any(row):
-                            relations.append(row)
-        frontier = nxt
-    if len(value) != len(group.elements):
-        raise ArithmeticError(f"cocycle reaches {len(value)} of {len(group.elements)} elements")
+    for e in group.elements:
+        if e not in value:
+            raise ArithmeticError(f"cocycle reaches {len(value)} of {len(group.elements)} elements")
+        a, b, c, d = e
+        f0, f1 = value[e]
+        for j, g in enumerate(gens):
+            target = mat_mul(e, g, p)
+            # f(e) + e f(g_j)
+            row0 = list(f0)
+            row1 = list(f1)
+            row0[2 * j] = (row0[2 * j] + a) % p
+            row0[2 * j + 1] = (row0[2 * j + 1] + b) % p
+            row1[2 * j] = (row1[2 * j] + c) % p
+            row1[2 * j + 1] = (row1[2 * j + 1] + d) % p
+            if target not in value:
+                value[target] = (row0, row1)
+            else:
+                for expected, known in zip((row0, row1), value[target]):
+                    row = [(x - y) % p for x, y in zip(expected, known)]
+                    if any(row):
+                        relations.append(row)
     dim_z1 = ncols - _rank_mod_p(relations, p)
     dim_b1 = 2 - h0(group)
     if dim_z1 < dim_b1:

@@ -169,15 +169,8 @@ def minimal_model(model):
     inv = compute_invariants(model)
     c4, c6, disc = inv.c4, inv.c6, inv.disc
 
-    if c4 != 0 and c6 != 0:
-        candidates = factor(gcd(abs(c4), abs(c6)))
-    elif c4 == 0:
-        candidates = factor(abs(c6))
-    else:
-        candidates = factor(abs(c4))
-
     exps = {}
-    for q in candidates:
+    for q in factor(gcd(c4, c6)):  # gcd(0, c) = |c|
         e = valuation(disc, q) // 12
         if c4 != 0:
             e = min(e, valuation(c4, q) // 4)

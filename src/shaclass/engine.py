@@ -209,19 +209,17 @@ def analyze(
 
     # Per-scenario bounds max(0, d - 1) <= dim Hom_G(Cl_K/pCl_K, E[p]) <= d + #T,
     # each side only under its own applicable ledger.
-    lower = upper = None
-    equality = False
-    corollary_answer = UNKNOWN_ANSWER
-    if scenario is not None and ledgers[MAIN]["applicable"]:
-        lower = {d: max(0, d - 1) for d in scenario.possible_dims}
-        corollary_answer = apply_corollary(record.mw_rank, scenario, assume_sha_finite)
-    if scenario is not None and ledgers[MAIN_CONV]["applicable"]:
-        upper = {d: d + len(t_set) for d in scenario.possible_dims}
-        equality = not t_set
-    if lower is not None and upper is not None:
-        for d in lower:
-            if lower[d] > upper[d]:
-                raise ArithmeticError(f"lower bound {lower[d]} exceeds upper bound {upper[d]}")
+    main = scenario is not None and ledgers[MAIN]["applicable"]
+    converse = scenario is not None and ledgers[MAIN_CONV]["applicable"]
+    bounds = None
+    if main or converse:
+        bounds = {}
+        for d in scenario.possible_dims:
+            lower = max(0, d - 1) if main else None
+            upper = d + len(t_set) if converse else None
+            if main and converse and lower > upper:
+                raise ArithmeticError(f"lower bound {lower} exceeds upper bound {upper}")
+            bounds[str(d)] = {"lower": lower, "upper": upper}
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -258,17 +256,11 @@ def analyze(
             "provenance": record.provenance,
         },
         "ledgers": ledgers,
-        "bounds": None
-        if lower is None and upper is None
-        else {
-            str(d): {
-                "lower": None if lower is None else lower.get(d),
-                "upper": None if upper is None else upper.get(d),
-            }
-            for d in scenario.possible_dims
-        },
-        "unramified_extension_exists": corollary_answer,
-        "equality_note": equality,
+        "bounds": bounds,
+        "unramified_extension_exists": apply_corollary(record.mw_rank, scenario, assume_sha_finite)
+        if main
+        else UNKNOWN_ANSWER,
+        "equality_note": converse and not t_set,
         "assumptions": assumptions,
         "notes": notes,
     }

@@ -37,7 +37,6 @@ SCAN_PREFIX = 10  # good primes scanned before a standing Borel class does so
 
 
 class ImageCertificate(NamedTuple):
-    p: int
     status: str
     witnesses: tuple
     ruled_out: frozenset
@@ -95,7 +94,7 @@ def certify_image(model, p):
     if inv.disc % p == 0:
         raise BadReductionAtP(f"bad reduction at {p}")
     if inv.cm_discriminant() is not None:
-        return ImageCertificate(p, SMALL_IMAGE_CERTIFIED, (), frozenset(), BOREL)
+        return ImageCertificate(SMALL_IMAGE_CERTIFIED, (), frozenset(), BOREL)
 
     ruled_out = set()
     witnesses = []
@@ -148,9 +147,7 @@ def certify_image(model, p):
         if (len(ruled_out), det_order) != before:  # a class or a determinant is new
             witnesses.append((ell, a_mod, d_mod))
         if det_order == p - 1 and len(ruled_out) == 4:
-            return ImageCertificate(
-                p, SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out)
-            )
+            return ImageCertificate(SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out))
         if p <= FACTOR_SEARCH_MAX_P and BOREL not in ruled_out:
             # full image acts transitively on the (p^2-1)/2 x-coordinates of
             # p-torsion, so a factor of psi_p over Q certifies a proper image.
@@ -158,7 +155,7 @@ def certify_image(model, p):
             # line, so a chi = -1 witness at a later prime proves that the
             # lift on the prefix would find none.
             if len(frobenius) == SCAN_PREFIX:
-                prefix = _unsurjective(p, SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
+                prefix = _unsurjective(SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
             elif len(frobenius) == 2 * SCAN_PREFIX:
                 if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
                     return prefix
@@ -170,7 +167,7 @@ def certify_image(model, p):
     status = INCONCLUSIVE
     if p <= FACTOR_SEARCH_MAX_P and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
         status = SMALL_IMAGE_CERTIFIED
-    return _unsurjective(p, status, witnesses, ruled_out)
+    return _unsurjective(status, witnesses, ruled_out)
 
 
 def _unit_order(d, p, primes):
@@ -182,10 +179,10 @@ def _unit_order(d, p, primes):
     return n
 
 
-def _unsurjective(p, status, witnesses, ruled_out):
+def _unsurjective(status, witnesses, ruled_out):
     missing = [c for c in ALL_CLASSES if c not in ruled_out]
     first = missing[0] if missing else "DetNotWitnessed"
-    return ImageCertificate(p, status, tuple(witnesses), frozenset(ruled_out), first)
+    return ImageCertificate(status, tuple(witnesses), frozenset(ruled_out), first)
 
 
 def _x_multiple(f, S, c):

@@ -32,7 +32,6 @@ MULTIPLICATIVE_CLASSES = (SPLIT_MULTIPLICATIVE, NONSPLIT_MULTIPLICATIVE)
 
 
 class LocalReductionData(NamedTuple):
-    v: int
     kodaira: str
     reduction_class: str
     c_v: int
@@ -117,7 +116,7 @@ def tate_algorithm(model, v):
     inv = compute_invariants(m)
     c4, disc = inv.c4, inv.disc
     if disc % p != 0:
-        return LocalReductionData(p, "I0", GOOD, 1, 0, 0, 0)
+        return LocalReductionData("I0", GOOD, 1, 0, 0, 0)
     n = valuation(disc, p)
     if c4 == 0:
         val_j_den = 0  # j = 0 is integral
@@ -138,16 +137,14 @@ def tate_algorithm(model, v):
             cls, c = SPLIT_MULTIPLICATIVE, n
         else:
             cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
-        return LocalReductionData(p, f"I{n}", cls, c, n, n, 1)
+        return LocalReductionData(f"I{n}", cls, c, n, n, 1)
 
     add_class = (
         ADDITIVE_POT_MULTIPLICATIVE if val_j_den > 0 else ADDITIVE_POT_GOOD
     )
 
     def done(kod, c, ncomp):
-        return LocalReductionData(
-            p, kod, add_class, c, n, val_j_den, n - ncomp + 1
-        )
+        return LocalReductionData(kod, add_class, c, n, val_j_den, n - ncomp + 1)
 
     if ai2[4] % p**2:
         return done("II", 1, 1)

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -226,6 +227,35 @@ def test_factor_too_hard_guard():
     n = (2**89 - 1) * (2**107 - 1)
     with pytest.raises(FactorizationTooHard):
         factor(n)
+
+
+def _rho_with_gcds(monkeypatch, n):
+    """_pollard_rho(n) and every gcd it took, in order."""
+    seen = []
+
+    def spy(a, b):
+        seen.append(math.gcd(a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(arith, "gcd", spy)
+    return arith._pollard_rho(n), seen
+
+
+def test_rho_backtracks_when_a_batch_gcd_is_n(monkeypatch):
+    # the batched product is 0 mod 21, so the batch is redone one gcd at a time
+    assert _rho_with_gcds(monkeypatch, 21) == (7, [1, 21, 7])
+
+
+def test_rho_reseeds_when_the_backtrack_also_reaches_n(monkeypatch):
+    # from seed 1 the walk closes mod 3 and mod 13 at the same step; seed 2 splits 39
+    assert _rho_with_gcds(monkeypatch, 39) == (3, [1, 39, 1, 39, 1, 3])
+
+
+def test_rho_splits_every_small_odd_semiprime():
+    primes = list(sympy.primerange(3, 400))
+    for i, a in enumerate(primes):
+        for b in primes[i + 1:]:
+            assert arith._pollard_rho(a * b) in (a, b), (a, b)
 
 
 def test_rho_step_budget_ends_a_cofactor_below_the_cutoff():

@@ -500,6 +500,18 @@ class TestAnalyze:
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err == "error: record for 11a1 is labelled '37a1'\n"
 
+    def test_fixture_without_coefficients_is_invalid_input(self, capsys, tmp_path):
+        # a record may omit ainvs, but analyze has no curve without them
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "11a1.txt").write_text("label = 11a1\nmw_rank = 0\ntorsion_structure = 5\n")
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", "5", "--offline",
+            "--fixtures", str(fixtures), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: record for 11a1 carries no coefficients\n"
+
     def test_label_with_a_trailing_newline_is_malformed(self, capsys):
         code, out, err = run(capsys, "analyze", "--label", "11a1\n", "-p", "5", "--offline")
         assert (code, out) == (EXIT_INVALID_INPUT, "")

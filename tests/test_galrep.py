@@ -415,6 +415,12 @@ class TestExactFactor:
         m, frobenius = _frobenius_prefix(CURVE_1058D1, 5)
         assert exact_factor(m, 5, frobenius) is None
 
+    def test_no_frobenius_eigenvalue_lifts_nothing(self, monkeypatch):
+        # 37a1 at 5: x^2 - a x + d has no root mod 5 at ell = 3, 7 and 13,
+        # so no prime gives an eigenline and the search ends with nothing lifted
+        monkeypatch.setattr(galrep, "lift_rational_factor", lambda *args: pytest.fail("lifted"))
+        assert exact_factor(CurveModel(0, 0, 1, -1, 0), 5, [(3, 2, 3), (7, 4, 2), (13, 3, 3)]) is None
+
     @pytest.mark.parametrize("label, p", REDUCIBLE_JOBS)
     def test_reducible_corpus_jobs_scan_only_the_prefix(self, label, p, corpus_models, monkeypatch):
         """Borel stands through the SCAN_PREFIX primes scanned past the

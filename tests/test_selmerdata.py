@@ -246,11 +246,28 @@ class TestRemote:
         assert err.startswith(f"error: 37a1: cache dir {not_a_dir} cannot be written")
         assert err.count("error:") == 1
 
-    def test_fixture_value_not_an_integer(self, tmp_path):
-        (tmp_path / "37a1.txt").write_text("label = 37a1\nmw_rank = x\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label = 37a1\nmw_rank = x\n", "non-integer value"),
+            # the comment and the blank line are skipped, so the bad integer is the first error
+            ("# a comment\n\nlabel = 37a1\nmw_rank = x\n", "non-integer value"),
+            ("label = 37a1\nmw_rank 0\n", "malformed record line: 'mw_rank 0'"),
+            ("mw_rank = 0\n", "record missing label/mw_rank"),
+            ("label = 37a1\ntorsion_structure = \n", "record missing label/mw_rank"),
+        ],
+        ids=["value-not-an-integer", "comment-and-blank-skipped", "no-equals", "no-label", "no-mw-rank"],
+    )
+    def test_bad_fixture_file_is_schema_drift(self, tmp_path, capsys, text, message):
+        (tmp_path / "37a1.txt").write_text(text)
         config = StoreConfig(fixtures_dir=tmp_path, cache_dir=tmp_path / "c")
-        with pytest.raises(SchemaDrift):
+        with pytest.raises(SchemaDrift, match=message):
             fetch_curve_record("37a1", OFFLINE_ONLY, config)
+        assert main(["analyze", "--label", "37a1", "-p", "5", "--offline", "--fixtures", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and err.count("error:") == 1
 
     @pytest.mark.parametrize("where", ["fixtures", "cache"])
     def test_record_file_not_utf8_is_schema_drift(self, tmp_path, where):
