@@ -156,14 +156,14 @@ def evaluate_hypotheses(model, p, image_status, wild_status, tamagawa_map):
     return ledgers
 
 
-def apply_corollary(mw_rank, scenario, assume_sha_finite=True):
+def apply_corollary(mw_rank, scenario):
     """Does an unramified abelian extension of K with group E[p] exist?
 
     Asked only when the Main ledger applies and a Selmer scenario exists.
     Yes when mw_rank >= 2, or when every Sha[p] rank of the scenario is at
-    least 2; under finiteness a nonzero Sha[p] has even rank, so 1 will do.
+    least 2.
     """
-    if mw_rank >= 2 or all(r >= 2 or (r >= 1 and assume_sha_finite) for r in scenario.sha_ranks):
+    if mw_rank >= 2 or all(r >= 2 for r in scenario.sha_ranks):
         return YES
     return UNKNOWN_ANSWER
 
@@ -257,9 +257,7 @@ def analyze(
         },
         "ledgers": ledgers,
         "bounds": bounds,
-        "unramified_extension_exists": apply_corollary(record.mw_rank, scenario, assume_sha_finite)
-        if main
-        else UNKNOWN_ANSWER,
+        "unramified_extension_exists": apply_corollary(record.mw_rank, scenario) if main else UNKNOWN_ANSWER,
         "equality_note": converse and not t_set,
         "assumptions": assumptions,
         "notes": notes,

@@ -356,8 +356,10 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
     """Possible values of dim_Fp Sel_p from rank, Sha data and torsion.
 
     Each dim is mw_rank + r + dim E(Q)[p], where r runs over the Sha[p]
-    ranks consistent with the record; sha_ranks lists each dim's r.  With
-    the finiteness flag (default), a nonzero Sha[p] must have even rank.
+    ranks the record allows: its recorded rank, else 1..v_p(#Sha); sha_ranks
+    lists each dim's r.  With the finiteness flag (default), Sha[p^infinity]
+    is A x A (Cassels), so r is even, and a record whose p-part cannot be
+    A x A is InvalidInput.
     """
     require_odd_prime(p)
     notes = []
@@ -371,31 +373,26 @@ def selmer_rank_scenarios(record, p, irreducible, assume_sha_finite=True):
         )
 
     r_known = record.sha_p_rank(p)
-    if r_known is not None:
-        dims = (record.mw_rank + r_known + torsion_dim,)
-        reasons = (f"Sha[{p}] has recorded F_{p}-rank {r_known}",)
-        return SelmerScenario(dims, reasons, (r_known,), tuple(notes))
-
-    if record.sha_order is None:
+    if r_known is None and record.sha_order is None:
         raise InsufficientData(
             f"record for {record.label} has neither Sha order nor Sha[{p}] rank"
         )
-    vp = valuation(record.sha_order, p)
-    if vp == 0:  # sha_p_rank reads rank 0 off an order prime to p
+    vp = 0 if record.sha_order is None else valuation(record.sha_order, p)
+    if r_known is None and vp == 0:  # sha_p_rank reads rank 0 off an order prime to p
         raise ArithmeticError(f"no Sha[{p}] rank read off Sha order {record.sha_order}")
+    ranks = range(1, vp + 1) if r_known is None else (r_known,)
     if assume_sha_finite:
-        ranks = [r for r in range(2, vp + 1, 2)]
-        if not ranks:
-            notes.append(
-                f"recorded Sha order has p-valuation {vp}, incompatible with even "
-                "rank under the finiteness assumption; falling back to odd ranks"
+        # A x A: an even rank, an even v_p(#Sha), and the Z/p^e parts in equal pairs
+        exps = sorted(valuation(t, p) for t in record.sha_structure or () if t % p == 0)
+        if (r_known or 0) % 2 or vp % 2 or exps[0::2] != exps[1::2]:
+            raise InvalidInput(
+                f"record for {record.label}: Sha[{p}^infinity] cannot be A x A, as it is "
+                "when Sha is finite (Cassels); --no-assume-sha-finite drops that assumption"
             )
-            ranks = list(range(1, vp + 1))
+        ranks = [r for r in ranks if r % 2 == 0]
+    if r_known is not None:
+        reasons = [f"Sha[{p}] has recorded F_{p}-rank {r_known}"]
     else:
-        ranks = list(range(1, vp + 1))
-    dims = []
-    reasons = []
-    for r in ranks:
-        dims.append(record.mw_rank + r + torsion_dim)
-        reasons.append(f"assuming Sha[{p}] has F_{p}-rank {r} (order divides {p}^{vp})")
-    return SelmerScenario(tuple(dims), tuple(reasons), tuple(ranks), tuple(notes))
+        reasons = [f"assuming Sha[{p}] has F_{p}-rank {r} (order divides {p}^{vp})" for r in ranks]
+    dims = tuple(record.mw_rank + r + torsion_dim for r in ranks)
+    return SelmerScenario(dims, tuple(reasons), tuple(ranks), tuple(notes))

@@ -8,7 +8,9 @@ rational root of the 3-division polynomial (no Kodaira type), the
 cohomology oracles solve the full linear systems over all group elements
 (no generator reduction), and the subgroup of (Z/p)^x that units generate
 is found by closing under multiplication (no element orders), and the
-Corollary's answer is read from the record's Sha data (no Selmer scenario).
+Corollary's answer is read from the record's Sha data (no Selmer scenario),
+and whether a record allows Sha[p^infinity] = A x A is read field by field
+(no selmerdata).
 The image scan's facts about (Z/p)^x are found by linear passes: the least
 multiple of a subgroup order that kills a unit by trying each multiple, and
 the exceptional traces by testing every u in F_p (no factorization of p - 1).
@@ -286,13 +288,31 @@ def corollary_from_record(record, p, assume_sha_finite=True):
     r = record.sha_p_rank(p)
     if r is not None and r > 1:
         return "Yes"
-    if r is not None and r >= 1 and assume_sha_finite:
-        return "Yes"
     if r is None and record.sha_order is not None and record.sha_order % p == 0 and assume_sha_finite:
         return "Yes"  # Sha[p] != 0 plus finiteness forces rank >= 2
     if record.mw_rank >= 2:
         return "Yes"
     return "Unknown"
+
+
+def sha_p_part_can_be_square(record, p):
+    """Can the record's Sha[p^infinity] have the form A x A of a finite Sha?
+
+    Reads the record's fields one at a time, with no use of the Selmer
+    scenario: a recorded F_p-rank of Sha[p] must be even, the power of p in
+    #Sha must be even, and each p-part Z/p^e of the cyclic factors in
+    sha_structure must occur an even number of times.
+    """
+    for q, r in record.sha_p_ranks:
+        if q == p and r % 2 == 1:
+            return False
+    if record.sha_order is not None and valuation(record.sha_order, p) % 2 == 1:
+        return False
+    if record.sha_structure is not None:
+        exps = [valuation(t, p) for t in record.sha_structure]
+        if any(exps.count(e) % 2 == 1 for e in set(exps) if e > 0):
+            return False
+    return True
 
 
 def _rank(rows, p):

@@ -281,6 +281,25 @@ def test_valuation_refuses_p_below_two(p):
         valuation(48, p)
 
 
+def test_zero_has_no_factorization_and_no_valuation():
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        factor(0)
+    with pytest.raises(ValueError, match="infinite"):
+        valuation(0, 5)
+
+
+def test_polynomial_helpers_refuse_what_they_cannot_answer():
+    # x - 1 and x^2 - 1 share the root 1, so x - 1 has no inverse mod x^2 - 1
+    with pytest.raises(ArithmeticError, match="not coprime"):
+        arith._pinvmod([-1, 1], [-1, 0, 1], 5)
+    # every element of F_5 is a root of 0, so no count is returned
+    with pytest.raises(ValueError, match="zero polynomial"):
+        count_roots_mod([0, 5, 10], 5)
+    # x does not divide x^2 + 1 mod 5, so there is nothing to lift
+    with pytest.raises(ValueError, match="does not divide"):
+        next(arith.hensel_lifts([1, 0, 1], [0, 1], 5))
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_legendre_matches_squares(a):
     p = 101

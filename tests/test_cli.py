@@ -19,6 +19,7 @@ from shaclass.cli import (
     _build_parser,
     main,
 )
+from shaclass.selmerdata import packaged_fixtures_dir
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -415,6 +416,71 @@ class TestAnalyze:
         )
         assert (code, out) == (EXIT_INVALID_INPUT, "")
         assert err == "error: --curve with --sha-order or --sha-structure needs --mw-rank\n"
+
+    # a finite Sha has Sha[p^infinity] = A x A (Cassels), so each of these
+    # records contradicts the assumption every certificate prints
+    _NOT_A_SQUARE = {
+        "order-3-at-3": (
+            "11a1", "label = 11a1\nainvs = 0,-1,1,-10,-20\nmw_rank = 0\ntorsion_structure = 5\nsha_order = 3\n",
+            ("-p", "3"), "dim 1: assuming Sha[3] has F_3-rank 1 (order divides 3^1)",
+        ),
+        "structure-7": (
+            None, None, ("--curve", "0,0,0,0,1", "-p", "7", "--mw-rank", "0", "--sha-structure", "7"),
+            "dim 1: Sha[7] has recorded F_7-rank 1",
+        ),
+        "rank-1-at-7": (
+            "36a1", "label = 36a1\nainvs = 0,0,0,0,1\nmw_rank = 0\ntorsion_structure = \nsha_rank_7 = 1\n",
+            ("-p", "7"), "dim 1: Sha[7] has recorded F_7-rank 1",
+        ),
+        "structure-5-25": (
+            "11a1", "label = 11a1\nainvs = 0,-1,1,-10,-20\nmw_rank = 0\ntorsion_structure = 5\nsha_order = 1\n",
+            ("-p", "5", "--sha-structure", "5,25"), "dim 3: Sha[5] has recorded F_5-rank 2",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_NOT_A_SQUARE))
+    def test_sha_that_cannot_be_a_square_is_invalid_input(self, capsys, tmp_path, case):
+        label, text, argv, scenario = self._NOT_A_SQUARE[case]
+        if label is not None:
+            (tmp_path / "fixtures").mkdir()
+            (tmp_path / "fixtures" / f"{label}.txt").write_text(text)
+            argv = ("--label", label, "--fixtures", str(tmp_path / "fixtures"), *argv)
+        argv = ("analyze", *argv, "--offline", "--cache-dir", str(tmp_path / "cache"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--no-assume-sha-finite" in err
+        # without the assumption the record is read as before, odd rank and all
+        code, out, err = run(capsys, *argv, "--no-assume-sha-finite")
+        assert (code, err) == (EXIT_OK, "")
+        assert f"    {scenario}\n" in out and "Selmer dim scenarios" in out
+
+    def test_sha_contradiction_fails_one_batch_label(self, capsys, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        label, text, _argv, _scenario = self._NOT_A_SQUARE["order-3-at-3"]
+        (fixtures / "11a1.txt").write_text(text)
+        (fixtures / "37a1.txt").write_text((packaged_fixtures_dir() / "37a1.txt").read_text())
+        (tmp_path / "labels.txt").write_text("11a1\n37a1\n")
+        code, out, err = run(
+            capsys, "analyze", "--batch", str(tmp_path / "labels.txt"), "-p", "3", "--offline",
+            "--fixtures", str(fixtures), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert err.startswith("error: 11a1: record for 11a1: Sha[3^infinity]") and err.count("\n") == 1
+        assert out.startswith("curve 37a1  p = 3\n") and out.count("curve ") == 1
+
+    def test_sha_order_prime_to_p_is_not_read(self, capsys, tmp_path):
+        # only the p-primary part is read: #Sha = 3 says nothing about Sha[5^infinity]
+        (tmp_path / "fixtures").mkdir()
+        _label, text, _argv, _scenario = self._NOT_A_SQUARE["order-3-at-3"]
+        (tmp_path / "fixtures" / "11a1.txt").write_text(text)
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", "5", "--offline",
+            "--fixtures", str(tmp_path / "fixtures"), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "    dim 1: Sha[5] has recorded F_5-rank 0\n" in out
 
     @pytest.mark.parametrize("p", ["1000003", str(2**89 - 1)])
     def test_p_above_trial_division_bound_is_invalid_input(self, capsys, p):

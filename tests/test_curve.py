@@ -94,6 +94,10 @@ class TestInvariants:
 
 
 class TestTransforms:
+    def test_u_zero_is_no_coordinate_change(self):
+        with pytest.raises(InvalidInput, match="u must be nonzero"):
+            transform_quintuple((0, -1, 1, -10, -20), 0, 1, 2, 3)
+
     def test_j_invariant_under_rational_changes(self):
         rng = random.Random(5)
         for _ in range(50):

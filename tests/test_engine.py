@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import shaclass
 from shaclass import engine, localred
 from conftest import DATA_DIR, time_limit
-from oracles import corollary_from_record, unit_subgroup
+from oracles import corollary_from_record, sha_p_part_can_be_square, unit_subgroup
 from shaclass.arith import primes_up_to, valuation
 from shaclass.curve import (
     CurveModel,
@@ -258,7 +258,7 @@ class TestBounds:
 
 def corollary(record, p, assume_sha_finite=True):
     scenario = selmer_rank_scenarios(record, p, True, assume_sha_finite)
-    return apply_corollary(record.mw_rank, scenario, assume_sha_finite)
+    return apply_corollary(record.mw_rank, scenario)
 
 
 @st.composite
@@ -305,11 +305,15 @@ class TestCorollary:
         st.booleans(),
     )
     def test_scenario_rule_matches_record_rule(self, record, p, irreducible, finite):
+        if finite and not sha_p_part_can_be_square(record, p):
+            with pytest.raises(InvalidInput, match="--no-assume-sha-finite"):
+                selmer_rank_scenarios(record, p, irreducible, finite)
+            return
         try:
             scenario = selmer_rank_scenarios(record, p, irreducible, finite)
         except InsufficientData:
             return  # no scenario, so the Corollary is never asked
-        assert apply_corollary(record.mw_rank, scenario, finite) == corollary_from_record(
+        assert apply_corollary(record.mw_rank, scenario) == corollary_from_record(
             record, p, finite
         )
 
@@ -618,3 +622,7 @@ class TestCertificateJson:
     def test_non_json_native_values_raise(self, doc):
         with pytest.raises(TypeError):
             certificate_to_json(doc)
+
+    @pytest.mark.parametrize("doc", ["bare", 'a "quoted"\\ line\n', "\u00e9\u0661", 7, None, True])
+    def test_bare_top_level_scalar(self, doc):
+        assert certificate_to_json(doc) == json.dumps(doc, indent=2) + "\n"

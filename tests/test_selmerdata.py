@@ -54,6 +54,16 @@ class TestLabels:
         with pytest.raises(InvalidInput):
             fetch_curve_record("not-a-label", OFFLINE_ONLY, offline_config(tmp_path))
 
+    def test_fetch_rejects_an_unknown_mode(self, tmp_path):
+        with pytest.raises(InvalidInput, match="unknown fetch mode 'Sometimes'"):
+            fetch_curve_record("11a1", "Sometimes", offline_config(tmp_path))
+
+    def test_fetch_without_config_reads_the_packaged_fixtures(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHACLASS_CACHE_DIR", str(tmp_path))
+        record = fetch_curve_record("11a1", OFFLINE_ONLY)
+        assert record == fetch_curve_record("11a1", OFFLINE_ONLY, offline_config(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFixtures:
     def test_featured_records(self, tmp_path):
@@ -328,6 +338,23 @@ class TestRemote:
         with pytest.raises(NetworkError, match="100 more expected"):
             fetch_curve_record("11a1", REMOTE_FIRST, config)
         assert len(reads) == 4
+
+    def test_server_error_is_retried_once(self, tmp_path, monkeypatch):
+        answers = [urllib.error.HTTPError("u", 500, "server error", {}, None), _FakeResponse(self.PAYLOAD)]
+        sleeps = []
+
+        def urlopen(url, timeout):
+            answer = answers.pop(0)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr("urllib.request.urlopen", urlopen)
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        config = StoreConfig(fixtures_dir=tmp_path / "nope", cache_dir=tmp_path / "c")
+        record = fetch_curve_record("37a1", REMOTE_FIRST, config)
+        assert (record.label, record.provenance) == ("37a1", "RemoteDatabase")
+        assert (answers, sleeps, config.unreachable) == ([], [1.0], [])
 
     def test_bad_base_url_is_invalid_input(self, tmp_path, monkeypatch):
         def no_retry(seconds):
@@ -619,10 +646,41 @@ class TestScenarios:
             assert (dim - 3) % 2 == 0  # even Sha rank under finiteness
 
     def test_odd_valuation_fallback(self):
+        # a finite Sha has square order, so #Sha = 5 contradicts the assumption;
+        # without it, rank 1 is the one scenario
         rec = self._record(mw_rank=0, sha_order=5)
-        scenario = selmer_rank_scenarios(rec, 5, True)
+        with pytest.raises(InvalidInput, match="--no-assume-sha-finite"):
+            selmer_rank_scenarios(rec, 5, True)
+        scenario = selmer_rank_scenarios(rec, 5, True, assume_sha_finite=False)
         assert scenario.possible_dims == (1,)
-        assert any("incompatible" in note for note in scenario.notes)
+        assert scenario.notes == ()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(sha_order=3 * 5**3),  # v_5(#Sha) = 3 is odd
+            dict(sha_order=125, sha_p_ranks=((5, 2),)),  # an even rank, but #Sha[5^inf] = 5^3
+            dict(sha_order=None, sha_p_ranks=((5, 1),)),
+            dict(sha_order=5**4, sha_structure=(5, 5, 25)),  # Sha[5] has odd rank 3
+            # an even rank and an even v_5, but Z/5 + Z/125 is no A x A
+            dict(sha_order=5**4, sha_structure=(5, 125)),
+            dict(sha_order=5**6, sha_structure=(5, 5, 5, 125)),
+        ],
+    )
+    def test_p_part_that_cannot_be_a_square(self, fields):
+        rec = self._record(mw_rank=1, **fields)
+        with pytest.raises(InvalidInput, match="Sha\\[5\\^infinity\\] cannot be A x A"):
+            selmer_rank_scenarios(rec, 5, True)
+        assert selmer_rank_scenarios(rec, 5, True, assume_sha_finite=False).possible_dims
+        # only the 5-part is read: where #Sha is prime to 3, Sha[3] = 0 stands
+        if fields["sha_order"] is not None and fields["sha_order"] % 3:
+            assert selmer_rank_scenarios(rec, 3, True).possible_dims == (1,)
+
+    def test_p_part_that_pairs_up(self):
+        rec = self._record(mw_rank=0, sha_order=3**2 * 5**6, sha_structure=(15, 15, 25, 25))
+        assert selmer_rank_scenarios(rec, 5, True).sha_ranks == (4,)
+        assert selmer_rank_scenarios(rec, 3, True).sha_ranks == (2,)
+        assert selmer_rank_scenarios(rec, 7, True).sha_ranks == (0,)
 
     def test_sha_rank_behind_each_dim(self):
         rec = self._record(mw_rank=1, sha_order=5**3, torsion_structure=(5,))
