@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from shaclass.localred import (
     tate_algorithm,
 )
 
+from conftest import DATA_DIR
 from oracles import rational_three_torsion_unramified_at_2, tame_local_data
 
 CURVE_1058D1 = CurveModel(1, -1, 0, -332311, -73733731)
@@ -393,6 +395,16 @@ class TestTSet:
             model = CurveModel(*entry["ainvs"])
             for q in compute_t_set(model, 5):
                 assert tate_algorithm(model, q).is_multiplicative()
+
+
+def test_golden_small_model_local_data(gen_golden):
+    """The local-data rows of the 575 small models and of their quadratic
+    twists by d in {-1, +-2, +-3, +-5, +-7} hash to the committed digests."""
+    golden = json.loads((DATA_DIR / "golden" / "small_model_local_data.json").read_text())
+    assert len(golden) == 575
+    current = gen_golden.small_model_local_table()
+    differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
+    assert not differ, f"local data differs at the small models {differ}"
 
 
 def test_local_data_all_primes():

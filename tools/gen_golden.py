@@ -13,6 +13,15 @@ the sha256 of the JSON list [status, witnesses, sorted ruled_out,
 first_unruled] of certify_image.  tests/test_galrep.py requires the library
 to reproduce it exactly.
 
+small_model_local_data.json: for each of those 575 models, the sha256 of
+the JSON list of the [q, kodaira, reduction_class, c_v, val_delta_min,
+conductor_exponent] rows of local_data at every bad q, for the model and
+for each of its quadratic twists by d in TWIST_DS, [0, 0, 0, -27 c4 d^2,
+-54 c6 d^3] minimized.  The twists bring 5,026 distinct minimal models and
+14,724 rows, among them 1,354 additive potentially multiplicative ones,
+which the small models alone do not have.  tests/test_localred.py requires
+the library to reproduce it exactly.
+
 fresh_records.json: the 400 synthetic records of the batch_fresh benchmark
 workload, shabench.inputs.fresh_curves(1, 100, 25), with label, ainvs, p,
 mw_rank and sha_order.  Tier-1 reads this file and imports nothing from
@@ -49,6 +58,7 @@ from shaclass.curve import CurveModel, b_invariants, compute_invariants, discrim
 from shaclass.curve import minimal_model  # noqa: E402
 from shaclass.engine import analyze, certificate_to_json, certificate_to_text  # noqa: E402
 from shaclass.galrep import certify_image  # noqa: E402
+from shaclass.localred import local_data  # noqa: E402
 from shaclass.selmerdata import (  # noqa: E402
     OFFLINE_ONLY,
     ExternalCurveRecord,
@@ -60,11 +70,13 @@ from shaclass.selmerdata import (  # noqa: E402
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_PATH = DATA_DIR / "golden" / "image_witnesses.json"
 SMALL_MODELS_PATH = DATA_DIR / "golden" / "small_model_images.json"
+SMALL_LOCAL_PATH = DATA_DIR / "golden" / "small_model_local_data.json"
 CERTIFICATES_PATH = DATA_DIR / "golden" / "certificates.json"
 FRESH_RECORDS_PATH = DATA_DIR / "fresh_records.json"
 GOLDEN_PRIMES = (3, 5, 7, 11, 13)
 SWEEP_PRIMES = tuple(p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2)))
 FRESH_CURVES_ARGS = (1, 100, 25)  # seed, records per prime, Latin-hypercube block
+TWIST_DS = (-1, 2, -2, 3, -3, 5, -5, 7, -7)
 
 
 def corpus_curves():
@@ -119,6 +131,25 @@ def small_model_table():
                      cert.first_unruled]
             rows[str(p)] = hashlib.sha256(json.dumps(image).encode()).hexdigest()
         table[",".join(map(str, model.ainvs()))] = rows
+    return table
+
+
+def twists(model):
+    """The minimal models of the quadratic twists of model by each d in TWIST_DS."""
+    inv = compute_invariants(model)
+    return [minimal_model(CurveModel(0, 0, 0, -27 * inv.c4 * d * d, -54 * inv.c6 * d**3)) for d in TWIST_DS]
+
+
+def small_model_local_table():
+    """{"a1,a2,a3,a4,a6": sha256} of the local-data rows of each small model and its twists."""
+    table = {}
+    for model in small_models():
+        rows = [
+            [[q, d.kodaira, d.reduction_class, d.c_v, d.val_delta_min, d.conductor_exponent]
+             for q, d in local_data(m).items()]
+            for m in (model, *twists(model))
+        ]
+        table[",".join(map(str, model.ainvs()))] = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     return table
 
 
@@ -199,14 +230,20 @@ def render_sections(sections):
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
+def render_flat(table):
+    """{key: value} as JSON text, one line per key."""
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()) + "\n}\n"
+
+
 def main():
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     rows = ",\n".join(f" {json.dumps(row)}" for row in fresh_records())
     FRESH_RECORDS_PATH.write_text(f"[\n{rows}\n]\n")
     GOLDEN_PATH.write_text(render(image_table()))
     SMALL_MODELS_PATH.write_text(render(small_model_table()))
+    SMALL_LOCAL_PATH.write_text(render_flat(small_model_local_table()))
     CERTIFICATES_PATH.write_text(render_sections(certificate_table()))
-    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, SMALL_MODELS_PATH, CERTIFICATES_PATH):
+    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, SMALL_MODELS_PATH, SMALL_LOCAL_PATH, CERTIFICATES_PATH):
         print(f"wrote {path.relative_to(ROOT)}")
 
 
