@@ -92,6 +92,7 @@ def test_factor_matches_plain_trial_division():
     cases += [2**64 * 999983, 3**5 * 7 * 1000003**2, (2**89 - 1) * 999983]
     cases += [(2**89 - 1) * (2**107 - 1)]  # beyond the rho cutoff
     cases += [999983 * 1000003 * (2**89 - 1)]  # within it only once 999983 is divided out
+    cases += [3 * (2**521 - 1)]  # a prime cofactor beyond the cutoff is returned, not refused
     for order in (sorted(cases), sorted(cases, reverse=True)):
         primes_up_to.cache_clear()
         for n in order:

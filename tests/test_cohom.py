@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shaclass.cohom import (
     IDENTITY,
@@ -47,6 +48,31 @@ class TestClosure:
         gens = [singer_cycle(5), (1, 1, 0, 1)]
         group = close_group(gens, 5)
         assert len(group) == 480 == gl2_order(5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_elements_in_breadth_first_order(self, data):
+        """Each element after the identity is e g for an earlier e and a
+        generator g, and the least such (index of e, index of g) grows along
+        the list: the order a breadth-first walk finds them in, which h1
+        relies on."""
+        p = data.draw(st.sampled_from((3, 5, 7)))
+        entry = st.integers(0, p - 1)
+        gens = data.draw(st.lists(st.tuples(entry, entry, entry, entry).filter(lambda m: mat_det(m, p)),
+                                  min_size=1, max_size=3))
+        group = close_group(gens, p)
+        inverses = [
+            tuple(x * pow(mat_det(g, p), -1, p) % p for x in (g[3], -g[1], -g[2], g[0]))
+            for g in group.generators
+        ]
+        assert group.elements[0] == IDENTITY
+        index = {IDENTITY: 0}
+        last = (-1, -1)
+        for i, h in enumerate(group.elements[1:], 1):
+            pairs = [(index[e], j) for j, e in enumerate(mat_mul(h, g, p) for g in inverses) if e in index]
+            assert pairs and min(pairs) > last, (p, gens, h)
+            last = min(pairs)
+            index[h] = i
 
     def test_identity_only(self):
         assert len(close_group([IDENTITY], 5)) == 1

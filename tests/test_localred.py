@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -215,6 +216,25 @@ def test_multiplicative_j_valuation(tate_corpus):
             data = tate_algorithm(model, q)
             if data.is_multiplicative():
                 assert data.val_j_denominator == data.val_delta_min
+
+
+def test_potentially_multiplicative_exactly_where_j_is_not_integral(tate_corpus, gen_golden):
+    """At each bad q of the tate corpus and of the small models and their
+    quadratic twists, the reduction is multiplicative or additive potentially
+    multiplicative exactly where q divides the denominator of j, read from
+    the Fraction c4^3 / disc; some such additive rows are at 2, at 3 and at
+    a q >= 5."""
+    models = [CurveModel(*entry["ainvs"]) for entry in tate_corpus.values()]
+    for model in gen_golden.small_models():
+        models += [model, *gen_golden.twists(model)]
+    additive = Counter()
+    for model in models:
+        denominator = compute_invariants(model).j.denominator
+        for q, data in local_data(model).items():
+            pot_mult = data.reduction_class == ADDITIVE_POT_MULTIPLICATIVE
+            assert (data.is_multiplicative() or pot_mult) == (denominator % q == 0), (model, q)
+            additive[min(q, 5)] += pot_mult
+    assert all(additive[q] for q in (2, 3, 5)), additive
 
 
 def test_split_test_matches_c6_criterion(tate_corpus):
