@@ -161,19 +161,14 @@ def factor(n):
         if limit * limit >= n:
             break
         start = len(table)
-    if n == 1:
-        return out
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    if n > RHO_CUTOFF:
-        raise FactorizationTooHard(f"cofactor {n} exceeds 2^128")
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        if m > RHO_CUTOFF:  # only the cofactor left by trial division can be
+            raise FactorizationTooHard(f"cofactor {m} exceeds 2^128")
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)

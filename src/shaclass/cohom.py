@@ -62,19 +62,14 @@ def close_group(generators, p, cap=DEFAULT_GROUP_CAP):
             raise InvalidInput(f"generator {g} is singular mod {p}")
     seen = {IDENTITY}
     order = [IDENTITY]
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                h = mat_mul(e, g, p)
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
-                    nxt.append(h)
-                    if len(seen) > cap:
-                        raise GroupTooLarge(f"closure exceeds cap {cap}")
-        frontier = nxt
+    for e in order:  # the list is the queue: it grows while it is walked
+        for g in gens:
+            h = mat_mul(e, g, p)
+            if h not in seen:
+                seen.add(h)
+                order.append(h)
+                if len(seen) > cap:
+                    raise GroupTooLarge(f"closure exceeds cap {cap}")
     return MatrixGroup(p, tuple(order), gens)
 
 

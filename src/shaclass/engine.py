@@ -233,16 +233,7 @@ def analyze(
         "image_status": image_cert.status,
         "image_witnesses": [list(w) for w in image_cert.witnesses],
         "wild_ramification": wild,
-        "local_data": {
-            str(q): {
-                "kodaira": d.kodaira,
-                "reduction_class": d.reduction_class,
-                "c_v": d.c_v,
-                "val_delta_min": d.val_delta_min,
-                "conductor_exponent": d.conductor_exponent,
-            }
-            for q, d in local.items()
-        },
+        "local_data": {str(q): d._asdict() for q, d in local.items()},
         "tamagawa_unit_check": {str(q): v for q, v in tmap.items()},
         "t_set": {
             "members": sorted(t_set),

@@ -36,7 +36,6 @@ class LocalReductionData(NamedTuple):
     reduction_class: str
     c_v: int
     val_delta_min: int
-    val_j_denominator: int
     conductor_exponent: int
 
     def is_multiplicative(self):
@@ -116,14 +115,8 @@ def tate_algorithm(model, v):
     inv = compute_invariants(m)
     c4, disc = inv.c4, inv.disc
     if disc % p != 0:
-        return LocalReductionData("I0", GOOD, 1, 0, 0, 0)
+        return LocalReductionData("I0", GOOD, 1, 0, 0)
     n = valuation(disc, p)
-    if c4 == 0:
-        val_j_den = 0  # j = 0 is integral
-    elif c4 % p == 0:
-        val_j_den = max(0, n - 3 * valuation(c4, p))
-    else:
-        val_j_den = n  # multiplicative: v(j) = -n
 
     x0, y0 = _singular_point(tuple(a % p for a in ai), p)
     ai2 = translate(ai, x0, 0, y0)
@@ -137,14 +130,13 @@ def tate_algorithm(model, v):
             cls, c = SPLIT_MULTIPLICATIVE, n
         else:
             cls, c = NONSPLIT_MULTIPLICATIVE, 2 if n % 2 == 0 else 1
-        return LocalReductionData(f"I{n}", cls, c, n, n, 1)
+        return LocalReductionData(f"I{n}", cls, c, n, 1)
 
-    add_class = (
-        ADDITIVE_POT_MULTIPLICATIVE if val_j_den > 0 else ADDITIVE_POT_GOOD
-    )
+    # v(j) = 3 v(c4) - n: potentially multiplicative iff j is not integral at p
+    add_class = ADDITIVE_POT_MULTIPLICATIVE if c4 != 0 and 3 * valuation(c4, p) < n else ADDITIVE_POT_GOOD
 
     def done(kod, c, ncomp):
-        return LocalReductionData(kod, add_class, c, n, val_j_den, n - ncomp + 1)
+        return LocalReductionData(kod, add_class, c, n, n - ncomp + 1)
 
     if ai2[4] % p**2:
         return done("II", 1, 1)

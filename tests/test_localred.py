@@ -209,15 +209,6 @@ def test_wrong_singular_point_raises(monkeypatch, model, v):
         tate_algorithm(model, v)
 
 
-def test_multiplicative_j_valuation(tate_corpus):
-    for entry in tate_corpus.values():
-        model = CurveModel(*entry["ainvs"])
-        for q in bad_primes(model):
-            data = tate_algorithm(model, q)
-            if data.is_multiplicative():
-                assert data.val_j_denominator == data.val_delta_min
-
-
 def test_potentially_multiplicative_exactly_where_j_is_not_integral(tate_corpus, gen_golden):
     """At each bad q of the tate corpus and of the small models and their
     quadratic twists, the reduction is multiplicative or additive potentially
