@@ -85,9 +85,13 @@ class ExternalCurveRecord(_RecordFields):
         for p, r in self.sha_p_ranks:
             if p < 2 or r < 0:
                 raise InvalidInput(f"sha_rank_{p} = {r} needs p >= 2 and a nonnegative rank")
-            if self.sha_order is not None and valuation(self.sha_order, p) < r:
+            # r is at most v_p(#Sha), 0 only if p does not divide #Sha, and the count of p-parts
+            v = None if self.sha_order is None else valuation(self.sha_order, p)
+            held = None if self.sha_structure is None else sum(t % p == 0 for t in self.sha_structure)
+            if v is not None and (r > v or (r == 0) != (v == 0)) or held not in (None, r):
                 raise InvalidInput(
-                    f"p^{r} does not divide recorded sha_order {self.sha_order}"
+                    f"sha_rank_{p} = {r} contradicts sha_order {self.sha_order}, "
+                    f"sha_structure {self.sha_structure}"
                 )
         return self
 

@@ -470,6 +470,27 @@ class TestAnalyze:
         assert err.startswith("error: 11a1: record for 11a1: Sha[3^infinity]") and err.count("\n") == 1
         assert out.startswith("curve 37a1  p = 3\n") and out.count("curve ") == 1
 
+    # a recorded Sha[p] rank that the record's own order or structure rules out
+    _RANK_CONTRADICTS_RECORD = {
+        "rank-0-order-9": ("sha_order = 9\nsha_rank_3 = 0\n", "3"),
+        "rank-1-structure-5-5": ("sha_structure = 5,5\nsha_rank_5 = 1\n", "5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_RANK_CONTRADICTS_RECORD))
+    @pytest.mark.parametrize("finite", [(), ("--no-assume-sha-finite",)])
+    def test_sha_rank_its_record_contradicts_is_invalid_input(self, capsys, tmp_path, case, finite):
+        sha, p = self._RANK_CONTRADICTS_RECORD[case]
+        (tmp_path / "fixtures").mkdir()
+        (tmp_path / "fixtures" / "11a1.txt").write_text(
+            f"label = 11a1\nainvs = 0,-1,1,-10,-20\nmw_rank = 0\ntorsion_structure = 5\n{sha}"
+        )
+        code, out, err = run(
+            capsys, "analyze", "--label", "11a1", "-p", p, "--offline", *finite,
+            "--fixtures", str(tmp_path / "fixtures"), "--cache-dir", str(tmp_path / "cache"),
+        )
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err.startswith(f"error: sha_rank_{p} = ") and err.count("\n") == 1
+
     def test_sha_order_prime_to_p_is_not_read(self, capsys, tmp_path):
         # only the p-primary part is read: #Sha = 3 says nothing about Sha[5^infinity]
         (tmp_path / "fixtures").mkdir()

@@ -267,17 +267,20 @@ def sha_records(draw):
     unknown, and a consistent Sha structure or per-p Sha ranks."""
     factors = draw(st.lists(st.sampled_from((3, 5, 7, 9, 15, 25, 35, 49, 105)), max_size=4))
     order = math.prod(factors)
+    sha_order = draw(st.sampled_from([None, order]))
     kind = draw(st.sampled_from(["order only", "structure", "p-ranks"]))
     ranks = ()
     if kind == "p-ranks":
         primes = draw(st.lists(st.sampled_from((3, 5, 7)), unique=True))
-        ranks = tuple(sorted((q, draw(st.integers(0, valuation(order, q)))) for q in primes))
+        # a rank is at least 1 where q divides a recorded order
+        least = {q: int(sha_order is not None and order % q == 0) for q in primes}
+        ranks = tuple(sorted((q, draw(st.integers(least[q], valuation(order, q)))) for q in primes))
     return ExternalCurveRecord(
         label="x1a1",
         ainvs=None,
         mw_rank=draw(st.integers(0, 3)),
         torsion_structure=draw(st.sampled_from([(), (3,), (5,), (7,)])),
-        sha_order=draw(st.sampled_from([None, order])),
+        sha_order=sha_order,
         sha_structure=tuple(factors) if kind == "structure" else None,
         sha_p_ranks=ranks,
     )

@@ -9,11 +9,16 @@ mutations around them:
   one of the typed lookup errors;
 - cli.main over its four subcommands exits with one of its six codes, prints
   no traceback and writes nothing outside the cache dir it was given.
+
+A fourth property runs records through analyze: a certificate it returns
+names no Selmer scenario that contradicts the record or a printed assumption.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import tempfile
 import urllib.error
 from pathlib import Path
@@ -22,6 +27,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shaclass.cli import main
+from shaclass.curve import CurveModel
+from shaclass.engine import analyze, certificate_to_text
 from shaclass.errors import InvalidInput, NetworkError, NotFound, SchemaDrift, ShaclassError
 from shaclass.selmerdata import (
     LOCAL_FIXTURE,
@@ -218,3 +225,55 @@ class TestCommandLine:
             new = _files(root) - before
             assert all(root / "cache" in path.parents for path in new), (argv, new)
             assert _files(packaged_fixtures_dir()) == fixtures
+
+
+# --- on exit 0 ----------------------------------------------------------------
+
+FINITE_SHA_LINE = "Sha[p^infinity] assumed finite (even Sha[p]-rank)"
+SHA_FACTORS = st.lists(st.sampled_from((3, 5, 7, 9, 25, 27, 49)), max_size=4).map(tuple)
+
+
+@st.composite
+def record_fields(draw):
+    """Fields of a record whose Sha order, structure and per-p ranks agree
+    often and disagree often."""
+    factors = draw(SHA_FACTORS)
+    return {
+        "label": "x1a1",
+        "ainvs": None,
+        "mw_rank": draw(st.integers(0, 3)),
+        "torsion_structure": draw(st.sampled_from(((), (3,), (5,), (7,), (2, 6)))),
+        "sha_order": draw(st.sampled_from((None, math.prod(factors), 1, 9, 25))),
+        "sha_structure": draw(st.sampled_from((None, factors))),
+        "sha_p_ranks": tuple(sorted(draw(st.dictionaries(st.sampled_from((3, 5, 7)), st.integers(0, 3))).items())),
+    }
+
+
+class TestOnExitZero:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        record_fields(),
+        st.sampled_from((CurveModel(0, -1, 1, -10, -20), CurveModel(0, 0, 1, -1, 0))),  # 11a1, 37a1
+        st.sampled_from((3, 5, 7)),
+        st.booleans(),
+    )
+    def test_certificate_contradicts_no_record_or_assumption(self, fields, model, p, finite):
+        """Every dim is at least mw_rank; a recorded Sha[p] rank is the one
+        rank the scenarios name; and under the finiteness assumption every
+        scenario's Sha[p] rank is even, and the certificate prints it."""
+        try:
+            record = ExternalCurveRecord(**fields)
+            cert = analyze(model, p, record=record, assume_sha_finite=finite)
+        except ShaclassError:
+            return
+        assert (f"    - {FINITE_SHA_LINE}\n" in certificate_to_text(cert)) == finite
+        if cert["selmer"] is None:  # no Sha order and no Sha[p] rank
+            assert record.sha_p_rank(p) is None and record.sha_order is None
+            return
+        dims = cert["selmer"]["possible_dims"]
+        ranks = [int(re.search(rf"F_{p}-rank ([0-9]+)", r).group(1)) for r in cert["selmer"]["reasoning"]]
+        assert len(ranks) == len(dims) > 0 and all(d >= record.mw_rank + r for d, r in zip(dims, ranks))
+        if finite:
+            assert all(r % 2 == 0 for r in ranks), (record, p, ranks)
+        if p in dict(record.sha_p_ranks):
+            assert ranks == [dict(record.sha_p_ranks)[p]]
