@@ -88,7 +88,7 @@ class ExternalCurveRecord(_RecordFields):
             # r is at most v_p(#Sha), 0 only if p does not divide #Sha, and the count of p-parts
             v = None if self.sha_order is None else valuation(self.sha_order, p)
             held = None if self.sha_structure is None else sum(t % p == 0 for t in self.sha_structure)
-            if v is not None and (r > v or (r == 0) != (v == 0)) or held not in (None, r):
+            if v is not None and (r > v or r == 0 < v) or held not in (None, r):
                 raise InvalidInput(
                     f"sha_rank_{p} = {r} contradicts sha_order {self.sha_order}, "
                     f"sha_structure {self.sha_structure}"
