@@ -1,5 +1,9 @@
 import builtins
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 
@@ -7,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, TESTS_DIR
 from oracles import add_points_mod, affine_points_mod, det_order_by_search, duplication_fixed_x_count
 from oracles import exceptional_traces
 from shaclass import galrep
@@ -195,6 +199,27 @@ class TestCertifyImage:
         current = flat(gen_golden.small_model_table())
         differ = sorted(k for k in golden.keys() | current.keys() if golden.get(k) != current.get(k))
         assert not differ, f"image tuples differ at (model, p): {differ}"
+
+    def test_golden_isogeny_images(self):
+        """The twisted X_0(p) curves at their p hash to the digests of the
+        committed table, every one certified without importing sympy."""
+        script = str(TESTS_DIR.parent / "tools" / "gen_golden.py")
+        code = (
+            "import importlib.util, json, sys\n"
+            f"spec = importlib.util.spec_from_file_location('gen_golden', {script!r})\n"
+            "gen_golden = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(gen_golden)\n"
+            "print(json.dumps(gen_golden.isogeny_table()), 'sympy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(TESTS_DIR.parent / "src")},
+        )
+        table, imported = proc.stdout.rsplit(" ", 1)
+        assert imported == "False\n"
+        golden = json.loads((DATA_DIR / "golden" / "isogeny_images.json").read_text())
+        assert Counter(p for rows in golden.values() for p in rows) == {"3": 10, "5": 44, "7": 52, "13": 48}
+        assert json.loads(table) == golden
 
     def test_p3_golden_certificates_have_three_cycle_witness(self, corpus_models):
         golden = json.loads((DATA_DIR / "golden" / "image_witnesses.json").read_text())

@@ -13,6 +13,14 @@ the sha256 of the JSON list [status, witnesses, sorted ruled_out,
 first_unruled] of certify_image.  tests/test_galrep.py requires the library
 to reproduce it exactly.
 
+isogeny_images.json: for each minimal model of the quadratic twists by d in
+X0_TWISTS of the curves of j = j(t) on X_0(p), for p in X0_J and t in X0_TS,
+at its own p where that is good and the curve is not CM, the sha256 of the
+same [status, witnesses, sorted ruled_out, first_unruled] list.  Each of
+these 154 rows has a rational p-isogeny, so each is certified from a factor
+of psi_p that exact_factor lifts.  tests/test_galrep.py requires the library
+to reproduce it exactly, without importing sympy.
+
 small_model_local_data.json: for each of those 575 models, the sha256 of
 the JSON list of the [q, kodaira, reduction_class, c_v, val_delta_min,
 conductor_exponent] rows of local_data at every bad q, for the model and
@@ -49,6 +57,7 @@ import itertools
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +79,7 @@ from shaclass.selmerdata import (  # noqa: E402
 DATA_DIR = ROOT / "tests" / "data"
 GOLDEN_PATH = DATA_DIR / "golden" / "image_witnesses.json"
 SMALL_MODELS_PATH = DATA_DIR / "golden" / "small_model_images.json"
+ISOGENY_PATH = DATA_DIR / "golden" / "isogeny_images.json"
 SMALL_LOCAL_PATH = DATA_DIR / "golden" / "small_model_local_data.json"
 CERTIFICATES_PATH = DATA_DIR / "golden" / "certificates.json"
 FRESH_RECORDS_PATH = DATA_DIR / "fresh_records.json"
@@ -77,6 +87,15 @@ GOLDEN_PRIMES = (3, 5, 7, 11, 13)
 SWEEP_PRIMES = tuple(p for p in range(3, 98, 2) if all(p % d for d in range(3, p, 2)))
 FRESH_CURVES_ARGS = (1, 100, 25)  # seed, records per prime, Latin-hypercube block
 TWIST_DS = (-1, 2, -2, 3, -3, 5, -5, 7, -7)
+# X_0(p): j(t) of a curve with a rational p-isogeny
+X0_J = {
+    3: lambda t: (t + 27) * (t + 3) ** 3 / t,
+    5: lambda t: (t * t + 10 * t + 5) ** 3 / t,
+    7: lambda t: (t * t + 13 * t + 49) * (t * t + 5 * t + 1) ** 3 / t,
+    13: lambda t: (t * t + 5 * t + 13) * (t**4 + 7 * t**3 + 20 * t * t + 19 * t + 1) ** 3 / t,
+}
+X0_TS = (*(Fraction(n) for n in range(-6, 7) if n), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+X0_TWISTS = (1, -1, 2, -3)
 
 
 def corpus_curves():
@@ -120,17 +139,41 @@ def small_models():
     return list(models)
 
 
+def image_digest(model, p):
+    """The sha256 of [status, witnesses, sorted ruled_out, first_unruled] of certify_image."""
+    cert = certify_image(model, p)
+    image = [cert.status, [list(w) for w in cert.witnesses], sorted(cert.ruled_out), cert.first_unruled]
+    return hashlib.sha256(json.dumps(image).encode()).hexdigest()
+
+
 def small_model_table():
     """{"a1,a2,a3,a4,a6": {p: sha256}} of each small model's image tuple at its good p."""
+    return {
+        ",".join(map(str, model.ainvs())): {str(p): image_digest(model, p) for p in good_primes(model)}
+        for model in small_models()
+    }
+
+
+def curve_with_j(j, d):
+    """y^2 = x^3 - 3 j (j - 1728) d^2 x - 2 j (j - 1728)^2 d^3, scaled to
+    integers: the twist by d of a curve with j-invariant j (j != 0, 1728)."""
+    a4, a6 = -3 * j * (j - 1728) * d * d, -2 * j * (j - 1728) ** 2 * d**3
+    u = a4.denominator * a6.denominator
+    return CurveModel(0, 0, 0, int(a4 * u**4), int(a6 * u**6))
+
+
+def isogeny_table():
+    """{"a1,a2,a3,a4,a6": {p: sha256}} of the image tuples of the twisted X_0(p) curves at their p."""
     table = {}
-    for model in small_models():
-        rows = {}
-        for p in good_primes(model):
-            cert = certify_image(model, p)
-            image = [cert.status, [list(w) for w in cert.witnesses], sorted(cert.ruled_out),
-                     cert.first_unruled]
-            rows[str(p)] = hashlib.sha256(json.dumps(image).encode()).hexdigest()
-        table[",".join(map(str, model.ainvs()))] = rows
+    for p, j_of in X0_J.items():
+        for t, d in itertools.product(X0_TS, X0_TWISTS):
+            j = j_of(t)
+            if j in (0, 1728):  # CM
+                continue
+            model = minimal_model(curve_with_j(j, d))
+            inv = compute_invariants(model)
+            if inv.disc % p and inv.cm_discriminant() is None:
+                table.setdefault(",".join(map(str, model.ainvs())), {})[str(p)] = image_digest(model, p)
     return table
 
 
@@ -241,9 +284,11 @@ def main():
     FRESH_RECORDS_PATH.write_text(f"[\n{rows}\n]\n")
     GOLDEN_PATH.write_text(render(image_table()))
     SMALL_MODELS_PATH.write_text(render(small_model_table()))
+    ISOGENY_PATH.write_text(render(isogeny_table()))
     SMALL_LOCAL_PATH.write_text(render_flat(small_model_local_table()))
     CERTIFICATES_PATH.write_text(render_sections(certificate_table()))
-    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, SMALL_MODELS_PATH, SMALL_LOCAL_PATH, CERTIFICATES_PATH):
+    for path in (FRESH_RECORDS_PATH, GOLDEN_PATH, SMALL_MODELS_PATH, ISOGENY_PATH, SMALL_LOCAL_PATH,
+                 CERTIFICATES_PATH):
         print(f"wrote {path.relative_to(ROOT)}")
 
 
