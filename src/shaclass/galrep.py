@@ -33,7 +33,7 @@ ALL_CLASSES = (BOREL, SPLIT_CARTAN_NORMALIZER, NONSPLIT_CARTAN_NORMALIZER, EXCEP
 SCAN_BOUND = TABLE_CACHE_BOUND  # every scan takes the good primes up to here, whose character tables stay cached
 PRIME_CACHE_SIZE = 1024  # values of p whose p - 1 stays factored; a corpus pass reads 24
 FACTOR_SEARCH_MAX_P = 13  # up to here a standing Borel class sends the scan to psi_p's factors
-SCAN_PREFIX = 10  # good primes scanned before a standing Borel class does so
+FACTOR_WINDOW = 20  # good primes scanned before a standing Borel class does so
 
 
 class ImageCertificate(NamedTuple):
@@ -74,19 +74,16 @@ def certify_image(model, p):
     maximal-subgroup class is ruled out and the determinant witnesses
     generate (Z/p)^x.  At p = 3, where traces never rule out the nonsplit
     Cartan normalizer, a 3-cycle of Frob_ell on the 3-division quartic does.
-    At p <= FACTOR_SEARCH_MAX_P, if Borel still stands after SCAN_PREFIX
-    good primes, the scan first looks up to SCAN_PREFIX primes further for
-    a chi = -1 witness, which no image with a stable line has.  If Borel
-    stands through them, or the scan ends first, a factor of psi_p over Q
-    from exact_factor on the first SCAN_PREFIX primes ends the scan
-    SmallImageCertified with the witnesses of those primes only; witnesses
-    a full scan would find at later primes are not listed.  Only a curve
-    with fewer than 2 * SCAN_PREFIX good primes up to SCAN_BOUND ends the
-    scan first.  After a scan that certifies nothing, exact_factor on all
-    the primes scanned and then sympy's factorization of psi_p are the last
-    resort.  p must pass require_analyzable_prime: an odd prime, where the
-    class list and witness rules hold, at most TRIAL_DIVISION_BOUND, so
-    p - 1 is factored by trial division alone.
+    At p <= FACTOR_SEARCH_MAX_P, once Borel has stood through FACTOR_WINDOW
+    good primes, and again if the scan ends with Borel still standing,
+    exact_factor looks on the primes scanned so far for a factor of psi_p
+    over Q; a factor ends the scan SmallImageCertified with the witnesses
+    found so far.  Past the window the scan goes on for a chi = -1 witness,
+    which no image with a stable line has.  After a scan that certifies
+    nothing, sympy's factorization of psi_p is the last resort.  p must pass
+    require_analyzable_prime: an odd prime, where the class list and witness
+    rules hold, at most TRIAL_DIVISION_BOUND, so p - 1 is factored by trial
+    division alone.
     """
     require_analyzable_prime(p)
     m = minimal_model(model)
@@ -102,7 +99,6 @@ def certify_image(model, p):
     det_order = 1  # of the subgroup of (Z/p)^x the witnesses generate
     unit_primes = _unit_primes(p)
     psi3 = _division_polynomial(m, 3)[3] if p == 3 else None
-    prefix = None  # what a factor of psi_p found on the first SCAN_PREFIX primes certifies
 
     for ell in primes_up_to(SCAN_BOUND):
         if ell == p or inv.disc % ell == 0:
@@ -148,24 +144,16 @@ def certify_image(model, p):
             witnesses.append((ell, a_mod, d_mod))
         if det_order == p - 1 and len(ruled_out) == 4:
             return ImageCertificate(SURJECTIVE_CERTIFIED, tuple(witnesses), frozenset(ruled_out))
-        if p <= FACTOR_SEARCH_MAX_P and BOREL not in ruled_out:
+        if p <= FACTOR_SEARCH_MAX_P and BOREL not in ruled_out and len(frobenius) == FACTOR_WINDOW:
             # full image acts transitively on the (p^2-1)/2 x-coordinates of
-            # p-torsion, so a factor of psi_p over Q certifies a proper image.
-            # A factor exact_factor returns is the x-polynomial of a stable
-            # line, so a chi = -1 witness at a later prime proves that the
-            # lift on the prefix would find none.
-            if len(frobenius) == SCAN_PREFIX:
-                prefix = _unsurjective(SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
-            elif len(frobenius) == 2 * SCAN_PREFIX:
-                if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
-                    return prefix
-                prefix = None
-
-    if prefix is not None and BOREL not in ruled_out:  # the scan ended within SCAN_PREFIX primes of the prefix
-        if exact_factor(m, p, frobenius[:SCAN_PREFIX]) is not None:
-            return prefix
+            # p-torsion, so a factor of psi_p over Q certifies a proper image
+            if exact_factor(m, p, frobenius) is not None:
+                return _unsurjective(SMALL_IMAGE_CERTIFIED, witnesses, ruled_out)
     status = INCONCLUSIVE
-    if p <= FACTOR_SEARCH_MAX_P and (exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)):
+    # a factor exact_factor returns spans a stable line, which a chi = -1 witness rules out
+    if p <= FACTOR_SEARCH_MAX_P and (
+        BOREL not in ruled_out and exact_factor(m, p, frobenius) or _division_poly_reducible(m, p)
+    ):
         status = SMALL_IMAGE_CERTIFIED
     return _unsurjective(status, witnesses, ruled_out)
 

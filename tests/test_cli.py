@@ -303,8 +303,8 @@ class TestAnalyze:
 
     def test_fixture_runs_import_no_sympy(self):
         # every packaged fixture at each good p in {3, 5, 7}, the reducible
-        # images of 11a1 at 5 and 1058c1 at 3 included; a scan shorter than
-        # SCAN_PREFIX is test_galrep's
+        # images of 11a1 at 5 and 1058c1 at 3 included; a scan that ends
+        # before FACTOR_WINDOW good primes is test_galrep's
         # test_scan_shorter_than_the_prefix_tries_the_exact_factor
         code = (
             "import contextlib, io, sys\n"

@@ -29,9 +29,11 @@ from shaclass.engine import ASSUMED_BY_USER, CM_CASE, UNKNOWN_STATUS, VACUOUS, w
 from shaclass.errors import BadReductionAtP, InvalidInput
 from shaclass.galrep import (
     EXCEPTIONAL,
+    FACTOR_WINDOW,
+    INCONCLUSIVE,
+    NONSPLIT_CARTAN_NORMALIZER,
     SMALL_IMAGE_CERTIFIED,
     SURJECTIVE_CERTIFIED,
-    SCAN_PREFIX,
     _unit_order,
     a_ell,
     certify_image,
@@ -334,10 +336,10 @@ def _psi_reducible_by_sympy(model, p):
 
 
 def _frobenius_prefix(model, p):
-    """(ell, a_ell mod p, ell mod p) at the first SCAN_PREFIX good primes ell != p."""
+    """(ell, a_ell mod p, ell mod p) at the first 10 good primes ell != p."""
     m = minimal_model(model)
     disc = compute_invariants(m).disc
-    good = [ell for ell in primes_up_to(200) if ell != p and disc % ell][:SCAN_PREFIX]
+    good = [ell for ell in primes_up_to(200) if ell != p and disc % ell][:10]
     return m, [(ell, a_ell(m, ell) % p, ell % p) for ell in good]
 
 
@@ -448,8 +450,8 @@ class TestExactFactor:
 
     @pytest.mark.parametrize("label, p", REDUCIBLE_JOBS)
     def test_reducible_corpus_jobs_scan_only_the_prefix(self, label, p, corpus_models, monkeypatch):
-        """Borel stands through the SCAN_PREFIX primes scanned past the
-        prefix for a chi = -1 witness; then one lift on the prefix certifies."""
+        """Borel stands through the FACTOR_WINDOW good primes of the window;
+        then one lift on all of them certifies."""
         calls = []
 
         def counted(model, ell):
@@ -462,11 +464,11 @@ class TestExactFactor:
         cert = certify_image(CurveModel(*corpus_models[label]), p)
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
-        assert len(calls) <= 2 * SCAN_PREFIX
-        assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
+        assert len(calls) <= FACTOR_WINDOW
+        assert [len(frobenius) for _, frobenius in searches] == [FACTOR_WINDOW]
 
     def test_scan_shorter_than_the_prefix_tries_the_exact_factor(self, monkeypatch):
-        """A curve with fewer than SCAN_PREFIX good primes up to SCAN_BOUND
+        """A curve with fewer than FACTOR_WINDOW good primes up to SCAN_BOUND
         lifts once, on all of them, after its scan."""
         model = _twist_of_11a1_keeping((3, 7, 13, 17, 19, 23))
         assert _good_primes_below_scan_bound(model, 5) == [2, 3, 7, 13, 17, 19, 23]
@@ -479,20 +481,20 @@ class TestExactFactor:
         assert cert.witnesses == ((2, 3, 2),)
 
     def test_scan_ending_past_the_prefix_lifts_on_the_prefix(self, monkeypatch):
-        """A curve whose scan ends after SCAN_PREFIX good primes, but before
-        Borel has stood through SCAN_PREFIX more, lifts on the prefix once."""
+        """A curve whose scan ends with Borel standing before FACTOR_WINDOW
+        good primes lifts once, on all the primes scanned."""
         model = _twist_of_11a1_keeping([q for q in primes_up_to(53) if q not in (2, 5, 11)])
         assert len(_good_primes_below_scan_bound(model, 5)) == 13
         monkeypatch.setattr("shaclass.galrep._division_poly_reducible", _no_fallback)
         searches = _count_calls(monkeypatch, "exact_factor")
         cert = certify_image(model, 5)
-        assert [len(frobenius) for _, frobenius in searches] == [SCAN_PREFIX]
+        assert [len(frobenius) for _, frobenius in searches] == [13]
         assert cert.status == SMALL_IMAGE_CERTIFIED
         assert cert.first_unruled == "Borel"
         assert cert.witnesses == ((3, 4, 3),)
 
     def test_certificate_lists_the_prefix_witnesses_only(self, monkeypatch):
-        """A factor found after SCAN_PREFIX good primes ends the scan: the
+        """A factor found after FACTOR_WINDOW good primes ends the scan: the
         certificate lists the witnesses a full scan finds at those primes."""
         checked = 0
         for p, j_of in _X0_J.items():
@@ -500,16 +502,28 @@ class TestExactFactor:
                 model = minimal_model(_curve_with_j(j_of(Fraction(t)), d))
                 if compute_invariants(model).disc % p == 0:
                     continue
-                prefix = {ell for ell, _, _ in _frobenius_prefix(model, p)[1]}
+                window = set(_good_primes_below_scan_bound(model, p)[:FACTOR_WINDOW])
                 cert = certify_image(model, p)
                 with monkeypatch.context() as patched:
                     patched.setattr("shaclass.galrep.exact_factor", lambda *args: None)
                     full = certify_image(model, p)
                 assert cert.status == full.status == SMALL_IMAGE_CERTIFIED
-                assert cert.witnesses == tuple(w for w in full.witnesses if w[0] in prefix)
+                assert cert.witnesses == tuple(w for w in full.witnesses if w[0] in window)
                 assert cert.ruled_out <= full.ruled_out
                 checked += 1
         assert checked >= 8
+
+    def test_no_lift_once_borel_is_ruled_out(self, monkeypatch):
+        """(0, -1, 0, 9, -53), j = 4^3, at 3: a chi = -1 witness rules out
+        Borel and the nonsplit Cartan normalizer stands to the end of the
+        scan.  No factor can span a stable line, so exact_factor is never
+        called."""
+        monkeypatch.setattr("shaclass.galrep._division_poly_reducible", lambda *args: False)
+        searches = _count_calls(monkeypatch, "exact_factor")
+        cert = certify_image(CurveModel(0, -1, 0, 9, -53), 3)
+        assert cert.status == INCONCLUSIVE
+        assert cert.first_unruled == NONSPLIT_CARTAN_NORMALIZER
+        assert searches == []
 
 
 class TestSympyFallback:
@@ -528,7 +542,7 @@ class TestSympyFallback:
 
     def test_exact_factor_finds_nothing_on_the_prefix(self):
         m, frobenius = _frobenius_prefix(self.MODEL, 3)
-        assert len(frobenius) == SCAN_PREFIX
+        assert len(frobenius) == 10
         assert exact_factor(m, 3, frobenius) is None
 
     def test_certified_only_after_the_full_scan_and_the_fallback(self, monkeypatch):
@@ -613,8 +627,8 @@ class TestDivisionPolynomials:
         ids=["11a1", "423801ci1"],
     )
     def test_one_build_per_exact_factor_call(self, model, p, lifts, witnesses, monkeypatch):
-        """11a1 at 5 lifts once.  At 423801ci1 at 13, Borel stands after the
-        prefix, but the chi = -1 witness at 67 comes before any lift, so
+        """11a1 at 5 lifts once.  At 423801ci1 at 13, Borel stands through 14
+        good primes, but the chi = -1 witness at 67 comes before any lift, so
         psi_13 is never built."""
         builds = _count_calls(monkeypatch, "_division_polynomial")
         searches = _count_calls(monkeypatch, "exact_factor")
