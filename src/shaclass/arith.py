@@ -87,7 +87,7 @@ def is_prime(n):
     """Primality test; deterministic for n below ~3.3e24, BPSW above."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:

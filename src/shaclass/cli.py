@@ -123,7 +123,7 @@ def _resolve_curve(args, label=None, config=None):
 def _analyze_one(args, label=None, config=None):
     model, record, label = _resolve_curve(args, label, config)
     structure = None
-    if args.sha_structure:
+    if args.sha_structure is not None:
         try:
             structure = tuple(ascii_int(s.strip()) for s in args.sha_structure.split(","))
         except ValueError as err:

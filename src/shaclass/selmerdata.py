@@ -342,17 +342,11 @@ def apply_user_overrides(record, mw_rank=None, sha_order=None, sha_structure=Non
     changes = {"provenance": USER_SUPPLIED}
     if mw_rank is not None:
         changes["mw_rank"] = mw_rank
-    if sha_order is not None:
-        changes["sha_order"] = sha_order
-        if sha_structure is None:
-            # stale structure or per-p ranks may contradict the new order
-            changes["sha_structure"] = None
-            changes["sha_p_ranks"] = ()
-    if sha_structure is not None:
-        changes["sha_structure"] = tuple(sha_structure)
-        changes["sha_p_ranks"] = ()
-        if sha_order is None:
-            changes["sha_order"] = math.prod(sha_structure)
+    if sha_order is not None or sha_structure is not None:
+        # the user's Sha data replaces all of the record's, which may contradict it
+        structure = None if sha_structure is None else tuple(sha_structure)
+        order = math.prod(structure) if sha_order is None else sha_order
+        changes.update(sha_order=order, sha_structure=structure, sha_p_ranks=())
     return record._replace(**changes)
 
 

@@ -395,7 +395,7 @@ class TestAnalyze:
         assert (code, out) == (EXIT_CAPACITY, "")
         assert err.startswith("error: 99a1: cofactor ")
 
-    @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5", "\u0665,5", "5,5_0"])
+    @pytest.mark.parametrize("structure", ["x", "5,,5", "0,7", "-5", "\u0665,5", "5,5_0", "", " ", ","])
     def test_bad_sha_structure_is_invalid_input(self, capsys, structure):
         code, out, err = run(
             capsys,
@@ -404,7 +404,7 @@ class TestAnalyze:
         )
         assert code == EXIT_INVALID_INPUT
         assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "flag", [("--sha-order", "1"), ("--sha-structure", "5,5"), ("--sha-order", "4")]
